@@ -29,7 +29,7 @@ from .suite import (
     write_results_json,
     write_summary_csv,
 )
-from .suite import TrainedMethod
+from .suite import _BASELINE_KIND, TrainedMethod
 from .baselines import BaselineModel, BaselineSpec
 from .tasks import generate_task, write_dataset_csv
 from .training import write_trajectory_csv
@@ -112,8 +112,7 @@ def _load_trained(model_dir: str) -> TrainedMethod:
     method = manifest["method"]
     baseline = None
     if method != "blob":
-        kind = {"mle": "mle", "map": "map", "mcd": "mc_dropout", "ens": "ensemble", "bbb": "bbb"}[method]
-        spec = BaselineSpec(kind=kind, **manifest["baseline"])
+        spec = BaselineSpec(kind=_BASELINE_KIND[method], **manifest["baseline"])
         baseline = BaselineModel(spec=spec, models=models, logs=[[] for _ in models])
     return TrainedMethod(method=method, models=models, logs=[[] for _ in models], baseline=baseline)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import FlipoutMasks, VariationalAdapter
+from .adapter import VariationalAdapter
 from .linalg import ShapeError
 from .parammaps import ParamMap, apply_map, map_derivative
 
@@ -88,19 +88,34 @@ class SmallNet:
     def bayesianize_b(self) -> bool:
         return any(layer.g_b is not None for layer in self.layers)
 
+    def _param_slots(self) -> list[tuple[str, object, str]]:
+        """(key, owner, attribute name) of every trainable array.
+
+        The Bayesianized-b std parameters come last: under mean-mode
+        sampling they are the only arrays without a likelihood gradient,
+        so the arrays that have one form a leading run.
+        """
+        slots: list[tuple[str, object, str]] = []
+        for i, layer in enumerate(self.layers):
+            for name in ("b", "mean_a", "g"):
+                slots.append((f"layers.{i}.{name}", layer.adapter, name))
+        if self.head_trainable:
+            slots += [("head.w", self, "head_w"), ("head.b", self, "head_b")]
+        for i, layer in enumerate(self.layers):
+            if layer.g_b is not None:
+                slots.append((f"layers.{i}.g_b", layer, "g_b"))
+        return slots
+
     def trainable_params(self) -> dict[str, np.ndarray]:
         """Mutable views of every trainable array, keyed by a stable name."""
-        params: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            params[f"layers.{i}.b"] = layer.adapter.b
-            params[f"layers.{i}.mean_a"] = layer.adapter.mean_a
-            params[f"layers.{i}.g"] = layer.adapter.g
-            if layer.g_b is not None:
-                params[f"layers.{i}.g_b"] = layer.g_b
-        if self.head_trainable:
-            params["head.w"] = self.head_w
-            params["head.b"] = self.head_b
-        return params
+        return {key: getattr(owner, attr) for key, owner, attr in self._param_slots()}
+
+    def bind_params(self, arrays: dict[str, np.ndarray]) -> None:
+        """Rebind every trainable array to the same-shaped array under its key."""
+        for key, owner, attr in self._param_slots():
+            if arrays[key].shape != getattr(owner, attr).shape:
+                raise ShapeError(f"{key} must keep shape {getattr(owner, attr).shape}")
+            setattr(owner, attr, arrays[key])
 
     def backbone_arrays(self) -> dict[str, np.ndarray]:
         """The frozen tensors, for freeze-invariance checks."""
@@ -138,8 +153,9 @@ class _LayerCache:
     drop_mask: np.ndarray | None
     omega: np.ndarray
     mode: str
-    masks: FlipoutMasks | None
-    noise: np.ndarray | None
+    s: np.ndarray | None             # flipout input-side signs (n, batch)
+    t: np.ndarray | None             # flipout output-side signs (batch, r)
+    noise: np.ndarray | None         # base noise e (r, n), flipout and shared
     a_shared: np.ndarray | None
     c: np.ndarray
     b_used: np.ndarray
@@ -195,16 +211,14 @@ def net_forward(
             drop_mask = None
             hd = h
 
-        masks = None
-        noise = None
-        a_shared = None
+        s = t = noise = a_shared = None
         if mode == "flipout":
-            masks = FlipoutMasks(
-                s=_rademacher(rng, n, batch),
-                t=_rademacher(rng, batch, r),
-                e=rng.standard_normal(size=(r, n)),
-            )
-            perturb = ((masks.e * omega) @ (hd * masks.s)) * masks.t.T
+            # The signs are +/-1 by construction, so the hot path skips the
+            # checks that FlipoutMasks runs for outside callers.
+            s = _rademacher(rng, n, batch)
+            t = _rademacher(rng, batch, r)
+            noise = rng.standard_normal(size=(r, n))
+            perturb = ((noise * omega) @ (hd * s)) * t.T
             c = ad.mean_a @ hd + perturb
         elif mode == "shared":
             noise = rng.standard_normal(size=(r, n))
@@ -226,7 +240,7 @@ def net_forward(
         caches.append(
             _LayerCache(
                 h_in=h, hd=hd, drop_mask=drop_mask, omega=omega, mode=mode,
-                masks=masks, noise=noise, a_shared=a_shared, c=c,
+                s=s, t=t, noise=noise, a_shared=a_shared, c=c,
                 b_used=b_used, e_b=e_b, omega_b=omega_b, h_out=h_out,
             )
         )
@@ -261,13 +275,13 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> dict
         dmap = map_derivative(net.param_map, ad.g)
         if cache.mode == "flipout":
             grads[f"layers.{i}.mean_a"] = dc @ cache.hd.T
-            q = cache.masks.e * cache.omega
-            r_mat = cache.hd * cache.masks.s
-            dqr = dc * cache.masks.t.T
+            q = cache.noise * cache.omega
+            r_mat = cache.hd * cache.s
+            dqr = dc * cache.t.T
             dq = dqr @ r_mat.T
             dr = q.T @ dqr
-            dhd = ad.mean_a.T @ dc + dr * cache.masks.s
-            grads[f"layers.{i}.g"] = (dq * cache.masks.e) * dmap
+            dhd = ad.mean_a.T @ dc + dr * cache.s
+            grads[f"layers.{i}.g"] = (dq * cache.noise) * dmap
         elif cache.mode == "shared":
             da_shared = dc @ cache.hd.T
             grads[f"layers.{i}.mean_a"] = da_shared

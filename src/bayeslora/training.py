@@ -57,6 +57,7 @@ __all__ = [
     "lr_factor",
     "AdamW",
     "Sgd",
+    "FlatParams",
 ]
 
 KL_MODES = ("uniform", "blundell", "blob_ascending", "off")
@@ -275,7 +276,8 @@ def _accumulate(acc: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale:
         if key in acc:
             acc[key] += scale * grad
         else:
-            acc[key] = scale * grad
+            # 1.0 * grad is grad bit for bit; skip the copy for K = 1.
+            acc[key] = grad if scale == 1.0 else scale * grad
 
 
 def elbo_minibatch(
@@ -351,8 +353,46 @@ def lr_factor(step: int, total_steps: int, warmup_ratio: float) -> float:
     return max(0.0, (total_steps - t0) / (total_steps - warmup))
 
 
+class FlatParams:
+    """Every trainable array of a net packed into one float64 vector.
+
+    Packing copies the arrays into ``data`` and rebinds each one on the net
+    to its view, so an in-place update of ``data`` is an update of the net.
+    ``grad`` and ``kl_grad`` share the layout, which follows
+    ``SmallNet.trainable_params``.
+    """
+
+    def __init__(self, net: SmallNet):
+        params = net.trainable_params()
+        self.data = np.concatenate([p.ravel() for p in params.values()], dtype=np.float64)
+        self.grad = np.zeros_like(self.data)
+        self.kl_grad = np.zeros_like(self.data)
+        self._zeros = {key: np.zeros(p.size) for key, p in params.items()}
+        self._ends: dict[str, int] = {}
+        views: dict[str, np.ndarray] = {}
+        start = 0
+        for key, p in params.items():
+            views[key] = self.data[start : start + p.size].reshape(p.shape)
+            start += p.size
+            self._ends[key] = start
+        net.bind_params(views)
+
+    def load(self, grads: dict[str, np.ndarray], out: np.ndarray) -> int:
+        """Copy ``grads`` into ``out`` in layout order, zeros for absent keys.
+
+        Returns the offset just past the last key present, so ``out[:stop]``
+        holds every gradient given.
+        """
+        np.concatenate([grads.get(key, zero).ravel() for key, zero in self._zeros.items()], out=out)
+        return max(self._ends[key] for key in grads)
+
+
 class AdamW:
-    """Adaptive moment-based descent with decoupled weight decay."""
+    """Adaptive moment-based descent with decoupled weight decay.
+
+    Steps one flat parameter vector with whole-vector ufuncs; the moments
+    are allocated at the first step with the vector's length.
+    """
 
     def __init__(
         self,
@@ -366,42 +406,37 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], factor: float) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, factor: float) -> None:
+        """Update ``params`` in place from ``grads`` of the same shape."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         lr_t = self.lr * factor
-        for key, p in params.items():
-            g = grads.get(key)
-            if g is None:
-                continue
-            m = self._m.setdefault(key, np.zeros_like(p))
-            v = self._v.setdefault(key, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= lr_t * update
+        if self._m is None:
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grads * grads
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay:
+            update = update + self.weight_decay * params
+        params -= lr_t * update
 
 
 class Sgd:
-    """Plain gradient descent, no momentum."""
+    """Plain gradient descent, no momentum, on one flat parameter vector."""
 
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], factor: float) -> None:
-        lr_t = self.lr * factor
-        for key, p in params.items():
-            g = grads.get(key)
-            if g is not None:
-                p -= lr_t * g
+    def step(self, params: np.ndarray, grads: np.ndarray, factor: float) -> None:
+        params -= (self.lr * factor) * grads
 
 
 @dataclass
@@ -446,6 +481,14 @@ def train(
 
     The batch order, the per-step sampling noise, and therefore the whole
     trajectory are functions of config.seed alone.
+
+    On entry the trainable arrays are packed into one flat buffer
+    (``FlatParams``), and on return every trainable array of the net is a
+    view into it.  Both optimizers step the whole buffer at once.  A key
+    without a likelihood gradient (only ``g_b`` under sampling "none")
+    sits at the end of the layout, outside the span AdamW steps, so it and
+    its moments stay untouched; a key without a KL gradient gets a zero
+    one, which leaves it bit for bit unchanged under plain descent.
     """
     x, y = dataset
     if x.shape[0] < 1:
@@ -455,7 +498,7 @@ def train(
     batches = _BatchIterator(n=x.shape[0], batch_size=config.batch_size, rng=np.random.default_rng(batch_ss))
     step_seeds = np.random.default_rng(noise_ss)
 
-    params = net.trainable_params()
+    flat = FlatParams(net)
     adam = AdamW(lr=config.lr_likelihood, weight_decay=config.weight_decay)
     sgd = Sgd(lr=config.lr_kl)
 
@@ -469,10 +512,12 @@ def train(
         except NonFiniteLossError as err:
             raise TrainingDivergedError(step, err.component) from err
         factor = lr_factor(step, config.steps, config.warmup_ratio)
-        adam.step(params, result.likelihood_grads, factor)
+        stop = flat.load(result.likelihood_grads, flat.grad)
+        adam.step(flat.data[:stop], flat.grad[:stop], factor)
         if result.kl_grads and weight > 0.0:
-            scaled = {k: weight * g for k, g in result.kl_grads.items()}
-            sgd.step(params, scaled, factor)
+            flat.load(result.kl_grads, flat.kl_grad)
+            flat.kl_grad *= weight
+            sgd.step(flat.data, flat.kl_grad, factor)
         log.append(
             StepRecord(
                 step=step,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +14,18 @@ from bayeslora.configio import (
     make_schedule,
     write_example_config,
 )
-from bayeslora.suite import run_suite, verify_theorems
+from bayeslora import suite
+from bayeslora.kl import build_full_posterior
+from bayeslora.suite import run_suite, verify_theorems, write_results_csv
 from bayeslora.tasks import TaskSpec
 from bayeslora.training import TrainConfig
+
+BENCHMARK_INI = pathlib.Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini"
+
+# sha256 of results.csv for the benchmark config cut to 1 seed, 40 steps
+# and N in {0, 5}, recorded with per-tensor optimizer loops; any byte of
+# drift in training or prediction shows here.
+GOLDEN_RESULTS_SHA256 = "d930d45343a3933ed2d4bdd00c1dfdbe21bd487abeb0cd150bc23869d67097e2"
 
 TINY_INI = """\
 [task]
@@ -130,6 +141,17 @@ class TestSuite:
         n_cols = len(lines[0].split(","))
         assert all(len(line.split(",")) == n_cols for line in lines[1:])
 
+    def test_short_benchmark_results_match_golden(self, tmp_path):
+        cfg = load_config(str(BENCHMARK_INI))
+        cfg = replace(
+            cfg, seeds=(0,), n_samples_list=(0, 5), train=replace(cfg.train, steps=40)
+        )
+        results, failed = run_suite(cfg)
+        assert not failed
+        path = tmp_path / "results.csv"
+        write_results_csv(results, str(path))
+        assert hashlib.sha256(_read(path)).hexdigest() == GOLDEN_RESULTS_SHA256
+
 
 class TestTheoremBattery:
     def test_default_dims_all_pass(self):
@@ -147,6 +169,25 @@ class TestTheoremBattery:
         # b = 0 leaves the posterior deterministic; the moment checks still pass.
         assert by_name["posterior-mean-moments"].status == "pass"
         assert by_name["posterior-covariance-moments"].status == "pass"
+
+    def test_covariance_check_catches_one_percent_omega_error(self, monkeypatch):
+        """A closed form at omega / 1.01 is what draws taken at omega x 1.01
+        are checked against: every covariance entry is off by about 2 %,
+        well inside what a 5 % relative-error limit would let through."""
+        monkeypatch.setattr(
+            suite,
+            "build_full_posterior",
+            lambda ad: build_full_posterior(replace(ad, g=ad.g / np.sqrt(1.01))),
+        )
+        report = verify_theorems(seed=0)
+        cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
+        assert cov.status == "fail", cov.margin
+
+    @pytest.mark.parametrize("seed", [1, 3, 4, 7, 9])
+    def test_covariance_check_passes_honest_draws(self, seed):
+        report = verify_theorems(seed=seed, flipout_draws=500)
+        cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
+        assert cov.status == "pass", cov.margin
 
     def test_race_ordering_reported(self):
         report = verify_theorems(n_draws=2_000, flipout_draws=500, seed=1)

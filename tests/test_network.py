@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bayeslora.adapter import forward_flipout, forward_naive_shared
+from bayeslora.adapter import FlipoutMasks, forward_flipout, forward_naive_shared
 from bayeslora.network import (
     NonFiniteLossError,
     cross_entropy,
@@ -94,7 +94,8 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="flipout", rng=np.random.default_rng(123))
         cache = fwd.layer_caches[0]
-        z_adapter = forward_flipout(net.layers[0].adapter, h0, cache.masks)
+        masks = FlipoutMasks(s=cache.s, t=cache.t, e=cache.noise)
+        z_adapter = forward_flipout(net.layers[0].adapter, h0, masks)
         z_net = np.arctanh(np.clip(cache.h_out, -1 + 1e-12, 1 - 1e-12))
         np.testing.assert_allclose(
             z_net, z_adapter + net.layers[0].bias[:, None], rtol=1e-8, atol=1e-8

@@ -7,7 +7,10 @@ from bayeslora.linalg import Sampler
 from bayeslora.parammaps import ParamMap
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import (
+    AdamW,
+    FlatParams,
     KlSchedule,
+    Sgd,
     TrainConfig,
     TrainingDivergedError,
     build_small_net,
@@ -308,6 +311,80 @@ class TestTrain:
         cols = lines[5].split(",")
         assert float(cols[1]) == rec.likelihood_loss
         assert float(cols[2]) == rec.kl_value
+
+
+def _reference_adamw(params, grads, state, factor, lr, weight_decay):
+    """Per-key AdamW loop, kept here as the oracle for the flat optimizer."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    lr_t = lr * factor
+    for key, p in params.items():
+        g = grads.get(key)
+        if g is None:
+            continue
+        m = state["m"].setdefault(key, np.zeros_like(p))
+        v = state["v"].setdefault(key, np.zeros_like(p))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p
+        p -= lr_t * update
+
+
+class TestFlatOptimizers:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_bit_identical_to_per_key_loop(self, weight_decay):
+        rng = np.random.default_rng(31)
+        shapes = [tuple(rng.integers(1, 6, size=rng.integers(1, 3))) for _ in range(7)]
+        keys = [f"p{i}" for i in range(len(shapes))]
+        ref = {k: rng.normal(size=shape) for k, shape in zip(keys, shapes)}
+        flat = np.concatenate([p.ravel() for p in ref.values()])
+        adam, sgd = AdamW(lr=2e-2, weight_decay=weight_decay), Sgd(lr=1e-2)
+        state = {"t": 0, "m": {}, "v": {}}
+        for step in range(50):
+            factor = (step + 1) / 50
+            lik = {k: rng.normal(size=p.shape) for k, p in ref.items()}
+            kl = {k: rng.normal(size=p.shape) for k, p in ref.items()}
+            weight = rng.uniform(0.0, 1.0)
+            _reference_adamw(ref, lik, state, factor, 2e-2, weight_decay)
+            adam.step(flat, np.concatenate([g.ravel() for g in lik.values()]), factor)
+            for key, p in ref.items():
+                p -= (1e-2 * factor) * (weight * kl[key])
+            sgd.step(flat, weight * np.concatenate([g.ravel() for g in kl.values()]), factor)
+            np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in ref.values()]))
+
+    def test_trainable_arrays_are_views_of_one_buffer(self):
+        config = TrainConfig(seed=3, steps=5, bayesianize_b=True)
+        net = build_small_net(2, (6, 5), 2, 2, config)
+        before = {k: v.copy() for k, v in net.trainable_params().items()}
+        flat = FlatParams(net)
+        params = net.trainable_params()
+        assert list(params)[-2:] == ["layers.0.g_b", "layers.1.g_b"]
+        for key, value in params.items():
+            assert np.shares_memory(value, flat.data)
+            np.testing.assert_array_equal(value, before[key])
+        flat.data += 1.0
+        np.testing.assert_array_equal(net.head_b, before["head.b"] + 1.0)
+
+    def test_parameter_without_gradient_untouched(self):
+        """Under sampling "none" g_b gets no likelihood gradient, and with
+        the KL off none at all: weight decay must not move it."""
+        (ds, _) = _small_task()
+        config = TrainConfig(
+            seed=4, steps=30, bayesianize_b=True, sampling="none", kl_mode="off", weight_decay=1e-3
+        )
+        net = build_small_net(2, (8, 8), 2, 2, config)
+        before = {k: v.copy() for k, v in net.trainable_params().items()}
+        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, "off")
+        net, _ = train(net, ds, config, sched)
+        for i, layer in enumerate(net.layers):
+            np.testing.assert_array_equal(layer.g_b, before[f"layers.{i}.g_b"])
+        assert not np.array_equal(net.layers[0].adapter.b, before["layers.0.b"])
 
 
 class TestPredict:
