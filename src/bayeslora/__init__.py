@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``linalg``    - dense float64 matrix utilities and seeded samplers;
-* ``adapter``   - the variational low-rank adapter and its forward passes;
+* ``linalg``    - vec, PSD log-determinant/solve, and seeded samplers;
+* ``adapter``   - the variational low-rank adapter and its per-mode layer op;
 * ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes;
 * ``parammaps`` - square vs softplus std parameterizations and their race;
 * ``network``   - frozen-backbone net with hand-written gradients;
@@ -18,6 +18,7 @@ Library layout:
 from .adapter import (
     FlipoutMasks,
     VariationalAdapter,
+    draw_flipout,
     forward_flipout,
     forward_mean,
     forward_naive_shared,
@@ -28,8 +29,8 @@ from .kl import (
     PriorSpec,
     build_full_posterior,
     build_full_prior,
+    gaussian_kl,
     kl_closed_form,
-    kl_closed_form_raw,
     kl_full_weight_regularized,
     kl_monte_carlo,
 )
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FlipoutMasks",
     "VariationalAdapter",
+    "draw_flipout",
     "forward_flipout",
     "forward_mean",
     "forward_naive_shared",
@@ -60,8 +62,8 @@ __all__ = [
     "PriorSpec",
     "build_full_posterior",
     "build_full_prior",
+    "gaussian_kl",
     "kl_closed_form",
-    "kl_closed_form_raw",
     "kl_full_weight_regularized",
     "kl_monte_carlo",
     "CalibrationReport",

@@ -8,17 +8,21 @@ Bayesianization is deliberately asymmetric: ``b`` starts at zero, so at
 initialization every forward pass reproduces the frozen base exactly and
 weight sampling adds no noise.
 
-Three forward passes are provided:
+A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
+``branch_backward``) computes the adapter branch ``c`` in one of three modes:
 
-* ``forward_mean``       - posterior mean weights, no sampling;
-* ``forward_naive_shared`` - one sampled ``a`` shared by the whole batch
+* ``mean``    - posterior mean weights, no sampling;
+* ``shared``  - one sampled ``a`` shared by the whole batch
   (slow-converging: every example sees the same perturbation);
-* ``forward_flipout``    - shared base noise decorrelated across examples
+* ``flipout`` - shared base noise decorrelated across examples
   by per-example sign masks, so each example experiences a
   pseudo-independent weight draw at the cost of one extra low-rank
   product.  Per example i the effective perturbation is
   ``(e * omega) * outer(t_i, s_i)``, which leaves the per-example marginal
   distribution identical to naive independent sampling.
+
+The network trains through these ops unchecked; ``forward_mean``,
+``forward_naive_shared`` and ``forward_flipout`` are checked one-layer passes.
 """
 
 from __future__ import annotations
@@ -27,22 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Sampler, ShapeError
+from .linalg import ShapeError
 
 __all__ = [
     "VariationalAdapter",
     "FlipoutMasks",
-    "sample_flipout_masks",
+    "draw_flipout",
+    "branch_forward",
+    "branch_backward",
     "forward_mean",
     "sample_a",
     "forward_flipout",
     "forward_naive_shared",
-    "save_adapter",
-    "load_adapter",
 ]
-
-_MAGIC = "bayeslora-adapter"
-_VERSION = 1
 
 
 @dataclass
@@ -101,15 +102,47 @@ class FlipoutMasks:
             raise ValueError("t entries must be exactly +/-1")
 
 
-def sample_flipout_masks(adapter: VariationalAdapter, batch: int, sampler: Sampler) -> FlipoutMasks:
-    """Fresh sign masks and base noise for a batch; resample every call."""
-    if batch < 1:
-        raise ValueError("batch size must be >= 1")
-    return FlipoutMasks(
-        s=sampler.rademacher(adapter.n, batch),
-        t=sampler.rademacher(batch, adapter.rank),
-        e=sampler.gaussian(adapter.rank, adapter.n),
+def draw_flipout(rng: np.random.Generator, n: int, batch: int, r: int) -> tuple:
+    """Fresh flipout draws (s, t, e) in that order: signs s (n, batch) and
+    t (batch, r), standard-normal e (r, n).  ``FlipoutMasks(*draws)`` checks them."""
+    return (
+        2.0 * rng.integers(0, 2, size=(n, batch)) - 1.0,
+        2.0 * rng.integers(0, 2, size=(batch, r)) - 1.0,
+        rng.standard_normal(size=(r, n)),
     )
+
+
+def branch_forward(mode: str, mean_a: np.ndarray, omega: np.ndarray, hd: np.ndarray, draws: tuple) -> np.ndarray:
+    """Adapter branch ``c`` of the branch input ``hd`` (n, batch).
+
+    ``draws`` is (s, t, e) for flipout, (e,) for shared, () for mean.
+    """
+    if mode == "flipout":
+        s, t, e = draws
+        return mean_a @ hd + ((e * omega) @ (hd * s)) * t.T
+    if mode == "shared":
+        return (mean_a + omega * draws[0]) @ hd
+    return mean_a @ hd
+
+
+def branch_backward(
+    mode: str, mean_a: np.ndarray, omega: np.ndarray, hd: np.ndarray, draws: tuple, dc: np.ndarray
+) -> tuple:
+    """(d_mean_a, d_omega, d_hd) of a loss given dc, for the ``branch_forward``
+    call with the same arguments; ``d_omega`` is None in mean mode."""
+    d_mean_a = dc @ hd.T
+    if mode == "flipout":
+        s, t, e = draws
+        dqr = dc * t.T
+        d_omega = (dqr @ (hd * s).T) * e
+        d_hd = mean_a.T @ dc + ((e * omega).T @ dqr) * s
+    elif mode == "shared":
+        d_omega = d_mean_a * draws[0]
+        d_hd = (mean_a + omega * draws[0]).T @ dc
+    else:
+        d_omega = None
+        d_hd = mean_a.T @ dc
+    return d_mean_a, d_omega, d_hd
 
 
 def _check_input(adapter: VariationalAdapter, h: np.ndarray) -> None:
@@ -119,16 +152,21 @@ def _check_input(adapter: VariationalAdapter, h: np.ndarray) -> None:
         raise ShapeError("batch size must be >= 1")
 
 
+def _check_noise(adapter: VariationalAdapter, noise: np.ndarray) -> None:
+    if noise.shape != adapter.mean_a.shape:
+        raise ShapeError(f"noise must be {adapter.mean_a.shape}, got {noise.shape}")
+
+
 def forward_mean(adapter: VariationalAdapter, h: np.ndarray) -> np.ndarray:
     """Deterministic pass with the posterior mean: w0 @ h + b @ mean_a @ h."""
     _check_input(adapter, h)
-    return adapter.w0 @ h + adapter.b @ (adapter.mean_a @ h)
+    c = branch_forward("mean", adapter.mean_a, adapter.omega(), h, ())
+    return adapter.w0 @ h + adapter.b @ c
 
 
 def sample_a(adapter: VariationalAdapter, noise: np.ndarray) -> np.ndarray:
     """Reparameterized posterior draw: mean_a + (g*g) * noise."""
-    if noise.shape != adapter.mean_a.shape:
-        raise ShapeError(f"noise must be {adapter.mean_a.shape}, got {noise.shape}")
+    _check_noise(adapter, noise)
     return adapter.mean_a + adapter.omega() * noise
 
 
@@ -145,58 +183,13 @@ def forward_flipout(adapter: VariationalAdapter, h: np.ndarray, masks: FlipoutMa
         raise ShapeError(f"t mask must be ({batch}, {adapter.rank}), got {masks.t.shape}")
     if masks.e.shape != (adapter.rank, adapter.n):
         raise ShapeError(f"e noise must be ({adapter.rank}, {adapter.n}), got {masks.e.shape}")
-    perturb = ((masks.e * adapter.omega()) @ (h * masks.s)) * masks.t.T
-    return adapter.w0 @ h + adapter.b @ (adapter.mean_a @ h + perturb)
+    c = branch_forward("flipout", adapter.mean_a, adapter.omega(), h, (masks.s, masks.t, masks.e))
+    return adapter.w0 @ h + adapter.b @ c
 
 
 def forward_naive_shared(adapter: VariationalAdapter, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Stochastic pass where one sampled ``a`` is shared by the whole batch."""
     _check_input(adapter, h)
-    a = sample_a(adapter, noise)
-    return adapter.w0 @ h + adapter.b @ (a @ h)
-
-
-def _format_matrix(a: np.ndarray) -> str:
-    return " ".join(float(x).hex() for x in a.ravel(order="C"))
-
-
-def _parse_matrix(text: str, rows: int, cols: int, name: str) -> np.ndarray:
-    values = [float.fromhex(tok) for tok in text.split()]
-    if len(values) != rows * cols:
-        raise ValueError(f"{name}: expected {rows * cols} entries, got {len(values)}")
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
-
-
-def save_adapter(adapter: VariationalAdapter, path: str) -> None:
-    """Write a textual record that round-trips bit-exactly (hex floats)."""
-    lines = [
-        f"{_MAGIC} {_VERSION}",
-        f"dims {adapter.m} {adapter.n} {adapter.rank}",
-        "w0 " + _format_matrix(adapter.w0),
-        "b " + _format_matrix(adapter.b),
-        "mean_a " + _format_matrix(adapter.mean_a),
-        "g " + _format_matrix(adapter.g),
-    ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_adapter(path: str) -> VariationalAdapter:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"{_MAGIC} {_VERSION}":
-        raise ValueError(f"not a {_MAGIC} v{_VERSION} file: {path}")
-    header = lines[1].split()
-    if header[0] != "dims" or len(header) != 4:
-        raise ValueError(f"malformed dims line in {path}")
-    m, n, r = (int(tok) for tok in header[1:])
-    fields: dict[str, np.ndarray] = {}
-    shapes = {"w0": (m, n), "b": (m, r), "mean_a": (r, n), "g": (r, n)}
-    for line in lines[2:6]:
-        name, _, payload = line.partition(" ")
-        if name not in shapes:
-            raise ValueError(f"unexpected field {name!r} in {path}")
-        fields[name] = _parse_matrix(payload, *shapes[name], name=name)
-    if set(fields) != set(shapes):
-        raise ValueError(f"missing fields in {path}")
-    return VariationalAdapter(**fields)
+    _check_noise(adapter, noise)
+    c = branch_forward("shared", adapter.mean_a, adapter.omega(), h, (noise,))
+    return adapter.w0 @ h + adapter.b @ c

@@ -4,7 +4,9 @@ Three routes to the same quantity live here, deliberately redundant:
 
 1. ``kl_closed_form`` - the analytical KL between the factorized posterior
    q(a) = prod N(mean_a_ij, omega_ij^2) and the isotropic prior
-   prod N(0, sigma_p^2), evaluated in the low-rank space.
+   prod N(0, sigma_p^2), evaluated in the low-rank space by
+   ``gaussian_kl``, which also gives its gradients and is the KL that
+   training runs (``network.kl_term``).
 2. ``kl_monte_carlo`` - an unbiased sample estimate of E_q[log q - log p],
    used to cross-check the closed form.
 3. The full-weight route: ``build_full_posterior`` / ``build_full_prior``
@@ -17,8 +19,7 @@ Three routes to the same quantity live here, deliberately redundant:
    test suite verifies numerically.
 
 The closed form is returned as a genuine KL, i.e. including the additive
-constant r*n*(log sigma_p - 1/2) that a trainer may drop (it has zero
-gradient).  ``kl_closed_form_raw`` exposes the constant-free value.
+constant r*n*(log sigma_p - 1/2) that has zero gradient.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .linalg import ShapeError, logdet_psd, solve_psd, vec
 __all__ = [
     "PriorSpec",
     "FullWeightGaussian",
+    "gaussian_kl",
     "kl_closed_form",
-    "kl_closed_form_raw",
     "kl_monte_carlo",
     "build_full_posterior",
     "build_full_prior",
@@ -80,29 +81,35 @@ class FullWeightGaussian:
         return self.mu.shape[0]
 
 
-def _validate_variational(mean_a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    if mean_a.shape != g.shape:
-        raise ShapeError(f"mean_a {mean_a.shape} and g {g.shape} must match")
-    if np.any(g == 0.0):
-        raise ValueError("degenerate posterior: some g entry is exactly zero (infinite KL)")
-    return g * g
+def gaussian_kl(
+    mean: np.ndarray, omega: np.ndarray, sigma_p: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """KL[prod N(mean_ij, omega_ij^2) || prod N(0, sigma_p^2)] and its gradients.
 
-
-def kl_closed_form_raw(mean_a: np.ndarray, g: np.ndarray, prior: PriorSpec) -> float:
-    """Constant-free analytical KL: (||M||^2 + ||omega||^2)/(2 sigma_p^2) - sum log omega."""
-    omega = _validate_variational(mean_a, g)
-    sp2 = prior.sigma_p * prior.sigma_p
-    return float(
-        (np.sum(mean_a * mean_a) + np.sum(omega * omega)) / (2.0 * sp2)
+    Returns (value, d value / d mean, d value / d omega) with
+    value = (||mean||^2 + ||omega||^2) / (2 sigma_p^2) - sum log omega
+    + count * (log sigma_p - 1/2): nonnegative, zero iff mean = 0 and
+    omega = sigma_p everywhere.  Raises ValueError if some omega <= 0.
+    """
+    if np.any(omega <= 0.0):
+        raise ValueError("some omega entry is <= 0: log omega undefined (infinite KL)")
+    sp2 = sigma_p * sigma_p
+    value = float(
+        (np.sum(mean**2) + np.sum(omega**2)) / (2.0 * sp2)
         - np.sum(np.log(omega))
+        + omega.size * (np.log(sigma_p) - 0.5)
     )
+    return value, mean / sp2, omega / sp2 - 1.0 / omega
 
 
 def kl_closed_form(mean_a: np.ndarray, g: np.ndarray, prior: PriorSpec) -> float:
-    """Exact KL[q(a) || p(a)] including constants: nonnegative, zero iff q = p."""
-    count = mean_a.size
-    const = count * (math.log(prior.sigma_p) - 0.5)
-    return kl_closed_form_raw(mean_a, g, prior) + const
+    """Exact KL[q(a) || p(a)] with omega = g * g, constants included.
+
+    Raises ValueError where some g entry is zero (infinite KL).
+    """
+    if mean_a.shape != g.shape:
+        raise ShapeError(f"mean_a {mean_a.shape} and g {g.shape} must match")
+    return gaussian_kl(mean_a, g * g, prior.sigma_p)[0]
 
 
 def kl_monte_carlo(
@@ -119,7 +126,11 @@ def kl_monte_carlo(
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
-    omega = _validate_variational(mean_a, g)
+    if mean_a.shape != g.shape:
+        raise ShapeError(f"mean_a {mean_a.shape} and g {g.shape} must match")
+    if np.any(g == 0.0):
+        raise ValueError("degenerate posterior: some g entry is exactly zero (infinite KL)")
+    omega = g * g
     sp2 = prior.sigma_p * prior.sigma_p
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(size=(samples,) + mean_a.shape)

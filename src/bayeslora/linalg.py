@@ -2,7 +2,7 @@
 
 All functions operate on 2-D ``numpy`` arrays of dtype float64 stored
 row-major.  Vectorization is column-stacking (Fortran order) regardless of
-storage, so the usual identity ``kron(I_n, B) @ vec(X) == vec(B @ X)``
+storage, so the usual identity ``np.kron(I_n, B) @ vec(X) == vec(B @ X)``
 holds.  Failures of symmetric factorizations are reported explicitly and
 never papered over with silent regularization.
 """
@@ -15,25 +15,11 @@ from scipy.linalg import cho_factor, cho_solve
 __all__ = [
     "ShapeError",
     "NotPositiveDefiniteError",
-    "matrix",
-    "matmul",
-    "kron",
     "vec",
-    "unvec",
-    "transpose",
-    "add",
-    "sub",
-    "hadamard",
-    "scale",
-    "frob_sq",
     "logdet_psd",
     "solve_psd",
     "Sampler",
 ]
-
-# Guard on materialized Kronecker products; beyond this the product is an
-# input error, not something to allocate.
-_KRON_ELEMENT_LIMIT = 100_000_000
 
 
 class ShapeError(ValueError):
@@ -44,89 +30,15 @@ class NotPositiveDefiniteError(ValueError):
     """A symmetric factorization failed: the matrix is not positive definite."""
 
 
-def matrix(data) -> np.ndarray:
-    """Build a validated float64 matrix from nested literals.
-
-    Rejects non-2-D input and any non-finite entry.
-    """
-    a = np.array(data, dtype=np.float64, order="C")
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix literal contains NaN or Inf entries")
-    return a
-
-
 def _check_2d(name: str, a: np.ndarray) -> None:
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D array")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is ``a[i, j] * b``."""
-    _check_2d("a", a)
-    _check_2d("b", b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows * cols > _KRON_ELEMENT_LIMIT:
-        raise ShapeError(
-            f"kron result {rows}x{cols} exceeds the element limit {_KRON_ELEMENT_LIMIT}"
-        )
-    return np.kron(a, b)
 
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: ``vec(a)[i + rows*j] == a[i, j]``."""
     _check_2d("a", a)
     return a.reshape(-1, 1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a (rows*cols, 1) column vector."""
-    if v.size != rows * cols:
-        raise ShapeError(f"cannot unvec {v.size} entries into {rows}x{cols}")
-    return np.ascontiguousarray(v.reshape(rows, cols, order="F"))
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    _check_2d("a", a)
-    return np.ascontiguousarray(a.T)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise product."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def scale(alpha: float, a: np.ndarray) -> np.ndarray:
-    return float(alpha) * a
-
-
-def frob_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm, the sum of squared entries."""
-    return float(np.sum(a * a))
 
 
 def _check_symmetric(a: np.ndarray) -> None:
@@ -173,21 +85,14 @@ class Sampler:
     Holds mutable generator state; confine each instance to one thread.
     Identical seeds produce identical draw streams.  An existing
     ``numpy.random.Generator`` may be passed instead of a seed to share a
-    stream.
+    stream (``default_rng`` returns it unaltered).
     """
 
     def __init__(self, seed: int | np.random.Generator):
-        if isinstance(seed, np.random.Generator):
-            self._rng = seed
-        else:
-            self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
 
     def gaussian(self, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         return self._rng.normal(mean, std, size=(rows, cols))
 
     def uniform(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._rng.uniform(low, high, size=(rows, cols))
-
-    def rademacher(self, rows: int, cols: int) -> np.ndarray:
-        """Entries drawn uniformly from {-1.0, +1.0}."""
-        return 2.0 * self._rng.integers(0, 2, size=(rows, cols)).astype(np.float64) - 1.0

@@ -6,9 +6,11 @@ each carrying a low-rank adapter, followed by a softmax classification
 head.  Only the adapter parameters (b, mean_a, g), optionally a
 Bayesianized b, and the head receive gradients.
 
-Gradients are reverse-mode and written out explicitly (through the
-flipout perturbation, through omega = map(g), and through the closed-form
-KL); the test suite pins every path against central finite differences.
+Gradients are reverse-mode and written out explicitly: each layer's
+adapter branch runs ``adapter.branch_forward``/``branch_backward`` and
+the KL runs ``kl.gaussian_kl``, while this module chains them through
+dropout, the Bayesianized b, tanh and omega = map(g); the test suite pins
+every path against central finite differences.
 
 Input batches are column-major inside this module: an (n, batch) array
 holds one example per column.
@@ -17,11 +19,13 @@ holds one example per column.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import VariationalAdapter
+from .adapter import VariationalAdapter, branch_backward, branch_forward, draw_flipout
+from .kl import gaussian_kl
 from .linalg import ShapeError
 from .parammaps import ParamMap, apply_map, map_derivative
 
@@ -40,6 +44,7 @@ __all__ = [
 
 _MODEL_MAGIC = "bayeslora-model"
 _MODEL_VERSION = 1
+_META_KEYS = ("b_std_scale", "dropout_p", "head_trainable", "n_layers", "param_map")
 
 
 class NonFiniteLossError(ValueError):
@@ -142,25 +147,16 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
         return float(-np.mean(np.log(picked)))
 
 
-def _rademacher(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return 2.0 * rng.integers(0, 2, size=(rows, cols)).astype(np.float64) - 1.0
-
-
 @dataclass
 class _LayerCache:
-    h_in: np.ndarray
     hd: np.ndarray
     drop_mask: np.ndarray | None
     omega: np.ndarray
     mode: str
-    s: np.ndarray | None             # flipout input-side signs (n, batch)
-    t: np.ndarray | None             # flipout output-side signs (batch, r)
-    noise: np.ndarray | None         # base noise e (r, n), flipout and shared
-    a_shared: np.ndarray | None
+    draws: tuple                     # (s, t, e) flipout, (e,) shared, () mean
     c: np.ndarray
     b_used: np.ndarray
     e_b: np.ndarray | None
-    omega_b: np.ndarray | None
     h_out: np.ndarray
 
 
@@ -200,7 +196,6 @@ def net_forward(
     caches: list[_LayerCache] = []
     for layer in net.layers:
         ad = layer.adapter
-        m, n, r = ad.m, ad.n, ad.rank
         omega = apply_map(net.param_map, ad.g)
 
         if dropout_active and net.dropout_p > 0.0:
@@ -211,24 +206,15 @@ def net_forward(
             drop_mask = None
             hd = h
 
-        s = t = noise = a_shared = None
         if mode == "flipout":
-            # The signs are +/-1 by construction, so the hot path skips the
-            # checks that FlipoutMasks runs for outside callers.
-            s = _rademacher(rng, n, batch)
-            t = _rademacher(rng, batch, r)
-            noise = rng.standard_normal(size=(r, n))
-            perturb = ((noise * omega) @ (hd * s)) * t.T
-            c = ad.mean_a @ hd + perturb
+            draws = draw_flipout(rng, ad.n, batch, ad.rank)
         elif mode == "shared":
-            noise = rng.standard_normal(size=(r, n))
-            a_shared = ad.mean_a + omega * noise
-            c = a_shared @ hd
+            draws = (rng.standard_normal(size=(ad.rank, ad.n)),)
         else:
-            c = ad.mean_a @ hd
+            draws = ()
+        c = branch_forward(mode, ad.mean_a, omega, hd, draws)
 
         e_b = None
-        omega_b = None
         b_used = ad.b
         if layer.g_b is not None and mode != "mean":
             omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
@@ -239,9 +225,8 @@ def net_forward(
         h_out = np.tanh(z)
         caches.append(
             _LayerCache(
-                h_in=h, hd=hd, drop_mask=drop_mask, omega=omega, mode=mode,
-                s=s, t=t, noise=noise, a_shared=a_shared, c=c,
-                b_used=b_used, e_b=e_b, omega_b=omega_b, h_out=h_out,
+                hd=hd, drop_mask=drop_mask, omega=omega, mode=mode, draws=draws,
+                c=c, b_used=b_used, e_b=e_b, h_out=h_out,
             )
         )
         h = h_out
@@ -272,25 +257,14 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> dict
             )
 
         dc = cache.b_used.T @ dz
-        dmap = map_derivative(net.param_map, ad.g)
-        if cache.mode == "flipout":
-            grads[f"layers.{i}.mean_a"] = dc @ cache.hd.T
-            q = cache.noise * cache.omega
-            r_mat = cache.hd * cache.s
-            dqr = dc * cache.t.T
-            dq = dqr @ r_mat.T
-            dr = q.T @ dqr
-            dhd = ad.mean_a.T @ dc + dr * cache.s
-            grads[f"layers.{i}.g"] = (dq * cache.noise) * dmap
-        elif cache.mode == "shared":
-            da_shared = dc @ cache.hd.T
-            grads[f"layers.{i}.mean_a"] = da_shared
-            grads[f"layers.{i}.g"] = (da_shared * cache.noise) * dmap
-            dhd = cache.a_shared.T @ dc
-        else:
-            grads[f"layers.{i}.mean_a"] = dc @ cache.hd.T
+        d_mean_a, d_omega, dhd = branch_backward(
+            cache.mode, ad.mean_a, cache.omega, cache.hd, cache.draws, dc
+        )
+        grads[f"layers.{i}.mean_a"] = d_mean_a
+        if d_omega is None:  # mean mode: an explicit zero, not 0 * map', which can be -0.0
             grads[f"layers.{i}.g"] = np.zeros_like(ad.g)
-            dhd = ad.mean_a.T @ dc
+        else:
+            grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
 
         if cache.drop_mask is not None:
             dhd = dhd * cache.drop_mask
@@ -301,44 +275,27 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> dict
 def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, dict[str, np.ndarray]]:
     """Summed closed-form KL over every Bayesianized factor, with gradients.
 
-    Per adapter: (||mean_a||^2 + ||omega||^2) / (2 sigma_p^2)
-    - sum log omega + count * (log sigma_p - 1/2), with omega = map(g).
-    The same form applies to a Bayesianized b with its scaled omega_b.
+    Each adapter contributes ``gaussian_kl(mean_a, omega, sigma_p)`` with
+    omega = map(g); a Bayesianized b contributes the same form with its
+    scaled omega_b = g_b^2 / b_std_scale.
     """
-    sp2 = sigma_p * sigma_p
-    log_sp = np.log(sigma_p)
     value = 0.0
     grads: dict[str, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
         ad = layer.adapter
-        omega = apply_map(net.param_map, ad.g)
-        if np.any(omega <= 0.0):
-            raise NonFiniteLossError("kl") from ValueError(
-                f"layer {i}: some g entry maps to omega <= 0, log omega undefined"
-            )
-        value += float(
-            (np.sum(ad.mean_a**2) + np.sum(omega**2)) / (2.0 * sp2)
-            - np.sum(np.log(omega))
-            + omega.size * (log_sp - 0.5)
-        )
-        grads[f"layers.{i}.mean_a"] = ad.mean_a / sp2
-        d_omega = omega / sp2 - 1.0 / omega
-        grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
-
-        if layer.g_b is not None:
-            omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
-            if np.any(omega_b <= 0.0):
-                raise NonFiniteLossError("kl") from ValueError(
-                    f"layer {i}: some g_b entry is zero, log omega_b undefined"
-                )
-            value += float(
-                (np.sum(ad.b**2) + np.sum(omega_b**2)) / (2.0 * sp2)
-                - np.sum(np.log(omega_b))
-                + omega_b.size * (log_sp - 0.5)
-            )
-            grads[f"layers.{i}.b"] = ad.b / sp2
-            d_omega_b = omega_b / sp2 - 1.0 / omega_b
-            grads[f"layers.{i}.g_b"] = d_omega_b * (2.0 * layer.g_b / net.b_std_scale)
+        try:
+            kl_a, d_mean_a, d_omega = gaussian_kl(ad.mean_a, apply_map(net.param_map, ad.g), sigma_p)
+            value += kl_a
+            grads[f"layers.{i}.mean_a"] = d_mean_a
+            grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
+            if layer.g_b is not None:
+                omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
+                kl_b, d_b, d_omega_b = gaussian_kl(ad.b, omega_b, sigma_p)
+                value += kl_b
+                grads[f"layers.{i}.b"] = d_b
+                grads[f"layers.{i}.g_b"] = d_omega_b * (2.0 * layer.g_b / net.b_std_scale)
+        except ValueError as exc:
+            raise NonFiniteLossError("kl") from ValueError(f"layer {i}: {exc}")
     if not np.isfinite(value):
         raise NonFiniteLossError("kl")
     return value, grads
@@ -348,12 +305,19 @@ def _fmt(a: np.ndarray) -> str:
     return " ".join(float(x).hex() for x in np.asarray(a, dtype=np.float64).ravel())
 
 
-def _parse(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    values = [float.fromhex(tok) for tok in text.split()]
+def _parse(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Hex-float payload of field ``name`` as a finite array of ``shape``."""
+    try:
+        values = [float.fromhex(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     expected = int(np.prod(shape))
     if len(values) != expected:
-        raise ValueError(f"expected {expected} entries, got {len(values)}")
-    return np.array(values, dtype=np.float64).reshape(shape)
+        raise ValueError(f"{name}: expected {expected} entries, got {len(values)}")
+    out = np.array(values, dtype=np.float64).reshape(shape)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name}: non-finite entry")
+    return out
 
 
 def save_net(net: SmallNet, path: str) -> None:
@@ -385,58 +349,68 @@ def save_net(net: SmallNet, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _next_field(lines: Iterator[str], key: str) -> str:
+    """Payload of the next line, which must be tagged ``key``."""
+    line = next(lines, None)
+    if line is None:
+        raise ValueError(f"{key}: line missing, the file is truncated")
+    tag, _, payload = line.partition(" ")
+    if tag != key:
+        raise ValueError(f"{key}: expected a {key!r} line, got {tag!r}")
+    return payload
+
+
+def _dims(payload: str, count: int, key: str) -> list[int]:
+    tokens = payload.split()
+    if len(tokens) != count or not all(tok.isdigit() for tok in tokens):
+        raise ValueError(f"{key}: expected {count} non-negative integers, got {payload!r}")
+    return [int(tok) for tok in tokens]
+
+
 def load_net(path: str) -> SmallNet:
+    """Read a ``save_net`` record; a malformed one raises a ValueError naming the field."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"{_MODEL_MAGIC} {_MODEL_VERSION}":
+        lines = iter(fh.read().splitlines())
+    if next(lines, None) != f"{_MODEL_MAGIC} {_MODEL_VERSION}":
         raise ValueError(f"not a {_MODEL_MAGIC} v{_MODEL_VERSION} file: {path}")
-    if not lines[1].startswith("meta "):
-        raise ValueError("missing meta line")
-    meta = json.loads(lines[1][len("meta "):])
-    idx = 2
-    layers: list[AdapterLayer] = []
-    for _ in range(int(meta["n_layers"])):
-        tag, m, n, r, has_gb = lines[idx].split()
-        if tag != "layer":
-            raise ValueError(f"expected layer header, got {lines[idx]!r}")
-        m, n, r, has_gb = int(m), int(n), int(r), int(has_gb)
-        fields = {}
-        idx += 1
-        for name, shape in (
-            ("w0", (m, n)), ("b", (m, r)), ("mean_a", (r, n)), ("g", (r, n)), ("bias", (m,)),
-        ):
-            key, _, payload = lines[idx].partition(" ")
-            if key != name:
-                raise ValueError(f"expected field {name!r}, got {key!r}")
-            fields[name] = _parse(payload, shape)
-            idx += 1
-        g_b = None
-        if has_gb:
-            key, _, payload = lines[idx].partition(" ")
-            if key != "g_b":
-                raise ValueError("expected g_b field")
-            g_b = _parse(payload, (m, r))
-            idx += 1
-        adapter = VariationalAdapter(
-            w0=fields["w0"], b=fields["b"], mean_a=fields["mean_a"], g=fields["g"]
+    payload = _next_field(lines, "meta")
+    try:
+        meta = json.loads(payload)
+        if not isinstance(meta, dict) or sorted(meta) != list(_META_KEYS):
+            raise ValueError(f"keys must be {list(_META_KEYS)}, got {sorted(meta)}")
+        n_layers = int(meta["n_layers"])
+        if n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {n_layers}")
+        options = dict(
+            param_map=ParamMap(meta["param_map"]),
+            dropout_p=float.fromhex(meta["dropout_p"]),
+            head_trainable=bool(meta["head_trainable"]),
+            b_std_scale=float.fromhex(meta["b_std_scale"]),
         )
-        layers.append(AdapterLayer(adapter=adapter, bias=fields["bias"], g_b=g_b))
-    tag, c, h = lines[idx].split()
-    if tag != "head":
-        raise ValueError("expected head header")
-    c, h = int(c), int(h)
-    idx += 1
-    key, _, payload = lines[idx].partition(" ")
-    head_w = _parse(payload, (c, h))
-    idx += 1
-    key, _, payload = lines[idx].partition(" ")
-    head_b = _parse(payload, (c,))
-    return SmallNet(
-        layers=layers,
-        head_w=head_w,
-        head_b=head_b,
-        param_map=ParamMap(meta["param_map"]),
-        dropout_p=float.fromhex(meta["dropout_p"]),
-        head_trainable=bool(meta["head_trainable"]),
-        b_std_scale=float.fromhex(meta["b_std_scale"]),
-    )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"meta: {exc}") from None
+
+    layers: list[AdapterLayer] = []
+    width = None
+    for _ in range(n_layers):
+        m, n, r, has_gb = _dims(_next_field(lines, "layer"), 4, "layer")
+        if has_gb > 1:
+            raise ValueError(f"layer: the g_b flag must be 0 or 1, got {has_gb}")
+        if width is not None and n != width:
+            raise ValueError(f"layer: input width {n} does not match the previous layer's {width}")
+        fields = {
+            name: _parse(_next_field(lines, name), shape, name)
+            for name, shape in (("w0", (m, n)), ("b", (m, r)), ("mean_a", (r, n)), ("g", (r, n)))
+        }
+        bias = _parse(_next_field(lines, "bias"), (m,), "bias")
+        g_b = _parse(_next_field(lines, "g_b"), (m, r), "g_b") if has_gb else None
+        layers.append(AdapterLayer(adapter=VariationalAdapter(**fields), bias=bias, g_b=g_b))
+        width = m
+    c, h = _dims(_next_field(lines, "head"), 2, "head")
+    if h != width:
+        raise ValueError(f"head: input width {h} does not match the last layer's {width}")
+    head_w = _parse(_next_field(lines, "w"), (c, h), "w")
+    head_b = _parse(_next_field(lines, "hb"), (c,), "hb")
+    if next(lines, None) is not None:
+        raise ValueError("hb: trailing lines after the last field")
+    return SmallNet(layers=layers, head_w=head_w, head_b=head_b, **options)

@@ -69,32 +69,8 @@ def inverse_map(pmap: ParamMap, sigma):
     return float(out) if out.ndim == 0 else out
 
 
-def scalar_kl(pmap: ParamMap, rho: float, sigma_p: float) -> float:
-    """KL( N(0, sigma(rho)^2) || N(0, sigma_p^2) ) for one coordinate."""
-    sigma = float(apply_map(pmap, rho))
-    if sigma <= 0.0:
-        raise ValueError("scalar_kl is undefined at sigma = 0")
-    return math.log(sigma_p / sigma) + sigma * sigma / (2.0 * sigma_p * sigma_p) - 0.5
-
-
-def kl_grad_rho(pmap: ParamMap, rho, sigma_p: float):
-    """Derivative of :func:`scalar_kl` with respect to rho.
-
-    Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
-    Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
-    """
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if pmap is ParamMap.SQUARE:
-        if np.any(rho_arr == 0.0):
-            raise ValueError("square-map KL gradient is undefined at rho = 0")
-        out = -2.0 / rho_arr + 2.0 * rho_arr**3 / (sigma_p * sigma_p)
-    else:
-        sigma = np.logaddexp(0.0, rho_arr)
-        out = expit(rho_arr) * (sigma / (sigma_p * sigma_p) - 1.0 / sigma)
-    return float(out) if out.ndim == 0 else out
-
-
 def _apply_scalar(pmap: ParamMap, rho: float) -> float:
+    """:func:`apply_map` on one Python float, in ``math`` arithmetic."""
     if pmap is ParamMap.SQUARE:
         return rho * rho
     if rho > 30.0:
@@ -102,8 +78,24 @@ def _apply_scalar(pmap: ParamMap, rho: float) -> float:
     return math.log1p(math.exp(rho))
 
 
-def _grad_scalar(pmap: ParamMap, rho: float, sigma_p: float) -> float:
+def scalar_kl(pmap: ParamMap, rho: float, sigma_p: float) -> float:
+    """KL( N(0, sigma(rho)^2) || N(0, sigma_p^2) ) for one coordinate."""
+    sigma = _apply_scalar(pmap, rho)
+    if sigma <= 0.0:
+        raise ValueError("scalar_kl is undefined at sigma = 0")
+    return math.log(sigma_p / sigma) + sigma * sigma / (2.0 * sigma_p * sigma_p) - 0.5
+
+
+def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
+    """Derivative of :func:`scalar_kl` with respect to rho, on Python floats.
+
+    Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
+    Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
+    This is the gradient that ``convergence_race`` descends.
+    """
     if pmap is ParamMap.SQUARE:
+        if rho == 0.0:
+            raise ValueError("square-map KL gradient is undefined at rho = 0")
         return -2.0 / rho + 2.0 * rho**3 / (sigma_p * sigma_p)
     sigma = _apply_scalar(pmap, rho)
     s = 1.0 / (1.0 + math.exp(-rho)) if rho > -30.0 else math.exp(rho)
@@ -133,7 +125,7 @@ def convergence_race(
         return 0
     rho = float(inverse_map(pmap, sigma_q0))
     for step in range(1, max_steps + 1):
-        rho -= lr * _grad_scalar(pmap, rho, sigma_p)
+        rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
         if _apply_scalar(pmap, rho) >= target:
             return step
     return max_steps
@@ -153,7 +145,7 @@ def race_curve(
     rho = float(inverse_map(pmap, sigma_q0))
     points = [(0, sigma_q0)]
     for step in range(1, n_steps + 1):
-        rho -= lr * _grad_scalar(pmap, rho, sigma_p)
+        rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
         if step % record_every == 0 or step == n_steps:
             points.append((step, _apply_scalar(pmap, rho)))
     return points

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import FlipoutMasks, VariationalAdapter, forward_flipout, forward_mean, forward_naive_shared
+from .adapter import FlipoutMasks, VariationalAdapter, draw_flipout, forward_flipout, forward_mean, forward_naive_shared
 from .baselines import BaselineModel, predict_baseline, train_baseline
 from .configio import SAMPLING_METHODS, SuiteConfig, make_schedule
 from .kl import (
@@ -46,6 +46,7 @@ __all__ = [
     "TheoremReport",
     "run_suite",
     "verify_theorems",
+    "sample_full_weights",
     "train_method",
     "predict_method",
     "write_results_csv",
@@ -269,16 +270,22 @@ def _max_z(err: np.ndarray, se: np.ndarray, scale: np.ndarray) -> tuple[float, b
     return max_z, exact_ok, int(stochastic.sum())
 
 
+def sample_full_weights(
+    adapter: VariationalAdapter, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n_draws, m*n) draws of vec(w0 + b a) with a ~ q, column-stacked."""
+    eps = rng.standard_normal(size=(n_draws,) + adapter.mean_a.shape)
+    a = adapter.mean_a + adapter.omega() * eps
+    w = adapter.w0[None, :, :] + np.einsum("ij,njk->nik", adapter.b, a)
+    return w.transpose(0, 2, 1).reshape(n_draws, -1)
+
+
 def _posterior_moment_check(
     adapter: VariationalAdapter, n_draws: int, rng: np.random.Generator
 ) -> tuple[TheoremCheck, TheoremCheck]:
     """Empirical mean/covariance of vec(w0 + b a), a ~ q, against the closed form."""
     q = build_full_posterior(adapter)
-    omega = adapter.omega()
-    eps = rng.standard_normal(size=(n_draws,) + adapter.mean_a.shape)
-    a = adapter.mean_a + omega * eps
-    w = adapter.w0[None, :, :] + np.einsum("ij,njk->nik", adapter.b, a)
-    flat = w.transpose(0, 2, 1).reshape(n_draws, -1)  # row d = vec(w_d), column-stacked
+    flat = sample_full_weights(adapter, n_draws, rng)
     emp_mean = flat.mean(axis=0)
     emp_cov = np.cov(flat.T, ddof=1)
     mean_se = flat.std(axis=0, ddof=1) / math.sqrt(n_draws)
@@ -365,11 +372,7 @@ def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
         draws = np.empty((n_draws, m, batch))
         for d in range(n_draws):
             if mode == "flipout":
-                masks = FlipoutMasks(
-                    s=2.0 * rng.integers(0, 2, (n, batch)) - 1.0,
-                    t=2.0 * rng.integers(0, 2, (batch, r)) - 1.0,
-                    e=rng.standard_normal((r, n)),
-                )
+                masks = FlipoutMasks(*draw_flipout(rng, n, batch, r))
                 draws[d] = forward_flipout(adapter, h, masks) - mean_out
             else:
                 draws[d] = forward_naive_shared(adapter, h, rng.standard_normal((r, n))) - mean_out

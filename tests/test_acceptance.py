@@ -11,7 +11,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.adapter import FlipoutMasks, VariationalAdapter, forward_flipout, forward_mean
+from bayeslora.adapter import (
+    FlipoutMasks,
+    VariationalAdapter,
+    draw_flipout,
+    forward_flipout,
+    forward_mean,
+)
 from bayeslora.baselines import BaselineSpec, predict_baseline, train_baseline
 from bayeslora.cli import main
 from bayeslora.kl import (
@@ -24,6 +30,7 @@ from bayeslora.kl import (
 )
 from bayeslora.metrics import ece, nll
 from bayeslora.parammaps import ParamMap, convergence_race
+from bayeslora.suite import sample_full_weights
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import (
     KlSchedule,
@@ -80,16 +87,17 @@ def test_criterion_01_full_weight_kl_equivalence():
 
 
 def test_criterion_02_posterior_moments():
-    """1e5 sampled vec(w0 + b a): mean within 3 SE, cov within 5 percent."""
+    """1e5 sampled vec(w0 + b a): mean within 3 SE, cov within 5 percent.
+
+    Draws through the sampler of verify-theorems' posterior-moment check,
+    on the adapter that ``verify-theorems --seed 0`` builds.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     adapter = _random_adapter(4, 3, 2, rng)
     q = build_full_posterior(adapter)
     draws = 100_000
-    eps = rng.standard_normal(size=(draws, adapter.rank, adapter.n))
-    a = adapter.mean_a + adapter.omega() * eps
-    w = adapter.w0[None] + np.einsum("ij,njk->nik", adapter.b, a)
-    flat = w.transpose(0, 2, 1).reshape(draws, -1)
+    flat = sample_full_weights(adapter, draws, rng)
     se = flat.std(axis=0, ddof=1) / math.sqrt(draws)
     diff = np.abs(flat.mean(axis=0) - q.mu[:, 0])
     assert np.all(diff <= 3.0 * se + 1e-12)
@@ -198,11 +206,7 @@ def test_criterion_06_flipout_efficiency():
     shared = np.empty((draws, m, batch))
     omega = adapter.omega()
     for d in range(draws):
-        masks = FlipoutMasks(
-            s=2.0 * rng.integers(0, 2, (n, batch)) - 1.0,
-            t=2.0 * rng.integers(0, 2, (batch, r)) - 1.0,
-            e=rng.standard_normal((r, n)),
-        )
+        masks = FlipoutMasks(*draw_flipout(rng, n, batch, r))
         flip[d] = forward_flipout(adapter, h, masks) - mean_out
         delta_a = omega * rng.standard_normal((r, n))
         shared[d] = adapter.b @ ((adapter.mean_a + delta_a) @ h) + adapter.w0 @ h - mean_out

@@ -4,15 +4,17 @@ import pytest
 from bayeslora.adapter import (
     FlipoutMasks,
     VariationalAdapter,
+    draw_flipout,
     forward_flipout,
     forward_mean,
     forward_naive_shared,
-    load_adapter,
     sample_a,
-    sample_flipout_masks,
-    save_adapter,
 )
-from bayeslora.linalg import Sampler, ShapeError
+from bayeslora.linalg import ShapeError
+
+
+def _masks(ad, batch, rng):
+    return FlipoutMasks(*draw_flipout(rng, ad.n, batch, ad.rank))
 
 
 def _random_adapter(m=5, n=4, r=2, seed=0, g_scale=(0.2, 0.8)):
@@ -109,10 +111,8 @@ class TestFlipout:
     def test_zero_base_noise_equals_mean(self):
         ad = _random_adapter(seed=12)
         h = np.random.default_rng(13).normal(size=(ad.n, 6))
-        smp = Sampler(14)
-        masks = FlipoutMasks(
-            s=smp.rademacher(ad.n, 6), t=smp.rademacher(6, ad.rank), e=np.zeros((ad.rank, ad.n))
-        )
+        s, t, _ = draw_flipout(np.random.default_rng(14), ad.n, 6, ad.rank)
+        masks = FlipoutMasks(s=s, t=t, e=np.zeros((ad.rank, ad.n)))
         np.testing.assert_allclose(forward_flipout(ad, h, masks), forward_mean(ad, h), rtol=1e-13)
 
     def test_batch_one_unit_masks_is_naive(self):
@@ -129,7 +129,7 @@ class TestFlipout:
         ad = _random_adapter(seed=18)
         batch = 5
         h = np.random.default_rng(19).normal(size=(ad.n, batch))
-        masks = sample_flipout_masks(ad, batch, Sampler(20))
+        masks = _masks(ad, batch, np.random.default_rng(20))
         out = forward_flipout(ad, h, masks)
         omega = ad.omega()
         for i in range(batch):
@@ -147,9 +147,9 @@ class TestFlipout:
         draws = 100_000
         acc = np.zeros_like(base)
         acc2 = np.zeros_like(base)
-        smp = Sampler(23)
+        smp = np.random.default_rng(23)
         for _ in range(draws):
-            masks = sample_flipout_masks(ad, batch, smp)
+            masks = _masks(ad, batch, smp)
             z = forward_flipout(ad, h, masks)
             acc += z
             acc2 += z * z
@@ -162,15 +162,24 @@ class TestFlipout:
         ad = _random_adapter(seed=24)
         ad.b[...] = 0.0
         h = np.random.default_rng(25).normal(size=(ad.n, 4))
-        masks = sample_flipout_masks(ad, 4, Sampler(26))
+        masks = _masks(ad, 4, np.random.default_rng(26))
         np.testing.assert_array_equal(forward_flipout(ad, h, masks), ad.w0 @ h)
 
     def test_empty_batch_rejected(self):
         ad = _random_adapter(seed=27)
-        with pytest.raises((ShapeError, ValueError)):
-            sample_flipout_masks(ad, 0, Sampler(28))
+        with pytest.raises(ShapeError):
+            forward_flipout(ad, np.zeros((ad.n, 0)), _masks(ad, 0, np.random.default_rng(28)))
         with pytest.raises(ShapeError):
             forward_mean(ad, np.zeros((ad.n, 0)))
+
+    def test_draw_order_and_signs(self):
+        """s, then t, then e from one stream; the signs are exactly +/-1."""
+        s, t, e = draw_flipout(np.random.default_rng(29), 50, 40, 3)
+        assert set(np.unique(s)) == {-1.0, 1.0} and set(np.unique(t)) == {-1.0, 1.0}
+        rng = np.random.default_rng(29)
+        np.testing.assert_array_equal(s, 2.0 * rng.integers(0, 2, (50, 40)) - 1.0)
+        np.testing.assert_array_equal(t, 2.0 * rng.integers(0, 2, (40, 3)) - 1.0)
+        np.testing.assert_array_equal(e, rng.standard_normal((3, 50)))
 
 
 class TestNaiveShared:
@@ -233,35 +242,19 @@ class TestNaiveShared:
         h = rng.normal(size=(ad.n, batch))
         base = forward_mean(ad, h)
         draws = 10_000
-        smp = Sampler(33)
+        smp = np.random.default_rng(33)
 
         def mean_abs_cross_cov(mode):
             deltas = np.empty((draws, ad.m, batch))
             for d in range(draws):
                 if mode == "flipout":
-                    masks = sample_flipout_masks(ad, batch, smp)
-                    deltas[d] = forward_flipout(ad, h, masks) - base
+                    deltas[d] = forward_flipout(ad, h, _masks(ad, batch, smp)) - base
                 else:
-                    deltas[d] = forward_naive_shared(ad, h, smp.gaussian(ad.rank, ad.n)) - base
+                    noise = smp.standard_normal((ad.rank, ad.n))
+                    deltas[d] = forward_naive_shared(ad, h, noise) - base
             centred = deltas - deltas.mean(axis=0, keepdims=True)
             cov = np.einsum("dki,dkj->kij", centred, centred) / (draws - 1)
             iu = np.triu_indices(batch, 1)
             return float(np.abs(cov[:, iu[0], iu[1]]).mean())
 
         assert mean_abs_cross_cov("shared") > mean_abs_cross_cov("flipout")
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        ad = _random_adapter(m=6, n=5, r=3, seed=34)
-        path = tmp_path / "adapter.txt"
-        save_adapter(ad, str(path))
-        back = load_adapter(str(path))
-        for name in ("w0", "b", "mean_a", "g"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(ad, name))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("something-else 1\n")
-        with pytest.raises(ValueError):
-            load_adapter(str(path))

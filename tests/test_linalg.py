@@ -1,112 +1,16 @@
 import numpy as np
 import pytest
 
-from bayeslora.linalg import (
-    NotPositiveDefiniteError,
-    Sampler,
-    ShapeError,
-    add,
-    frob_sq,
-    hadamard,
-    kron,
-    logdet_psd,
-    matmul,
-    matrix,
-    scale,
-    solve_psd,
-    sub,
-    transpose,
-    unvec,
-    vec,
-)
-
-
-def _matmul_oracle(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-def _kron_oracle(a, b):
-    p, q = a.shape
-    r, s = b.shape
-    out = np.zeros((p * r, q * s))
-    for i in range(p):
-        for j in range(q):
-            for k in range(r):
-                for l in range(s):
-                    out[i * r + k, j * s + l] = a[i, j] * b[k, l]
-    return out
-
-
-class TestMatrixConstruction:
-    def test_literal(self):
-        a = matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert a.shape == (2, 2) and a.dtype == np.float64
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matrix([[1.0, float("nan")]])
-        with pytest.raises(ValueError):
-            matrix([[float("inf")]])
-
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ShapeError):
-            matrix([1.0, 2.0])
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = matrix([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), x), x)
-
-    def test_hand_case(self):
-        a = matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = matrix([[0.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
-        np.testing.assert_allclose(matmul(a, b), _matmul_oracle(a, b), rtol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-class TestKron:
-    def test_identity_times_scalar(self):
-        np.testing.assert_array_equal(kron(np.eye(2), matrix([[5.0]])), np.diag([5.0, 5.0]))
-
-    def test_identity_gives_block_diagonal(self):
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(3, 2))
-        out = kron(np.eye(2), b)
-        np.testing.assert_array_equal(out[:3, :2], b)
-        np.testing.assert_array_equal(out[3:, 2:], b)
-        np.testing.assert_array_equal(out[:3, 2:], np.zeros((3, 2)))
-
-    def test_against_four_index_loop(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(2, 2)), rng.normal(size=(3, 1))
-        np.testing.assert_allclose(kron(a, b), _kron_oracle(a, b), rtol=1e-13)
-
-    def test_size_guard(self):
-        with pytest.raises(ShapeError):
-            kron(np.zeros((20000, 20000)), np.zeros((20000, 20000)))
+from bayeslora.linalg import NotPositiveDefiniteError, Sampler, logdet_psd, solve_psd, vec
 
 
 class TestVec:
     def test_column_stacking(self):
-        a = matrix([[1.0, 2.0], [3.0, 4.0]])
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(vec(a), [[1.0], [3.0], [2.0], [4.0]])
 
     def test_column_vector_fixed_point(self):
-        a = matrix([[1.0], [2.0], [3.0]])
+        a = np.array([[1.0], [2.0], [3.0]])
         np.testing.assert_array_equal(vec(a), a)
 
     def test_index_formula(self):
@@ -117,16 +21,11 @@ class TestVec:
             for j in range(2):
                 assert v[i + 3 * j, 0] == a[i, j]
 
-    def test_unvec_round_trip(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(4, 5))
-        np.testing.assert_array_equal(unvec(vec(a), 4, 5), a)
-
     def test_kron_vec_identity(self):
         # kron(I_n, B) @ vec(X) == vec(B @ X)
         rng = np.random.default_rng(5)
         b, x = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
-        lhs = kron(np.eye(5), b) @ vec(x)
+        lhs = np.kron(np.eye(5), b) @ vec(x)
         np.testing.assert_allclose(lhs, vec(b @ x), rtol=1e-12)
 
     def test_linearity(self):
@@ -178,24 +77,6 @@ class TestLogdetSolve:
             solve_psd(np.diag([1.0, -2.0]), np.ones((2, 1)))
 
 
-class TestElementwise:
-    def test_ops(self):
-        a = matrix([[1.0, -2.0]])
-        b = matrix([[3.0, 4.0]])
-        np.testing.assert_array_equal(add(a, b), [[4.0, 2.0]])
-        np.testing.assert_array_equal(sub(a, b), [[-2.0, -6.0]])
-        np.testing.assert_array_equal(hadamard(a, b), [[3.0, -8.0]])
-        np.testing.assert_array_equal(scale(2.0, a), [[2.0, -4.0]])
-        np.testing.assert_array_equal(transpose(a), [[1.0], [-2.0]])
-        assert frob_sq(a) == 5.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            add(np.zeros((2, 2)), np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
 class TestSampler:
     def test_seed_determinism(self):
         a = Sampler(42).gaussian(4, 3)
@@ -207,10 +88,6 @@ class TestSampler:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(Sampler(1).gaussian(4, 4), Sampler(2).gaussian(4, 4))
-
-    def test_rademacher_entries(self):
-        r = Sampler(3).rademacher(50, 50)
-        assert set(np.unique(r)) == {-1.0, 1.0}
 
     def test_uniform_bounds(self):
         u = Sampler(4).uniform(100, 10, low=0.2, high=0.4)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from bayeslora.adapter import FlipoutMasks, forward_flipout, forward_naive_shared
+from bayeslora.adapter import FlipoutMasks, forward_flipout, forward_mean, forward_naive_shared
 from bayeslora.network import (
     NonFiniteLossError,
     cross_entropy,
@@ -72,7 +74,7 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestForwardConsistency:
-    """The net's layer arithmetic must agree with the adapter-module ops."""
+    """The net runs the adapter-module op: each layer reproduces it exactly."""
 
     def test_mean_forward_matches_manual_stack(self):
         config = TrainConfig(seed=5)
@@ -83,9 +85,11 @@ class TestForwardConsistency:
         h = h0
         for layer in net.layers:
             ad = layer.adapter
-            h = np.tanh(ad.w0 @ h + ad.b @ (ad.mean_a @ h) + layer.bias[:, None])
+            manual = ad.w0 @ h + ad.b @ (ad.mean_a @ h)
+            np.testing.assert_array_equal(forward_mean(ad, h), manual)
+            h = np.tanh(manual + layer.bias[:, None])
         logits = net.head_w @ h + net.head_b[:, None]
-        np.testing.assert_allclose(fwd.logits, logits, rtol=1e-12)
+        np.testing.assert_array_equal(fwd.logits, logits)
 
     def test_flipout_layer_matches_adapter_op(self):
         config = TrainConfig(seed=7)
@@ -94,11 +98,9 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="flipout", rng=np.random.default_rng(123))
         cache = fwd.layer_caches[0]
-        masks = FlipoutMasks(s=cache.s, t=cache.t, e=cache.noise)
-        z_adapter = forward_flipout(net.layers[0].adapter, h0, masks)
-        z_net = np.arctanh(np.clip(cache.h_out, -1 + 1e-12, 1 - 1e-12))
-        np.testing.assert_allclose(
-            z_net, z_adapter + net.layers[0].bias[:, None], rtol=1e-8, atol=1e-8
+        z_adapter = forward_flipout(net.layers[0].adapter, h0, FlipoutMasks(*cache.draws))
+        np.testing.assert_array_equal(
+            cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
 
     def test_shared_layer_matches_adapter_op(self):
@@ -108,10 +110,10 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="shared", rng=np.random.default_rng(321))
         cache = fwd.layer_caches[0]
-        z_adapter = forward_naive_shared(net.layers[0].adapter, h0, cache.noise)
-        z_net = np.arctanh(np.clip(cache.h_out, -1 + 1e-12, 1 - 1e-12))
-        np.testing.assert_allclose(
-            z_net, z_adapter + net.layers[0].bias[:, None], rtol=1e-8, atol=1e-8
+        (noise,) = cache.draws
+        z_adapter = forward_naive_shared(net.layers[0].adapter, h0, noise)
+        np.testing.assert_array_equal(
+            cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
 
     def test_stochastic_mode_requires_rng(self):
@@ -209,3 +211,60 @@ class TestModelSerialization:
         back = load_net(str(path))
         x = np.random.default_rng(14).normal(size=(10, net.input_dim))
         np.testing.assert_array_equal(predict(net, x, 5, seed=2), predict(back, x, 5, seed=2))
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            pytest.param(lambda ls: ["bayeslora-adapter 1"] + ls[1:], "^not a bayeslora-model v1 file",
+                         id="bad-magic"),
+            pytest.param(lambda ls: ls[:-1], "^hb:", id="truncated-last-line"),
+            pytest.param(lambda ls: ls[:5], "^mean_a:", id="truncated-in-layer"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "n_layers")] + ls[2:], "^meta:",
+                         id="missing-meta-key"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "n_layers", 0)] + ls[2:], "^meta:",
+                         id="zero-layers"),
+            pytest.param(lambda ls: _set_last_token(ls, "layer ", "2"), "^layer:", id="g_b-flag-2"),
+            pytest.param(lambda ls: _set_last_token(ls, "head ", "9"), "^head:",
+                         id="head-width-mismatch"),
+            pytest.param(lambda ls: [("x" + l[1:] if l.startswith("w ") else l) for l in ls], "^w:",
+                         id="wrong-head-row-tag"),
+            pytest.param(lambda ls: _set_first_entry(ls, "hb ", "nan"), "^hb:", id="nan-in-hb"),
+            pytest.param(lambda ls: _set_first_entry(ls, "bias ", "inf"), "^bias:",
+                         id="inf-in-bias"),
+            pytest.param(lambda ls: _set_first_entry(ls, "g ", "0xzz"), "^g:", id="bad-hex-in-g"),
+            pytest.param(lambda ls: ls + ["junk"], "^hb: trailing", id="trailing-junk"),
+        ],
+    )
+    def test_malformed_file_rejected_with_field_named(self, tmp_path, mutate, field):
+        net = _randomized_net(TrainConfig(seed=15, bayesianize_b=True), hidden=(5, 4), seed=15)
+        path = tmp_path / "model.txt"
+        save_net(net, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(mutate(lines)) + "\n")
+        with pytest.raises(ValueError, match=field):
+            load_net(str(path))
+
+
+def _edit_meta(line: str, key: str, value=None) -> str:
+    """Set ``key`` of the meta line to ``value``, or drop it when None."""
+    meta = json.loads(line[len("meta "):])
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    return "meta " + json.dumps(meta, sort_keys=True)
+
+
+def _set_last_token(lines: list[str], prefix: str, token: str) -> list[str]:
+    """Replace the last token of the first line that starts with ``prefix``."""
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = " ".join(lines[i].split()[:-1] + [token])
+    return lines
+
+
+def _set_first_entry(lines: list[str], prefix: str, token: str) -> list[str]:
+    """Replace the first entry of the first line that starts with ``prefix``."""
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    tag, _, payload = lines[i].partition(" ")
+    lines[i] = " ".join([tag, token] + payload.split()[1:])
+    return lines

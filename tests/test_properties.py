@@ -1,0 +1,90 @@
+"""Property tests of the shared ops: the adapter branch op and the Gaussian KL."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bayeslora.adapter import branch_backward, branch_forward
+from bayeslora.kl import gaussian_kl
+
+# Derandomized, so tier-1 runs the same examples every time.
+_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_positive = st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _branch_inputs(draw):
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r + 1, 5))
+    batch = draw(st.integers(1, 6))
+    signs = st.sampled_from([-1.0, 1.0])
+    return (
+        draw(arrays(np.float64, (r, n), elements=_finite)),            # mean_a
+        draw(arrays(np.float64, (n, batch), elements=_finite)),        # hd
+        draw(arrays(np.float64, (n, batch), elements=signs)),          # s
+        draw(arrays(np.float64, (batch, r), elements=signs)),          # t
+        draw(arrays(np.float64, (r, n), elements=_finite)),            # e
+        draw(arrays(np.float64, (r, batch), elements=_finite)),        # dc
+    )
+
+
+@st.composite
+def _gaussians(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    mean = draw(arrays(np.float64, shape, elements=_finite))
+    omega = draw(arrays(np.float64, shape, elements=_positive))
+    return mean, omega, draw(_positive)
+
+
+@_settings
+@given(_branch_inputs())
+def test_stochastic_ops_equal_mean_op_at_zero_omega(inputs):
+    mean_a, hd, s, t, e, dc = inputs
+    omega = np.zeros_like(mean_a)
+    c_mean = branch_forward("mean", mean_a, omega, hd, ())
+    d_mean_a, _, d_hd = branch_backward("mean", mean_a, omega, hd, (), dc)
+    for mode, draws in (("flipout", (s, t, e)), ("shared", (e,))):
+        np.testing.assert_array_equal(branch_forward(mode, mean_a, omega, hd, draws), c_mean)
+        grads = branch_backward(mode, mean_a, omega, hd, draws, dc)
+        np.testing.assert_array_equal(grads[0], d_mean_a)
+        np.testing.assert_array_equal(grads[2], d_hd)
+
+
+@_settings
+@given(_gaussians())
+def test_kl_nonnegative_and_zero_only_at_prior(q):
+    mean, omega, sigma_p = q
+    value, _, _ = gaussian_kl(mean, omega, sigma_p)
+    tol = 1e-12 * mean.size * (1.0 + abs(np.log(sigma_p)))
+    # Per entry the KL is m^2 / (2 sp^2) + f(omega / sp) with
+    # f(x) = x^2/2 - log x - 1/2 >= (x - 1)^2 / 2, since f(1) = f'(1) = 0 and f'' >= 1.
+    dev = max(np.abs(mean).max(), np.abs(omega - sigma_p).max()) / sigma_p
+    assert value >= 0.5 * dev**2 * (1.0 - 1e-9) - tol
+    if dev >= 1e-3:
+        assert value > 0.0
+    at_prior = np.full_like(omega, sigma_p)
+    value_p, d_mean_p, d_omega_p = gaussian_kl(np.zeros_like(mean), at_prior, sigma_p)
+    assert abs(value_p) <= tol
+    np.testing.assert_array_equal(d_mean_p, 0.0)
+    np.testing.assert_allclose(d_omega_p, 0.0, atol=1e-12 / sigma_p)
+
+
+@_settings
+@given(_gaussians())
+def test_kl_gradient_matches_central_differences(q):
+    mean, omega, sigma_p = q
+    _, d_mean, d_omega = gaussian_kl(mean, omega, sigma_p)
+    for param, grad in ((mean, d_mean), (omega, d_omega)):
+        fd = np.empty_like(param)
+        for idx in np.ndindex(param.shape):
+            h = 1e-6 * max(1.0, abs(param[idx]))
+            orig = param[idx]
+            param[idx] = orig + h
+            up = gaussian_kl(mean, omega, sigma_p)[0]
+            param[idx] = orig - h
+            dn = gaussian_kl(mean, omega, sigma_p)[0]
+            param[idx] = orig
+            fd[idx] = (up - dn) / (2.0 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(grad).max()))
