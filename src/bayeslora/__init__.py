@@ -8,7 +8,8 @@ Library layout:
 * ``parammaps`` - square vs softplus std parameterizations and their race;
 * ``network``   - frozen-backbone net with hand-written gradients;
 * ``training``  - ELBO minibatch loop, KL re-weighting schedule, predict;
-* ``baselines`` - mle / map / mc-dropout / ensemble / bbb comparisons;
+* ``baselines`` - the method table (mle / map / mcd / ens / bbb / blob) and
+  its one trainer and predictor;
 * ``metrics``   - accuracy, ECE, NLL, reliability bins;
 * ``tasks``     - synthetic datasets with controllable shift;
 * ``suite``     - experiment orchestration and theorem verification;
@@ -22,7 +23,6 @@ from .adapter import (
     forward_flipout,
     forward_mean,
     forward_naive_shared,
-    sample_a,
 )
 from .kl import (
     FullWeightGaussian,
@@ -57,7 +57,6 @@ __all__ = [
     "forward_flipout",
     "forward_mean",
     "forward_naive_shared",
-    "sample_a",
     "FullWeightGaussian",
     "PriorSpec",
     "build_full_posterior",

@@ -40,7 +40,6 @@ __all__ = [
     "branch_forward",
     "branch_backward",
     "forward_mean",
-    "sample_a",
     "forward_flipout",
     "forward_naive_shared",
 ]
@@ -162,12 +161,6 @@ def forward_mean(adapter: VariationalAdapter, h: np.ndarray) -> np.ndarray:
     _check_input(adapter, h)
     c = branch_forward("mean", adapter.mean_a, adapter.omega(), h, ())
     return adapter.w0 @ h + adapter.b @ c
-
-
-def sample_a(adapter: VariationalAdapter, noise: np.ndarray) -> np.ndarray:
-    """Reparameterized posterior draw: mean_a + (g*g) * noise."""
-    _check_noise(adapter, noise)
-    return adapter.mean_a + adapter.omega() * noise
 
 
 def forward_flipout(adapter: VariationalAdapter, h: np.ndarray, masks: FlipoutMasks) -> np.ndarray:

@@ -1,26 +1,32 @@
-"""Comparison methods trained on the same adapter-equipped network.
+"""The compared methods, with the one trainer and predictor they share.
 
-Every baseline reuses the trainer with a derived configuration:
+Each method is one row of ``METHOD_TABLE``, under the name the CLI and
+``results.csv`` use:
 
-* mle        - deterministic adapter, cross-entropy only;
-* map        - mle plus decoupled L2 weight decay;
-* mc_dropout - deterministic training with dropout on the adapter-branch
-  inputs, dropout kept active at evaluation, predictions averaged over
+* mle  - deterministic adapter, cross-entropy only;
+* map  - mle plus decoupled L2 weight decay;
+* mcd  - deterministic training with dropout on the adapter-branch inputs,
+  dropout kept active at evaluation, predictions averaged over N
   stochastic passes (one trained model, standard MC-dropout reading);
-* ensemble   - independently seeded mle members whose logits are averaged
+* ens  - independently seeded mle members whose logits are averaged
   before the softmax;
-* bbb        - the variational loop with the softplus std map, uniform KL
+* bbb  - the variational loop with the softplus std map, uniform KL
   weighting, and shared-noise sampling instead of flipout, Bayesianizing
-  the a-factor only.
+  the a-factor only;
+* blob - the shared configuration as given: square std map, ascending KL
+  weighting, flipout.
 
-The bbb configuration differs from the variational default in exactly
-three fields (param_map, kl_mode, sampling), which is what makes the
-ablation grid well defined.
+A row says which ``TrainConfig`` fields the method overrides, whether its
+std parameter is pinned to zero, whether it trains ``n_members`` members
+or one, and how it predicts.  The bbb configuration differs from the
+variational default in exactly three fields (param_map, kl_mode,
+sampling), which is what makes the ablation grid well defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -37,36 +43,71 @@ from .training import (
 )
 
 __all__ = [
+    "Method",
+    "METHOD_TABLE",
+    "METHODS",
+    "SAMPLING_METHODS",
     "BaselineSpec",
     "BaselineModel",
-    "BASELINE_KINDS",
     "derive_config",
+    "member_count",
+    "kl_schedule",
     "train_baseline",
     "predict_baseline",
 ]
 
-BASELINE_KINDS = ("mle", "map", "mc_dropout", "ensemble", "bbb")
+
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table."""
+
+    changes: Callable[["BaselineSpec"], dict]  # TrainConfig fields the method overrides
+    zero_g: bool     # std parameter pinned to zero (no weight noise)
+    ensemble: bool   # trains spec.n_members members instead of one
+    predict: str     # "mean" pass, averaged member "logits", or N "sampled" passes
+
+
+_DETERMINISTIC = dict(
+    sampling="none",
+    kl_mode="off",
+    param_map=ParamMap.SQUARE,
+    weight_decay=0.0,
+    dropout_p=0.0,
+    bayesianize_b=False,
+)
+
+METHOD_TABLE: dict[str, Method] = {
+    "mle": Method(lambda spec: _DETERMINISTIC, True, False, "mean"),
+    "map": Method(lambda spec: {**_DETERMINISTIC, "weight_decay": spec.weight_decay}, True, False, "mean"),
+    "mcd": Method(lambda spec: {**_DETERMINISTIC, "dropout_p": spec.dropout_p}, True, False, "sampled"),
+    "ens": Method(lambda spec: _DETERMINISTIC, True, True, "logits"),
+    "bbb": Method(
+        lambda spec: dict(param_map=ParamMap.SOFTPLUS, kl_mode="uniform", sampling="shared"),
+        False, False, "sampled",
+    ),
+    "blob": Method(lambda spec: {}, False, False, "sampled"),
+}
+METHODS = tuple(METHOD_TABLE)
+# Methods whose predictions depend on the number of inference samples.
+SAMPLING_METHODS = tuple(name for name, row in METHOD_TABLE.items() if row.predict == "sampled")
 
 
 @dataclass(frozen=True)
 class BaselineSpec:
     kind: str
     weight_decay: float = 1e-5   # map
-    dropout_p: float = 0.1       # mc_dropout
-    n_members: int = 3           # ensemble
-    n_eval_samples: int = 10     # mc_dropout default evaluation passes
+    dropout_p: float = 0.1       # mcd
+    n_members: int = 3           # ens
 
     def __post_init__(self) -> None:
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"kind must be one of {BASELINE_KINDS}")
+        if self.kind not in METHOD_TABLE:
+            raise ValueError(f"kind must be one of {METHODS}, got {self.kind!r}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
         if self.n_members < 1:
             raise ValueError("n_members must be >= 1")
-        if self.n_eval_samples < 0:
-            raise ValueError("n_eval_samples must be >= 0")
 
 
 @dataclass
@@ -77,26 +118,26 @@ class BaselineModel:
 
 
 def derive_config(spec: BaselineSpec, config: TrainConfig) -> TrainConfig:
-    """Training configuration for a baseline, derived from the shared one."""
-    deterministic = replace(
-        config,
-        sampling="none",
-        kl_mode="off",
-        param_map=ParamMap.SQUARE,
-        weight_decay=0.0,
-        dropout_p=0.0,
-        bayesianize_b=False,
+    """Training configuration for a method, derived from the shared one."""
+    return replace(config, **METHOD_TABLE[spec.kind].changes(spec))
+
+
+def member_count(spec: BaselineSpec) -> int:
+    """Number of models the method trains: ``n_members`` for ens, else one."""
+    return spec.n_members if METHOD_TABLE[spec.kind].ensemble else 1
+
+
+def kl_schedule(config: TrainConfig, n_examples: int, n_minibatches: int | None = None) -> KlSchedule:
+    """KL schedule of a training run; ``n_minibatches`` overrides the warm-up
+    window computed from the dataset length and batch size."""
+    schedule = KlSchedule.for_dataset(
+        n_examples,
+        config.batch_size,
+        config.kl_mode,
+        gamma=config.gamma,
+        literal_ascending=config.literal_ascending_weights,
     )
-    if spec.kind == "mle":
-        return deterministic
-    if spec.kind == "map":
-        return replace(deterministic, weight_decay=spec.weight_decay)
-    if spec.kind == "mc_dropout":
-        return replace(deterministic, dropout_p=spec.dropout_p)
-    if spec.kind == "ensemble":
-        return deterministic
-    # bbb: softplus std map, uniform KL weighting, shared-noise sampling
-    return replace(config, param_map=ParamMap.SOFTPLUS, kl_mode="uniform", sampling="shared")
+    return replace(schedule, n_minibatches=n_minibatches) if n_minibatches else schedule
 
 
 def _member_seeds(seed: int, n_members: int) -> list[int]:
@@ -112,31 +153,18 @@ def train_baseline(
     net_shape: tuple[int, tuple[int, ...], int, int],
     dataset: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
+    n_minibatches: int | None = None,
 ) -> BaselineModel:
-    """Train the requested baseline; ``net_shape`` is (input_dim, hidden, n_classes, rank)."""
-    input_dim, hidden, n_classes, rank = net_shape
+    """Train the requested method; ``net_shape`` is (input_dim, hidden,
+    n_classes, rank) and ``n_minibatches`` overrides the KL warm-up window."""
+    row = METHOD_TABLE[spec.kind]
     run_config = derive_config(spec, config)
-    deterministic = spec.kind != "bbb"
-    n_examples = dataset[0].shape[0]
-
-    seeds = [run_config.seed]
-    if spec.kind == "ensemble":
-        seeds = _member_seeds(run_config.seed, spec.n_members)
-
+    schedule = kl_schedule(run_config, dataset[0].shape[0], n_minibatches)
     models: list[SmallNet] = []
     logs: list[list[StepRecord]] = []
-    for member_seed in seeds:
+    for member_seed in _member_seeds(run_config.seed, member_count(spec)):
         member_config = replace(run_config, seed=member_seed)
-        net = build_small_net(
-            input_dim, hidden, n_classes, rank, member_config, zero_g=deterministic
-        )
-        schedule = KlSchedule.for_dataset(
-            n_examples,
-            member_config.batch_size,
-            member_config.kl_mode,
-            gamma=member_config.gamma,
-            literal_ascending=member_config.literal_ascending_weights,
-        )
+        net = build_small_net(*net_shape, member_config, zero_g=row.zero_g)
         net, log = train(net, dataset, member_config, schedule)
         models.append(net)
         logs.append(log)
@@ -146,22 +174,17 @@ def train_baseline(
 def predict_baseline(
     model: BaselineModel,
     x: np.ndarray,
-    n_samples: int | None = None,
+    n_samples: int = 0,
     seed: int = 0,
 ) -> np.ndarray:
     """Class probabilities, one row per example.
 
-    mle/map use the single deterministic pass; the ensemble averages
-    member logits before one softmax; mc_dropout and bbb average the
-    softmax outputs of n_samples stochastic passes (0 falls back to the
-    deterministic pass).
+    mle/map use the single deterministic pass; ens averages member logits
+    before one softmax; mcd, bbb and blob average the softmax outputs of
+    n_samples stochastic passes (0 falls back to the deterministic pass).
     """
-    spec = model.spec
-    if spec.kind in ("mle", "map"):
-        return predict(model.models[0], x, n_samples=0)
-    if spec.kind == "ensemble":
+    rule = METHOD_TABLE[model.spec.kind].predict
+    if rule == "logits":
         stacked = np.stack([logits_mean(net, x) for net in model.models])
-        mean_logits = stacked.mean(axis=0)
-        return softmax_columns(mean_logits.T).T
-    n = spec.n_eval_samples if n_samples is None else n_samples
-    return predict(model.models[0], x, n_samples=n, seed=seed)
+        return softmax_columns(stacked.mean(axis=0).T).T
+    return predict(model.models[0], x, n_samples=n_samples if rule == "sampled" else 0, seed=seed)

@@ -14,8 +14,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+from .baselines import METHODS, BaselineModel, BaselineSpec, member_count
 from .configio import SuiteConfig, load_config, write_example_config
 from .metrics import ece, report_to_json, write_bins_csv, write_reliability_csv
 from .network import load_net, save_net
@@ -29,9 +30,7 @@ from .suite import (
     write_results_json,
     write_summary_csv,
 )
-from .suite import _BASELINE_KIND, TrainedMethod
-from .baselines import BaselineModel, BaselineSpec
-from .tasks import generate_task, write_dataset_csv
+from .tasks import SHIFTS, generate_task, write_dataset_csv
 from .training import write_trajectory_csv
 
 ENV_OUT_DIR = "BAYESLORA_OUT_DIR"
@@ -89,12 +88,7 @@ def _cmd_train(args) -> int:
         "seed": seed,
         "n_members": len(trained.models),
         "model_files": [f"model-{k}.txt" for k in range(len(trained.models))],
-        "baseline": {
-            "weight_decay": cfg.baseline.weight_decay,
-            "dropout_p": cfg.baseline.dropout_p,
-            "n_members": cfg.baseline.n_members,
-            "n_eval_samples": cfg.baseline.n_eval_samples,
-        },
+        "baseline": _spec_fields(cfg.baseline),
     }
     for k, net in enumerate(trained.models):
         save_net(net, os.path.join(out, f"model-{k}.txt"))
@@ -105,16 +99,46 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_trained(model_dir: str) -> TrainedMethod:
+def _spec_fields(spec: BaselineSpec) -> dict:
+    """The method settings a model.json records: every spec field but the kind."""
+    return {name: value for name, value in asdict(spec).items() if name != "kind"}
+
+
+_MANIFEST_KEYS = {"method", "seed", "n_members", "model_files", "baseline"}
+_SPEC_KEYS = sorted(_spec_fields(BaselineSpec("mle")))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_trained(model_dir: str) -> BaselineModel:
+    """The model ``train`` wrote to ``model_dir``; a malformed model.json
+    raises a ValueError that names the field."""
     with open(os.path.join(model_dir, "model.json"), "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    models = [load_net(os.path.join(model_dir, name)) for name in manifest["model_files"]]
-    method = manifest["method"]
-    baseline = None
-    if method != "blob":
-        spec = BaselineSpec(kind=_BASELINE_KIND[method], **manifest["baseline"])
-        baseline = BaselineModel(spec=spec, models=models, logs=[[] for _ in models])
-    return TrainedMethod(method=method, models=models, logs=[[] for _ in models], baseline=baseline)
+    if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
+        raise ValueError(f"model.json: keys must be exactly {sorted(_MANIFEST_KEYS)}")
+    method, files, params = manifest["method"], manifest["model_files"], manifest["baseline"]
+    if method not in METHODS:
+        raise ValueError(f"model.json method: {method!r} is not one of {METHODS}")
+    if not (
+        isinstance(files, list)
+        and files
+        and all(isinstance(f, str) and f not in ("", ".", "..") and os.path.basename(f) == f for f in files)
+    ):
+        raise ValueError("model.json model_files: must be a non-empty list of plain file names")
+    if not (_is_number(manifest["n_members"]) and manifest["n_members"] == len(files)):
+        raise ValueError(f"model.json n_members: must equal the {len(files)} model_files")
+    if not (isinstance(params, dict) and sorted(params) == _SPEC_KEYS and all(map(_is_number, params.values()))):
+        raise ValueError(f"model.json baseline: must map exactly {_SPEC_KEYS} to numbers")
+    spec = BaselineSpec(kind=method, **params)
+    if member_count(spec) != len(files):
+        raise ValueError(
+            f"model.json n_members: {method} trains {member_count(spec)} member(s), not {len(files)}"
+        )
+    models = [load_net(os.path.join(model_dir, name)) for name in files]
+    return BaselineModel(spec=spec, models=models, logs=[[] for _ in models])
 
 
 def _cmd_eval(args) -> int:
@@ -198,13 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the run seed")
         if shift:
-            p.add_argument("--shift", choices=("none", "small", "large"), default=None,
+            p.add_argument("--shift", choices=SHIFTS, default=None,
                            help="override the test-set shift")
         if n_samples:
             p.add_argument("--n-samples", type=int, default=None, help="inference sample count")
         if method:
-            p.add_argument("--method", choices=("mle", "map", "mcd", "ens", "bbb", "blob"),
-                           default=None, help="method to run")
+            p.add_argument("--method", choices=METHODS, default=None, help="method to run")
 
     p = sub.add_parser("write-config", help="write the example config with every default")
     common(p, seed=False, shift=False)

@@ -1,27 +1,23 @@
 """Flat key=value configuration files (INI sections) for the benchmark CLI.
 
-Every field of the task, network, training, schedule, suite, and baseline
-configuration appears in the example config written by
-``write_example_config``; CLI flags override file values.  The schedule's
-derived fields (``n_minibatches``, ``rescaled_len``) default to ``auto``
-and are normally computed from the dataset length and batch size.
+``_LAYOUT`` maps every key to its configuration field; the example config
+written by ``write_example_config`` carries each key with its default, and
+CLI flags override file values.  The schedule's warm-up window
+``n_minibatches`` defaults to ``auto``, computed from the dataset length and
+batch size.  A value that does not convert raises a ``ValueError`` naming
+its ``section.key``.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
-from .baselines import BaselineSpec
-from .parammaps import ParamMap
+from .baselines import METHODS, BaselineSpec
 from .tasks import TaskSpec
-from .training import KlSchedule, TrainConfig
+from .training import TrainConfig
 
-__all__ = ["SuiteConfig", "load_config", "write_example_config", "make_schedule"]
-
-SUITE_METHODS = ("mle", "map", "mcd", "ens", "bbb", "blob")
-# Methods whose predictions depend on the number of inference samples.
-SAMPLING_METHODS = ("mcd", "bbb", "blob")
+__all__ = ["SuiteConfig", "load_config", "write_example_config"]
 
 
 @dataclass
@@ -30,185 +26,102 @@ class SuiteConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     hidden: tuple[int, ...] = (32, 32)
     rank: int = 2
-    methods: tuple[str, ...] = SUITE_METHODS
+    methods: tuple[str, ...] = METHODS
     seeds: tuple[int, ...] = (0, 1, 2)
     n_samples_list: tuple[int, ...] = (0, 5, 10)
     data_seed_offset: int = 1000
     baseline: BaselineSpec = field(default_factory=lambda: BaselineSpec("mle"))
     schedule_n_minibatches: int | None = None
-    schedule_rescaled_len: int | None = None
 
     def net_shape(self) -> tuple[int, tuple[int, ...], int, int]:
         return (self.task.input_dim, self.hidden, self.task.n_classes, self.rank)
 
 
-def make_schedule(cfg: SuiteConfig, n_train: int) -> KlSchedule:
-    """Schedule from the config, honouring explicit overrides."""
-    auto = KlSchedule.for_dataset(
-        n_train,
-        cfg.train.batch_size,
-        cfg.train.kl_mode,
-        gamma=cfg.train.gamma,
-        literal_ascending=cfg.train.literal_ascending_weights,
-    )
-    n_mb = cfg.schedule_n_minibatches or auto.n_minibatches
-    r_len = cfg.schedule_rescaled_len or auto.rescaled_len
-    return KlSchedule(
-        n_minibatches=n_mb,
-        rescaled_len=r_len,
-        mode=cfg.train.kl_mode,
-        gamma=cfg.train.gamma,
-        literal_ascending=cfg.train.literal_ascending_weights,
-    )
+# TrainConfig fields read from [schedule], with their key there.
+_SCHEDULE_FIELDS = {"kl_mode": "mode", "gamma": "gamma", "literal_ascending_weights": "literal_ascending"}
+
+# Every key of a config file, section by section, in file order, as
+# (key, owner, field): the value sets ``field`` of the SuiteConfig attribute
+# ``owner`` ("" for SuiteConfig itself).
+_LAYOUT = {
+    "task": [(f.name, "task", f.name) for f in fields(TaskSpec)],
+    "net": [("hidden", "", "hidden"), ("rank", "", "rank")],
+    "train": [(f.name, "train", f.name) for f in fields(TrainConfig) if f.name not in _SCHEDULE_FIELDS],
+    "schedule": [(key, "train", name) for name, key in _SCHEDULE_FIELDS.items()]
+    + [("n_minibatches", "", "schedule_n_minibatches")],
+    "suite": [("methods", "", "methods"), ("seeds", "", "seeds"),
+              ("n_samples", "", "n_samples_list"), ("data_seed_offset", "", "data_seed_offset")],
+    "baselines": [(f.name, "baseline", f.name) for f in fields(BaselineSpec) if f.name != "kind"],
+}
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, fallback):
-    if not parser.has_option(section, key):
-        return fallback
-    raw = parser.get(section, key).strip()
-    if raw == "" or raw == "auto":
-        return fallback
-    if isinstance(fallback, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(fallback, int) and not isinstance(fallback, bool):
+def _bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"expected one of {'/'.join(states)}, got {raw!r}")
+    return states[raw.lower()]
+
+
+def _method(name: str) -> str:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}, expected one of {METHODS}")
+    return name
+
+
+def _parse(key: str, raw: str, default):
+    """``raw`` converted to the type of the key's default value."""
+    if isinstance(default, tuple):
+        conv = _method if key == "methods" else int
+        return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
+    if default is None:
         return int(raw)
-    if isinstance(fallback, float):
-        return float(raw)
-    return raw
-
-
-def _get_tuple(parser, section, key, fallback, conv):
-    if not parser.has_option(section, key):
-        return fallback
-    raw = parser.get(section, key).strip()
-    if raw in ("", "auto"):
-        return fallback
-    return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return (_bool if isinstance(default, bool) else type(default))(raw)
 
 
 def load_config(path: str) -> SuiteConfig:
+    """Config from an INI file; absent, empty and 'auto' values keep their default."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-
-    task_default = TaskSpec()
-    task = TaskSpec(
-        generator=_get(parser, "task", "generator", task_default.generator),
-        n_train=_get(parser, "task", "n_train", task_default.n_train),
-        n_test=_get(parser, "task", "n_test", task_default.n_test),
-        n_classes=_get(parser, "task", "n_classes", task_default.n_classes),
-        input_dim=_get(parser, "task", "input_dim", task_default.input_dim),
-        noise_scale=_get(parser, "task", "noise_scale", task_default.noise_scale),
-        shift=_get(parser, "task", "shift", task_default.shift),
+    default = SuiteConfig()
+    values: dict[str, dict] = {"": {}, "task": {}, "train": {}, "baseline": {}}
+    for section, keys in _LAYOUT.items():
+        for key, owner, name in keys:
+            raw = parser.get(section, key, fallback="").strip()
+            if raw in ("", "auto"):
+                continue
+            try:
+                values[owner][name] = _parse(key, raw, getattr(getattr(default, owner, default), name))
+            except ValueError as exc:
+                raise ValueError(f"{section}.{key}: {exc}") from None
+    return replace(
+        default,
+        task=replace(default.task, **values["task"]),
+        train=replace(default.train, **values["train"]),
+        baseline=replace(default.baseline, **values["baseline"]),
+        **values[""],
     )
 
-    td = TrainConfig()
-    train = TrainConfig(
-        sigma_p=_get(parser, "train", "sigma_p", td.sigma_p),
-        epsilon=_get(parser, "train", "epsilon", td.epsilon),
-        k_train_samples=_get(parser, "train", "k_train_samples", td.k_train_samples),
-        lr_likelihood=_get(parser, "train", "lr_likelihood", td.lr_likelihood),
-        lr_kl=_get(parser, "train", "lr_kl", td.lr_kl),
-        steps=_get(parser, "train", "steps", td.steps),
-        batch_size=_get(parser, "train", "batch_size", td.batch_size),
-        seed=_get(parser, "train", "seed", td.seed),
-        warmup_ratio=_get(parser, "train", "warmup_ratio", td.warmup_ratio),
-        weight_decay=_get(parser, "train", "weight_decay", td.weight_decay),
-        dropout_p=_get(parser, "train", "dropout_p", td.dropout_p),
-        param_map=ParamMap(_get(parser, "train", "param_map", td.param_map.value)),
-        sampling=_get(parser, "train", "sampling", td.sampling),
-        kl_mode=_get(parser, "schedule", "mode", td.kl_mode),
-        gamma=_get(parser, "schedule", "gamma", td.gamma),
-        literal_ascending_weights=_get(
-            parser, "schedule", "literal_ascending", td.literal_ascending_weights
-        ),
-        bayesianize_b=_get(parser, "train", "bayesianize_b", td.bayesianize_b),
-        b_std_scale=_get(parser, "train", "b_std_scale", td.b_std_scale),
-    )
 
-    bd = BaselineSpec("mle")
-    baseline = BaselineSpec(
-        kind="mle",
-        weight_decay=_get(parser, "baselines", "weight_decay", bd.weight_decay),
-        dropout_p=_get(parser, "baselines", "dropout_p", bd.dropout_p),
-        n_members=_get(parser, "baselines", "n_members", bd.n_members),
-        n_eval_samples=_get(parser, "baselines", "n_eval_samples", bd.n_eval_samples),
-    )
-
-    sd = SuiteConfig()
-    n_mb = _get(parser, "schedule", "n_minibatches", 0)
-    r_len = _get(parser, "schedule", "rescaled_len", 0)
-    return SuiteConfig(
-        task=task,
-        train=train,
-        hidden=_get_tuple(parser, "net", "hidden", sd.hidden, int),
-        rank=_get(parser, "net", "rank", sd.rank),
-        methods=_get_tuple(parser, "suite", "methods", sd.methods, str),
-        seeds=_get_tuple(parser, "suite", "seeds", sd.seeds, int),
-        n_samples_list=_get_tuple(parser, "suite", "n_samples", sd.n_samples_list, int),
-        data_seed_offset=_get(parser, "suite", "data_seed_offset", sd.data_seed_offset),
-        baseline=baseline,
-        schedule_n_minibatches=n_mb or None,
-        schedule_rescaled_len=r_len or None,
-    )
+def _text(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(getattr(value, "value", value))
 
 
 def write_example_config(path: str, cfg: SuiteConfig | None = None) -> None:
     """Write a config carrying every tunable key with its default value."""
     cfg = cfg or SuiteConfig()
-    t, tr, b = cfg.task, cfg.train, cfg.baseline
-    text = f"""\
-# bayeslora benchmark configuration (flat key = value, INI sections).
-# CLI flags override file values; 'auto' keeps the computed default.
-
-[task]
-generator = {t.generator}
-n_train = {t.n_train}
-n_test = {t.n_test}
-n_classes = {t.n_classes}
-input_dim = {t.input_dim}
-noise_scale = {t.noise_scale}
-shift = {t.shift}
-
-[net]
-hidden = {",".join(str(h) for h in cfg.hidden)}
-rank = {cfg.rank}
-
-[train]
-sigma_p = {tr.sigma_p}
-epsilon = {tr.epsilon}
-k_train_samples = {tr.k_train_samples}
-lr_likelihood = {tr.lr_likelihood}
-lr_kl = {tr.lr_kl}
-steps = {tr.steps}
-batch_size = {tr.batch_size}
-seed = {tr.seed}
-warmup_ratio = {tr.warmup_ratio}
-weight_decay = {tr.weight_decay}
-dropout_p = {tr.dropout_p}
-param_map = {tr.param_map.value}
-sampling = {tr.sampling}
-bayesianize_b = {str(tr.bayesianize_b).lower()}
-b_std_scale = {tr.b_std_scale}
-
-[schedule]
-mode = {tr.kl_mode}
-gamma = {tr.gamma}
-literal_ascending = {str(tr.literal_ascending_weights).lower()}
-n_minibatches = auto
-rescaled_len = auto
-
-[suite]
-methods = {",".join(cfg.methods)}
-seeds = {",".join(str(s) for s in cfg.seeds)}
-n_samples = {",".join(str(n) for n in cfg.n_samples_list)}
-data_seed_offset = {cfg.data_seed_offset}
-
-[baselines]
-weight_decay = {b.weight_decay}
-dropout_p = {b.dropout_p}
-n_members = {b.n_members}
-n_eval_samples = {b.n_eval_samples}
-"""
+    lines = [
+        "# bayeslora benchmark configuration (flat key = value, INI sections).",
+        "# CLI flags override file values; 'auto' keeps the computed default.",
+    ]
+    for section, keys in _LAYOUT.items():
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_text(getattr(getattr(cfg, owner, cfg), name))}" for key, owner, name in keys]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")

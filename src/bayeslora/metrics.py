@@ -48,14 +48,6 @@ class CalibrationReport:
     n: int
     n_clamped: int
 
-    def ece_from_bins(self) -> float:
-        """Recompute the scalar ECE from the stored bin table (bit-exact)."""
-        total = 0.0
-        for b in self.bins:
-            if b.count:
-                total += (b.count / self.n) * abs(b.mean_acc - b.mean_conf)
-        return total
-
 
 def _validate(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     probs = np.asarray(probs, dtype=np.float64)

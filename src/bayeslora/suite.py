@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adapter import FlipoutMasks, VariationalAdapter, draw_flipout, forward_flipout, forward_mean, forward_naive_shared
-from .baselines import BaselineModel, predict_baseline, train_baseline
-from .configio import SAMPLING_METHODS, SuiteConfig, make_schedule
+from .baselines import SAMPLING_METHODS, BaselineModel, predict_baseline, train_baseline
+from .configio import SuiteConfig
 from .kl import (
     PriorSpec,
     build_full_posterior,
@@ -35,10 +35,9 @@ from .kl import (
     kl_full_weight_regularized,
 )
 from .metrics import CalibrationReport, ece
-from .network import SmallNet
 from .parammaps import ParamMap, convergence_race
 from .tasks import generate_task
-from .training import StepRecord, build_small_net, predict, train
+from .training import train  # noqa: F401  (bench/run.py traces training under this name)
 
 __all__ = [
     "RunResult",
@@ -54,9 +53,6 @@ __all__ = [
     "write_summary_csv",
 ]
 
-_BASELINE_KIND = {"mle": "mle", "map": "map", "mcd": "mc_dropout", "ens": "ensemble", "bbb": "bbb"}
-
-
 @dataclass
 class RunResult:
     method: str
@@ -68,43 +64,29 @@ class RunResult:
     wall_time: float                   # in-memory only, never serialized
 
 
-@dataclass
-class TrainedMethod:
-    method: str
-    models: list[SmallNet]
-    logs: list[list[StepRecord]]
-    baseline: BaselineModel | None
-
-
 def train_method(
     method: str,
     cfg: SuiteConfig,
     dataset: tuple[np.ndarray, np.ndarray],
     seed: int,
-) -> TrainedMethod:
+) -> BaselineModel:
     """Train one method at one seed on the given dataset."""
-    train_cfg = replace(cfg.train, seed=seed)
-    if method == "blob":
-        net = build_small_net(*cfg.net_shape(), train_cfg)
-        schedule = make_schedule(replace(cfg, train=train_cfg), dataset[0].shape[0])
-        net, log = train(net, dataset, train_cfg, schedule)
-        return TrainedMethod(method=method, models=[net], logs=[log], baseline=None)
-    if method not in _BASELINE_KIND:
-        raise ValueError(f"unknown method {method!r}")
-    spec = replace(cfg.baseline, kind=_BASELINE_KIND[method])
-    model = train_baseline(spec, cfg.net_shape(), dataset, train_cfg)
-    return TrainedMethod(method=method, models=model.models, logs=model.logs, baseline=model)
+    return train_baseline(
+        replace(cfg.baseline, kind=method),
+        cfg.net_shape(),
+        dataset,
+        replace(cfg.train, seed=seed),
+        n_minibatches=cfg.schedule_n_minibatches,
+    )
 
 
 def predict_method(
-    trained: TrainedMethod,
+    trained: BaselineModel,
     x: np.ndarray,
     n_samples: int,
     seed: int,
 ) -> np.ndarray:
-    if trained.method == "blob":
-        return predict(trained.models[0], x, n_samples=n_samples, seed=seed)
-    return predict_baseline(trained.baseline, x, n_samples=n_samples, seed=seed)
+    return predict_baseline(trained, x, n_samples, seed)
 
 
 def run_suite(cfg: SuiteConfig) -> tuple[list[RunResult], bool]:

@@ -8,7 +8,6 @@ from bayeslora.adapter import (
     forward_flipout,
     forward_mean,
     forward_naive_shared,
-    sample_a,
 )
 from bayeslora.linalg import ShapeError
 
@@ -81,16 +80,6 @@ class TestForwardMean:
 
 
 class TestSampleA:
-    def test_zero_noise_gives_mean(self):
-        ad = _random_adapter(seed=7)
-        np.testing.assert_array_equal(sample_a(ad, np.zeros_like(ad.mean_a)), ad.mean_a)
-
-    def test_zero_g_degenerate(self):
-        ad = _random_adapter(seed=8)
-        ad.g[...] = 0.0
-        noise = np.random.default_rng(9).normal(size=ad.mean_a.shape)
-        np.testing.assert_array_equal(sample_a(ad, noise), ad.mean_a)
-
     def test_monte_carlo_moments(self):
         """Mean -> mean_a, std -> g^2 over 1e5 draws (reparameterization check)."""
         ad = _random_adapter(m=5, n=3, r=2, seed=10, g_scale=(0.3, 0.9))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bayeslora.baselines import (
+    METHODS,
     BaselineSpec,
     derive_config,
     predict_baseline,
@@ -28,7 +29,6 @@ class TestSpecValidation:
         assert spec.weight_decay == 1e-5
         assert spec.dropout_p == 0.1
         assert spec.n_members == 3
-        assert spec.n_eval_samples == 10
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -53,12 +53,12 @@ class TestConfigDerivation:
 
     def test_deterministic_kinds_disable_stochasticity(self):
         base = TrainConfig(seed=0, dropout_p=0.3, weight_decay=0.7)
-        for kind in ("mle", "map", "mc_dropout", "ensemble"):
+        for kind in ("mle", "map", "mcd", "ens"):
             cfg = derive_config(BaselineSpec(kind), base)
             assert cfg.sampling == "none" and cfg.kl_mode == "off"
         assert derive_config(BaselineSpec("mle"), base).weight_decay == 0.0
         assert derive_config(BaselineSpec("map"), base).weight_decay == 1e-5
-        assert derive_config(BaselineSpec("mc_dropout"), base).dropout_p == 0.1
+        assert derive_config(BaselineSpec("mcd"), base).dropout_p == 0.1
 
 
 class TestReductions:
@@ -97,7 +97,7 @@ class TestReductions:
         ds, te = _task()
         config = TrainConfig(seed=7, steps=80)
         mle = train_baseline(BaselineSpec("mle"), SHAPE, ds, config)
-        ens1 = train_baseline(BaselineSpec("ensemble", n_members=1), SHAPE, ds, config)
+        ens1 = train_baseline(BaselineSpec("ens", n_members=1), SHAPE, ds, config)
         assert len(ens1.models) == 1
         for key, value in mle.models[0].trainable_params().items():
             np.testing.assert_array_equal(value, ens1.models[0].trainable_params()[key])
@@ -109,7 +109,7 @@ class TestReductions:
         ds, te = _task()
         config = TrainConfig(seed=8, steps=80)
         mle = train_baseline(BaselineSpec("mle"), SHAPE, ds, config)
-        mcd0 = train_baseline(BaselineSpec("mc_dropout", dropout_p=0.0), SHAPE, ds, config)
+        mcd0 = train_baseline(BaselineSpec("mcd", dropout_p=0.0), SHAPE, ds, config)
         p_mle = predict_baseline(mle, te.x)
         p_mcd = predict_baseline(mcd0, te.x, n_samples=10, seed=1)
         np.testing.assert_allclose(p_mcd, p_mle, rtol=1e-12, atol=1e-14)
@@ -119,7 +119,7 @@ class TestEnsemble:
     def test_members_differ(self):
         ds, _ = _task()
         config = TrainConfig(seed=9, steps=60)
-        ens = train_baseline(BaselineSpec("ensemble", n_members=3), SHAPE, ds, config)
+        ens = train_baseline(BaselineSpec("ens", n_members=3), SHAPE, ds, config)
         assert len(ens.models) == 3
         w0 = ens.models[0].trainable_params()["head.w"]
         w1 = ens.models[1].trainable_params()["head.w"]
@@ -132,7 +132,7 @@ class TestEnsemble:
         from bayeslora.baselines import BaselineModel
 
         cloned = BaselineModel(
-            spec=BaselineSpec("ensemble", n_members=3),
+            spec=BaselineSpec("ens", n_members=3),
             models=[single.models[0]] * 3,
             logs=[[]] * 3,
         )
@@ -143,8 +143,8 @@ class TestEnsemble:
     def test_zero_variance_across_equal_seeds(self):
         ds, te = _task()
         config = TrainConfig(seed=11, steps=60)
-        a = train_baseline(BaselineSpec("ensemble", n_members=2), SHAPE, ds, config)
-        b = train_baseline(BaselineSpec("ensemble", n_members=2), SHAPE, ds, config)
+        a = train_baseline(BaselineSpec("ens", n_members=2), SHAPE, ds, config)
+        b = train_baseline(BaselineSpec("ens", n_members=2), SHAPE, ds, config)
         np.testing.assert_array_equal(predict_baseline(a, te.x), predict_baseline(b, te.x))
 
 
@@ -152,7 +152,7 @@ class TestPredictions:
     def test_all_rows_are_distributions(self):
         ds, te = _task()
         config = TrainConfig(seed=12, steps=60)
-        for kind in ("mle", "map", "mc_dropout", "ensemble", "bbb"):
+        for kind in METHODS:
             model = train_baseline(BaselineSpec(kind, n_members=2), SHAPE, ds, config)
             probs = predict_baseline(model, te.x, n_samples=4, seed=0)
             assert probs.shape == (len(te.y), 2)
@@ -162,7 +162,7 @@ class TestPredictions:
     def test_mcd_eval_is_stochastic_but_seeded(self):
         ds, te = _task()
         config = TrainConfig(seed=13, steps=60)
-        mcd = train_baseline(BaselineSpec("mc_dropout"), SHAPE, ds, config)
+        mcd = train_baseline(BaselineSpec("mcd"), SHAPE, ds, config)
         a = predict_baseline(mcd, te.x, n_samples=10, seed=3)
         b = predict_baseline(mcd, te.x, n_samples=10, seed=3)
         c = predict_baseline(mcd, te.x, n_samples=10, seed=4)

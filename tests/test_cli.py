@@ -6,21 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.cli import main
-from bayeslora.configio import (
-    SAMPLING_METHODS,
-    SuiteConfig,
-    load_config,
-    make_schedule,
-    write_example_config,
-)
+from bayeslora.baselines import SAMPLING_METHODS, kl_schedule
+from bayeslora.cli import _load_trained, main
+from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
 from bayeslora.kl import build_full_posterior
 from bayeslora.suite import run_suite, verify_theorems, write_results_csv
 from bayeslora.tasks import TaskSpec
 from bayeslora.training import TrainConfig
 
-BENCHMARK_INI = pathlib.Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini"
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+BENCHMARK_INI = CONFIGS / "benchmark.ini"
 
 # sha256 of results.csv for the benchmark config cut to 1 seed, 40 steps
 # and N in {0, 5}, recorded with per-tensor optimizer loops; any byte of
@@ -76,19 +72,57 @@ class TestConfigIo:
         assert cfg.train.sigma_p == TrainConfig().sigma_p
         assert cfg.seeds == (0, 1)
 
+    def test_committed_example_config_matches_writer(self, tmp_path):
+        path = tmp_path / "config.ini"
+        write_example_config(str(path))
+        assert _read(path) == _read(CONFIGS / "example.ini")
+
     def test_schedule_overrides(self, tmp_path):
         path = tmp_path / "sched.ini"
-        path.write_text("[schedule]\nn_minibatches = 7\nrescaled_len = 99\n")
+        path.write_text("[schedule]\nn_minibatches = 7\n")
         cfg = load_config(str(path))
-        sched = make_schedule(cfg, n_train=500)
+        sched = kl_schedule(cfg.train, 500, cfg.schedule_n_minibatches)
         assert sched.n_minibatches == 7
-        assert sched.rescaled_len == 99
 
     def test_schedule_auto(self, tiny_config):
         cfg = load_config(tiny_config)
-        sched = make_schedule(cfg, n_train=100)
+        sched = kl_schedule(cfg.train, 100, cfg.schedule_n_minibatches)
         assert sched.n_minibatches >= 1
         assert sched.mode == "blob_ascending"
+
+    def test_bbb_honours_n_minibatches(self, tiny_config):
+        """bbb weights the KL uniformly over the warm-up window, so every
+        step's weight is 1 / n_minibatches."""
+        cfg = load_config(tiny_config)
+        cfg = replace(cfg, train=replace(cfg.train, steps=10), schedule_n_minibatches=7)
+        train_ds, _ = suite.generate_task(cfg.task, seed=cfg.data_seed_offset)
+        trained = suite.train_method("bbb", cfg, (train_ds.x, train_ds.y), 0)
+        assert [rec.kl_weight for rec in trained.logs[0]] == [1.0 / 7] * 10
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("train.bayesianize_b", "ture"),
+            ("train.steps", "1e3"),
+            ("train.sigma_p", "small"),
+            ("train.param_map", "cube"),
+            ("schedule.n_minibatches", "7.5"),
+            ("suite.seeds", "0,x"),
+            ("suite.methods", "mle,blub"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, field, value):
+        section, key = field.split(".")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            load_config(str(path))
+
+    def test_boolean_spellings(self, tmp_path):
+        path = tmp_path / "bool.ini"
+        for raw, value in (("1", True), ("Yes", True), ("on", True), ("0", False), ("OFF", False)):
+            path.write_text(f"[train]\nbayesianize_b = {raw}\n")
+            assert load_config(str(path)).train.bayesianize_b is value
 
 
 class TestSuite:
@@ -240,6 +274,33 @@ class TestCliCommands:
             assert _read(outs[0][0] / name) == _read(outs[1][0] / name)
         assert _read(outs[0][1] / "report.json") == _read(outs[1][1] / "report.json")
         assert _read(outs[0][1] / "bins.csv") == _read(outs[1][1] / "bins.csv")
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            pytest.param(lambda m: m.update(extra=1), "model.json: keys", id="extra-key"),
+            pytest.param(lambda m: m.pop("seed"), "model.json: keys", id="missing-key"),
+            pytest.param(lambda m: m.update(method="blub"), "model.json method", id="unknown-method"),
+            pytest.param(lambda m: m.update(model_files=[]), "model.json model_files", id="no-files"),
+            pytest.param(lambda m: m.update(model_files="model-0.txt"), "model.json model_files",
+                         id="files-not-a-list"),
+            pytest.param(lambda m: m.update(model_files=["../model-0.txt"]), "model.json model_files",
+                         id="file-outside-dir"),
+            pytest.param(lambda m: m.update(n_members=5), "model.json n_members", id="count-vs-files"),
+            pytest.param(lambda m: m.update(baseline={}), "model.json baseline", id="empty-baseline"),
+            pytest.param(lambda m: m.update(method="ens"), "model.json n_members", id="count-vs-method"),
+        ],
+    )
+    def test_malformed_manifest_names_the_field(self, tiny_config, tmp_path, mutate, field):
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", tiny_config, "--method", "mcd",
+                     "--out-dir", str(model_dir)]) == 0
+        assert len(_load_trained(str(model_dir)).models) == 1
+        manifest = json.loads((model_dir / "model.json").read_text())
+        mutate(manifest)
+        (model_dir / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^{field}"):
+            _load_trained(str(model_dir))
 
     def test_suite_outputs_and_determinism(self, tmp_path):
         config = tmp_path / "small.ini"

@@ -123,7 +123,11 @@ class TestEce:
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=400)
         report = ece(probs, labels)
-        assert report.ece_from_bins() == report.ece
+        total = 0.0
+        for b in report.bins:
+            if b.count:
+                total += (b.count / report.n) * abs(b.mean_acc - b.mean_conf)
+        assert total == report.ece
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
