@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``linalg``    - vec, PSD log-determinant/solve, and seeded samplers;
+* ``linalg``    - vec and PSD log-determinant/solve;
 * ``adapter``   - the variational low-rank adapter and its per-mode layer op;
 * ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes;
 * ``parammaps`` - square vs softplus std parameterizations and their race;
@@ -38,12 +38,12 @@ from .metrics import CalibrationReport, accuracy, ece, nll
 from .parammaps import ParamMap, apply_map, convergence_race, kl_grad_rho
 from .tasks import Dataset, TaskSpec, generate_task
 from .training import (
-    KlSchedule,
     TrainConfig,
     build_small_net,
     elbo_minibatch,
     init_adapter,
     kl_weight_at,
+    kl_window,
     predict,
     train,
 )
@@ -76,12 +76,12 @@ __all__ = [
     "Dataset",
     "TaskSpec",
     "generate_task",
-    "KlSchedule",
     "TrainConfig",
     "build_small_net",
     "elbo_minibatch",
     "init_adapter",
     "kl_weight_at",
+    "kl_window",
     "predict",
     "train",
     "__version__",

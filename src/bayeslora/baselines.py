@@ -33,7 +33,6 @@ import numpy as np
 from .network import SmallNet, softmax_columns
 from .parammaps import ParamMap
 from .training import (
-    KlSchedule,
     StepRecord,
     TrainConfig,
     build_small_net,
@@ -51,7 +50,6 @@ __all__ = [
     "BaselineModel",
     "derive_config",
     "member_count",
-    "kl_schedule",
     "train_baseline",
     "predict_baseline",
 ]
@@ -127,19 +125,6 @@ def member_count(spec: BaselineSpec) -> int:
     return spec.n_members if METHOD_TABLE[spec.kind].ensemble else 1
 
 
-def kl_schedule(config: TrainConfig, n_examples: int, n_minibatches: int | None = None) -> KlSchedule:
-    """KL schedule of a training run; ``n_minibatches`` overrides the warm-up
-    window computed from the dataset length and batch size."""
-    schedule = KlSchedule.for_dataset(
-        n_examples,
-        config.batch_size,
-        config.kl_mode,
-        gamma=config.gamma,
-        literal_ascending=config.literal_ascending_weights,
-    )
-    return replace(schedule, n_minibatches=n_minibatches) if n_minibatches else schedule
-
-
 def _member_seeds(seed: int, n_members: int) -> list[int]:
     """First member reuses the run seed (so a 1-member ensemble is exactly
     the single model); further members get independently spawned seeds."""
@@ -153,19 +138,16 @@ def train_baseline(
     net_shape: tuple[int, tuple[int, ...], int, int],
     dataset: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
-    n_minibatches: int | None = None,
 ) -> BaselineModel:
-    """Train the requested method; ``net_shape`` is (input_dim, hidden,
-    n_classes, rank) and ``n_minibatches`` overrides the KL warm-up window."""
+    """Train the requested method; ``net_shape`` is (input_dim, hidden, n_classes, rank)."""
     row = METHOD_TABLE[spec.kind]
     run_config = derive_config(spec, config)
-    schedule = kl_schedule(run_config, dataset[0].shape[0], n_minibatches)
     models: list[SmallNet] = []
     logs: list[list[StepRecord]] = []
     for member_seed in _member_seeds(run_config.seed, member_count(spec)):
         member_config = replace(run_config, seed=member_seed)
         net = build_small_net(*net_shape, member_config, zero_g=row.zero_g)
-        net, log = train(net, dataset, member_config, schedule)
+        net, log = train(net, dataset, member_config)
         models.append(net)
         logs.append(log)
     return BaselineModel(spec=spec, models=models, logs=logs)

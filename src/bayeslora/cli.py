@@ -112,9 +112,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_trained(model_dir: str) -> BaselineModel:
-    """The model ``train`` wrote to ``model_dir``; a malformed model.json
-    raises a ValueError that names the field."""
+def _load_trained(model_dir: str) -> tuple[BaselineModel, int]:
+    """The model ``train`` wrote to ``model_dir`` and its training seed; a
+    malformed model.json raises a ValueError that names the field."""
     with open(os.path.join(model_dir, "model.json"), "r", encoding="ascii") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
@@ -122,6 +122,9 @@ def _load_trained(model_dir: str) -> BaselineModel:
     method, files, params = manifest["method"], manifest["model_files"], manifest["baseline"]
     if method not in METHODS:
         raise ValueError(f"model.json method: {method!r} is not one of {METHODS}")
+    seed = manifest["seed"]
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"model.json seed: must be a non-negative integer, got {seed!r}")
     if not (
         isinstance(files, list)
         and files
@@ -138,14 +141,14 @@ def _load_trained(model_dir: str) -> BaselineModel:
             f"model.json n_members: {method} trains {member_count(spec)} member(s), not {len(files)}"
         )
     models = [load_net(os.path.join(model_dir, name)) for name in files]
-    return BaselineModel(spec=spec, models=models, logs=[[] for _ in models])
+    return BaselineModel(spec=spec, models=models, logs=[[] for _ in models]), seed
 
 
 def _cmd_eval(args) -> int:
     cfg = _load_suite_config(args)
     out = _out_dir(args)
-    trained = _load_trained(args.model_dir)
-    seed = cfg.train.seed
+    trained, model_seed = _load_trained(args.model_dir)
+    seed = args.seed if args.seed is not None else model_seed
     _, test_ds = generate_task(cfg.task, seed=cfg.data_seed_offset + seed)
     n_samples = args.n_samples if args.n_samples is not None else 0
     probs = predict_method(trained, test_ds.x, n_samples, seed)

@@ -31,14 +31,14 @@ class SuiteConfig:
     n_samples_list: tuple[int, ...] = (0, 5, 10)
     data_seed_offset: int = 1000
     baseline: BaselineSpec = field(default_factory=lambda: BaselineSpec("mle"))
-    schedule_n_minibatches: int | None = None
 
     def net_shape(self) -> tuple[int, tuple[int, ...], int, int]:
         return (self.task.input_dim, self.hidden, self.task.n_classes, self.rank)
 
 
 # TrainConfig fields read from [schedule], with their key there.
-_SCHEDULE_FIELDS = {"kl_mode": "mode", "gamma": "gamma", "literal_ascending_weights": "literal_ascending"}
+_SCHEDULE_FIELDS = {"kl_mode": "mode", "gamma": "gamma", "literal_ascending_weights": "literal_ascending",
+                    "kl_window": "n_minibatches"}
 
 # Every key of a config file, section by section, in file order, as
 # (key, owner, field): the value sets ``field`` of the SuiteConfig attribute
@@ -47,8 +47,7 @@ _LAYOUT = {
     "task": [(f.name, "task", f.name) for f in fields(TaskSpec)],
     "net": [("hidden", "", "hidden"), ("rank", "", "rank")],
     "train": [(f.name, "train", f.name) for f in fields(TrainConfig) if f.name not in _SCHEDULE_FIELDS],
-    "schedule": [(key, "train", name) for name, key in _SCHEDULE_FIELDS.items()]
-    + [("n_minibatches", "", "schedule_n_minibatches")],
+    "schedule": [(key, "train", name) for name, key in _SCHEDULE_FIELDS.items()],
     "suite": [("methods", "", "methods"), ("seeds", "", "seeds"),
               ("n_samples", "", "n_samples_list"), ("data_seed_offset", "", "data_seed_offset")],
     "baselines": [(f.name, "baseline", f.name) for f in fields(BaselineSpec) if f.name != "kind"],

@@ -18,7 +18,6 @@ __all__ = [
     "vec",
     "logdet_psd",
     "solve_psd",
-    "Sampler",
 ]
 
 
@@ -77,22 +76,3 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             "Cholesky factorization failed: matrix is not positive definite"
         ) from exc
     return cho_solve(factor, b, check_finite=False)
-
-
-class Sampler:
-    """Deterministic matrix sampler seeded by a 64-bit integer.
-
-    Holds mutable generator state; confine each instance to one thread.
-    Identical seeds produce identical draw streams.  An existing
-    ``numpy.random.Generator`` may be passed instead of a seed to share a
-    stream (``default_rng`` returns it unaltered).
-    """
-
-    def __init__(self, seed: int | np.random.Generator):
-        self._rng = np.random.default_rng(seed)
-
-    def gaussian(self, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        return self._rng.normal(mean, std, size=(rows, cols))
-
-    def uniform(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._rng.uniform(low, high, size=(rows, cols))

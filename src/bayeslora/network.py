@@ -50,11 +50,9 @@ _META_KEYS = ("b_std_scale", "dropout_p", "head_trainable", "n_layers", "param_m
 class NonFiniteLossError(ValueError):
     """A loss component came out NaN/Inf; the component is named."""
 
-    def __init__(self, component: str, step: int | None = None):
+    def __init__(self, component: str):
         self.component = component
-        self.step = step
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"non-finite {component} loss{at}")
+        super().__init__(f"non-finite {component} loss")
 
 
 @dataclass
@@ -89,9 +87,6 @@ class SmallNet:
     @property
     def n_classes(self) -> int:
         return self.head_w.shape[0]
-
-    def bayesianize_b(self) -> bool:
-        return any(layer.g_b is not None for layer in self.layers)
 
     def _param_slots(self) -> list[tuple[str, object, str]]:
         """(key, owner, attribute name) of every trainable array.

@@ -72,11 +72,7 @@ def train_method(
 ) -> BaselineModel:
     """Train one method at one seed on the given dataset."""
     return train_baseline(
-        replace(cfg.baseline, kind=method),
-        cfg.net_shape(),
-        dataset,
-        replace(cfg.train, seed=seed),
-        n_minibatches=cfg.schedule_n_minibatches,
+        replace(cfg.baseline, kind=method), cfg.net_shape(), dataset, replace(cfg.train, seed=seed)
     )
 
 

@@ -14,8 +14,8 @@ deterministic and converges naturally under bare descent.
 The KL weight follows a per-minibatch schedule whose warm-up window is a
 pseudo-rescaled epoch: the dataset length L0 is replaced by
 L* = 100 * L0**(pi/gamma) so that small and large datasets share a
-comparable warm-up horizon.  Weights sum to one over that window and then
-hold at their final value.
+comparable warm-up horizon, unless ``TrainConfig.kl_window`` fixes it.
+Weights sum to one over that window and then hold at their final value.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter import VariationalAdapter
-from .linalg import Sampler
 from .network import (
     AdapterLayer,
     NonFiniteLossError,
@@ -41,11 +40,11 @@ from .parammaps import ParamMap, inverse_map
 
 __all__ = [
     "TrainConfig",
-    "KlSchedule",
     "StepRecord",
     "ElboResult",
     "TrainingDivergedError",
     "rescaled_length",
+    "kl_window",
     "kl_weight_at",
     "init_adapter",
     "build_small_net",
@@ -91,6 +90,7 @@ class TrainConfig:
     kl_mode: str = "blob_ascending"    # uniform | blundell | blob_ascending | off
     gamma: float = 8.0
     literal_ascending_weights: bool = False
+    kl_window: int | None = None       # warm-up window in minibatches; None or 0: from L*
     bayesianize_b: bool = False
     b_std_scale: float = 100.0
 
@@ -115,6 +115,8 @@ class TrainConfig:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         if self.kl_mode not in KL_MODES:
             raise ValueError(f"kl_mode must be one of {KL_MODES}")
+        if self.kl_window is not None and self.kl_window < 0:
+            raise ValueError(f"kl_window must be >= 0 (0 or None: from L*), got {self.kl_window}")
 
 
 def rescaled_length(n_examples: int, gamma: float = 8.0) -> float:
@@ -124,67 +126,43 @@ def rescaled_length(n_examples: int, gamma: float = 8.0) -> float:
     return 100.0 * float(n_examples) ** (math.pi / gamma)
 
 
-@dataclass(frozen=True)
-class KlSchedule:
-    """Per-minibatch KL weights over one pseudo-rescaled epoch.
+def kl_window(config: TrainConfig, n_examples: int) -> int:
+    """Warm-up window M in minibatches: ``config.kl_window`` when set and
+    non-zero, else ceil(L* / batch_size) for a dataset of n_examples."""
+    if config.kl_window:
+        return config.kl_window
+    try:
+        l_star = rescaled_length(n_examples, config.gamma)
+    except OverflowError:
+        raise ValueError(f"gamma = {config.gamma} overflows L* = 100 * L0**(pi/gamma)") from None
+    return max(1, math.ceil(l_star / config.batch_size))
+
+
+def kl_weight_at(config: TrainConfig, window: int, step: int) -> float:
+    """KL weight for a 1-based step; saturates after the warm-up window.
 
     In ascending mode the literal weights 2^i / (2^M - 1) sum to about 2,
     so by default they are normalized to 2^i / (2^(M+1) - 2), which keeps
-    the stated sum-to-one constraint; ``literal_ascending`` restores the
-    unnormalized form.
+    the stated sum-to-one constraint; ``literal_ascending_weights``
+    restores the unnormalized form.
     """
-
-    n_minibatches: int
-    rescaled_len: int
-    mode: str
-    gamma: float = 8.0
-    literal_ascending: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in KL_MODES:
-            raise ValueError(f"mode must be one of {KL_MODES}")
-        if self.n_minibatches < 1:
-            raise ValueError("n_minibatches must be >= 1")
-
-    @classmethod
-    def for_dataset(
-        cls,
-        n_examples: int,
-        batch_size: int,
-        mode: str,
-        gamma: float = 8.0,
-        literal_ascending: bool = False,
-    ) -> "KlSchedule":
-        l_star = rescaled_length(n_examples, gamma)
-        return cls(
-            n_minibatches=max(1, math.ceil(l_star / batch_size)),
-            rescaled_len=int(l_star),
-            mode=mode,
-            gamma=gamma,
-            literal_ascending=literal_ascending,
-        )
-
-
-def kl_weight_at(schedule: KlSchedule, step: int) -> float:
-    """KL weight for a 1-based step; saturates after the warm-up window."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if schedule.mode == "off":
+    if step < 1 or window < 1:
+        raise ValueError(f"step and window must be >= 1, got step={step}, window={window}")
+    if config.kl_mode == "off":
         return 0.0
-    m = schedule.n_minibatches
-    i = min(step, m)
-    # Stable forms: exact powers of two, no overflow for large m.
-    denom = 1.0 - 2.0 ** (-m)
-    if schedule.mode == "uniform":
-        return 1.0 / m
-    if schedule.mode == "blundell":
+    i = min(step, window)
+    # Stable forms: exact powers of two, no overflow for a large window.
+    denom = 1.0 - 2.0 ** (-window)
+    if config.kl_mode == "uniform":
+        return 1.0 / window
+    if config.kl_mode == "blundell":
         return 2.0 ** (-i) / denom
-    if schedule.literal_ascending:
-        return 2.0 ** (i - m) / denom
-    return 2.0 ** (i - m - 1) / denom
+    if config.literal_ascending_weights:
+        return 2.0 ** (i - window) / denom
+    return 2.0 ** (i - window - 1) / denom
 
 
-def init_adapter(m: int, n: int, r: int, config: TrainConfig, sampler: Sampler) -> VariationalAdapter:
+def init_adapter(m: int, n: int, r: int, config: TrainConfig, rng: np.random.Generator) -> VariationalAdapter:
     """Fresh adapter: g uniform on [eps/sqrt(2), eps], mean_a uniform on
     +/- sqrt(6/n), b zero.
 
@@ -194,13 +172,13 @@ def init_adapter(m: int, n: int, r: int, config: TrainConfig, sampler: Sampler) 
     """
     if not (1 <= r < min(m, n)):
         raise ValueError(f"rank must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
-    g_raw = sampler.uniform(r, n, low=config.epsilon / math.sqrt(2.0), high=config.epsilon)
+    g_raw = rng.uniform(config.epsilon / math.sqrt(2.0), config.epsilon, size=(r, n))
     if config.param_map is ParamMap.SQUARE:
         g = g_raw
     else:
         g = inverse_map(config.param_map, g_raw * g_raw)
     bound = math.sqrt(6.0 / n)
-    mean_a = sampler.uniform(r, n, low=-bound, high=bound)
+    mean_a = rng.uniform(-bound, bound, size=(r, n))
     w0_placeholder = np.zeros((m, n))
     return VariationalAdapter(w0=w0_placeholder, b=np.zeros((m, r)), mean_a=mean_a, g=g)
 
@@ -211,11 +189,11 @@ def build_small_net(
     n_classes: int,
     rank: int,
     config: TrainConfig,
-    seed: int | None = None,
     zero_g: bool = False,
     head_trainable: bool = True,
 ) -> SmallNet:
-    """Random frozen backbone (one adapter per dense layer) plus a trainable head.
+    """Random frozen backbone (one adapter per dense layer) plus a trainable head,
+    drawn from ``config.seed``.
 
     The requested rank is clipped per layer to min(m, n) - 1.  ``zero_g``
     pins every std parameter to zero for non-Bayesian baselines (valid
@@ -225,22 +203,22 @@ def build_small_net(
         raise ValueError("need at least one hidden layer")
     if zero_g and config.param_map is not ParamMap.SQUARE:
         raise ValueError("zero_g requires the square parameter map")
-    sampler = Sampler(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     dims = [input_dim, *hidden]
     layers: list[AdapterLayer] = []
     for n_in, n_out in zip(dims[:-1], dims[1:]):
-        w0 = sampler.gaussian(n_out, n_in, std=1.0 / math.sqrt(n_in))
-        bias = sampler.uniform(1, n_out, low=-0.1, high=0.1)[0]
+        w0 = rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_out, n_in))
+        bias = rng.uniform(-0.1, 0.1, size=n_out)
         r_eff = max(1, min(rank, min(n_out, n_in) - 1))
-        adapter = init_adapter(n_out, n_in, r_eff, config, sampler)
+        adapter = init_adapter(n_out, n_in, r_eff, config, rng)
         adapter.w0 = w0
         if zero_g:
             adapter.g = np.zeros_like(adapter.g)
         g_b = None
         if config.bayesianize_b:
-            g_b = sampler.uniform(n_out, r_eff, low=config.epsilon / math.sqrt(2.0), high=config.epsilon)
+            g_b = rng.uniform(config.epsilon / math.sqrt(2.0), config.epsilon, size=(n_out, r_eff))
         layers.append(AdapterLayer(adapter=adapter, bias=bias, g_b=g_b))
-    head_w = sampler.gaussian(n_classes, hidden[-1], std=0.5 / math.sqrt(hidden[-1]))
+    head_w = rng.normal(0.0, 0.5 / math.sqrt(hidden[-1]), size=(n_classes, hidden[-1]))
     head_b = np.zeros(n_classes)
     return SmallNet(
         layers=layers,
@@ -475,12 +453,12 @@ def train(
     net: SmallNet,
     dataset: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
-    schedule: KlSchedule,
 ) -> tuple[SmallNet, list[StepRecord]]:
     """Run the full minibatch loop; the net is updated in place.
 
     The batch order, the per-step sampling noise, and therefore the whole
-    trajectory are functions of config.seed alone.
+    trajectory are functions of config.seed alone; each step's KL weight
+    is ``kl_weight_at`` over the window ``kl_window`` of the dataset.
 
     On entry the trainable arrays are packed into one flat buffer
     (``FlatParams``), and on return every trainable array of the net is a
@@ -493,6 +471,7 @@ def train(
     x, y = dataset
     if x.shape[0] < 1:
         raise ValueError("dataset must be nonempty")
+    window = kl_window(config, x.shape[0])
     root = np.random.SeedSequence(config.seed)
     batch_ss, noise_ss = root.spawn(2)
     batches = _BatchIterator(n=x.shape[0], batch_size=config.batch_size, rng=np.random.default_rng(batch_ss))
@@ -505,7 +484,7 @@ def train(
     log: list[StepRecord] = []
     for step in range(1, config.steps + 1):
         idx = batches.next_batch()
-        weight = kl_weight_at(schedule, step)
+        weight = kl_weight_at(config, window, step)
         step_seed = int(step_seeds.integers(0, 2**63))
         try:
             result = elbo_minibatch(net, x[idx], y[idx], config, weight, step_seed)

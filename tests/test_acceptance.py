@@ -32,14 +32,7 @@ from bayeslora.metrics import ece, nll
 from bayeslora.parammaps import ParamMap, convergence_race
 from bayeslora.suite import sample_full_weights
 from bayeslora.tasks import TaskSpec, generate_task
-from bayeslora.training import (
-    KlSchedule,
-    TrainConfig,
-    build_small_net,
-    elbo_minibatch,
-    predict,
-    train,
-)
+from bayeslora.training import TrainConfig, build_small_net, elbo_minibatch
 
 
 def _report(line: str) -> None:
@@ -143,7 +136,7 @@ def test_criterion_04_gradient_correctness():
     worst = 0.0
     for point in range(10):
         config = TrainConfig(seed=point, k_train_samples=1)
-        net = build_small_net(6, (4,), 3, 2, config, seed=point)
+        net = build_small_net(6, (4,), 3, 2, config)
         rng = np.random.default_rng(1000 + point)
         for layer in net.layers:
             layer.adapter.b[...] = rng.normal(0, 0.5, layer.adapter.b.shape)
@@ -263,14 +256,9 @@ def calibration_runs():
         rows["mle"].append(ece(predict_baseline(mle, test_ds.x), test_ds.y))
         rows["mle_shift"].append(ece(predict_baseline(mle, test_shift.x), test_shift.y))
 
-        net = build_small_net(*_CAL_SHAPE, config)
-        schedule = KlSchedule.for_dataset(_CAL_TASK.n_train, config.batch_size, config.kl_mode,
-                                          gamma=config.gamma)
-        net, _ = train(net, (train_ds.x, train_ds.y), config, schedule)
-        rows["blob"].append(ece(predict(net, test_ds.x, n_samples=10, seed=seed), test_ds.y))
-        rows["blob_shift"].append(
-            ece(predict(net, test_shift.x, n_samples=10, seed=seed), test_shift.y)
-        )
+        blob = train_baseline(BaselineSpec("blob"), _CAL_SHAPE, (train_ds.x, train_ds.y), config)
+        rows["blob"].append(ece(predict_baseline(blob, test_ds.x, 10, seed), test_ds.y))
+        rows["blob_shift"].append(ece(predict_baseline(blob, test_shift.x, 10, seed), test_shift.y))
     rows["elapsed"] = time.perf_counter() - t0
     return rows
 

@@ -12,7 +12,7 @@ from bayeslora.baselines import (
 )
 from bayeslora.parammaps import ParamMap
 from bayeslora.tasks import TaskSpec, generate_task
-from bayeslora.training import KlSchedule, TrainConfig, build_small_net, train
+from bayeslora.training import TrainConfig, build_small_net, train
 
 SHAPE = (2, (8, 8), 2, 2)
 
@@ -69,8 +69,7 @@ class TestReductions:
 
         det_config = derive_config(BaselineSpec("mle"), config)
         net = build_small_net(*SHAPE, det_config, zero_g=True)
-        sched = KlSchedule.for_dataset(len(ds[1]), det_config.batch_size, "off")
-        net, _ = train(net, ds, det_config, sched)
+        net, _ = train(net, ds, det_config)
 
         for key, value in net.trainable_params().items():
             np.testing.assert_array_equal(value, model.models[0].trainable_params()[key])

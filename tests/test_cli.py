@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.baselines import SAMPLING_METHODS, kl_schedule
+from bayeslora.baselines import SAMPLING_METHODS
 from bayeslora.cli import _load_trained, main
 from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
 from bayeslora.kl import build_full_posterior
 from bayeslora.suite import run_suite, verify_theorems, write_results_csv
 from bayeslora.tasks import TaskSpec
-from bayeslora.training import TrainConfig
+from bayeslora.training import TrainConfig, kl_window
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 BENCHMARK_INI = CONFIGS / "benchmark.ini"
@@ -81,20 +81,28 @@ class TestConfigIo:
         path = tmp_path / "sched.ini"
         path.write_text("[schedule]\nn_minibatches = 7\n")
         cfg = load_config(str(path))
-        sched = kl_schedule(cfg.train, 500, cfg.schedule_n_minibatches)
-        assert sched.n_minibatches == 7
+        assert kl_window(cfg.train, 500) == 7
+        with pytest.raises(ValueError, match="^kl_window"):
+            replace(cfg.train, kl_window=-1)
 
     def test_schedule_auto(self, tiny_config):
         cfg = load_config(tiny_config)
-        sched = kl_schedule(cfg.train, 100, cfg.schedule_n_minibatches)
-        assert sched.n_minibatches >= 1
-        assert sched.mode == "blob_ascending"
+        assert kl_window(cfg.train, 100) >= 1
+        assert kl_window(replace(cfg.train, kl_window=0), 100) == kl_window(cfg.train, 100)
+        assert cfg.train.kl_mode == "blob_ascending"
+
+    def test_small_gamma_names_gamma(self, tmp_path):
+        """100 * L0**(pi/gamma) overflows a float at gamma = 0.01."""
+        path = tmp_path / "gamma.ini"
+        path.write_text("[train]\nsteps = 2\n[schedule]\ngamma = 0.01\n")
+        with pytest.raises(ValueError, match="^gamma = 0.01"):
+            main(["train", "--config", str(path), "--method", "blob", "--out-dir", str(tmp_path)])
 
     def test_bbb_honours_n_minibatches(self, tiny_config):
         """bbb weights the KL uniformly over the warm-up window, so every
         step's weight is 1 / n_minibatches."""
         cfg = load_config(tiny_config)
-        cfg = replace(cfg, train=replace(cfg.train, steps=10), schedule_n_minibatches=7)
+        cfg = replace(cfg, train=replace(cfg.train, steps=10, kl_window=7))
         train_ds, _ = suite.generate_task(cfg.task, seed=cfg.data_seed_offset)
         trained = suite.train_method("bbb", cfg, (train_ds.x, train_ds.y), 0)
         assert [rec.kl_weight for rec in trained.logs[0]] == [1.0 / 7] * 10
@@ -275,12 +283,29 @@ class TestCliCommands:
         assert _read(outs[0][1] / "report.json") == _read(outs[1][1] / "report.json")
         assert _read(outs[0][1] / "bins.csv") == _read(outs[1][1] / "bins.csv")
 
+    def test_eval_defaults_to_the_model_seed(self, tiny_config, tmp_path):
+        """Without --seed, eval scores a model on its training seed's test
+        draw with that seed's prediction noise, as the suite does."""
+        main(["train", "--config", tiny_config, "--method", "blob", "--seed", "3",
+              "--out-dir", str(tmp_path / "model")])
+        main(["eval", "--config", tiny_config, "--model-dir", str(tmp_path / "model"),
+              "--n-samples", "5", "--out-dir", str(tmp_path / "eval")])
+        main(["suite", "--config", tiny_config, "--method", "blob", "--seed", "3",
+              "--out-dir", str(tmp_path / "suite")])
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        results = (tmp_path / "suite" / "results.csv").read_text().splitlines()
+        rows = [line.split(",") for line in results]
+        row = next(r for r in rows if r[:3] == ["blob", "3", "5"])
+        assert [float(v) for v in row[5:8]] == [report["acc"], report["ece"], report["nll"]]
+
     @pytest.mark.parametrize(
         "mutate, field",
         [
             pytest.param(lambda m: m.update(extra=1), "model.json: keys", id="extra-key"),
             pytest.param(lambda m: m.pop("seed"), "model.json: keys", id="missing-key"),
             pytest.param(lambda m: m.update(method="blub"), "model.json method", id="unknown-method"),
+            pytest.param(lambda m: m.update(seed=-1), "model.json seed", id="negative-seed"),
+            pytest.param(lambda m: m.update(seed=3.0), "model.json seed", id="float-seed"),
             pytest.param(lambda m: m.update(model_files=[]), "model.json model_files", id="no-files"),
             pytest.param(lambda m: m.update(model_files="model-0.txt"), "model.json model_files",
                          id="files-not-a-list"),
@@ -295,7 +320,7 @@ class TestCliCommands:
         model_dir = tmp_path / "model"
         assert main(["train", "--config", tiny_config, "--method", "mcd",
                      "--out-dir", str(model_dir)]) == 0
-        assert len(_load_trained(str(model_dir)).models) == 1
+        assert len(_load_trained(str(model_dir))[0].models) == 1
         manifest = json.loads((model_dir / "model.json").read_text())
         mutate(manifest)
         (model_dir / "model.json").write_text(json.dumps(manifest))

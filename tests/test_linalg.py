@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bayeslora.linalg import NotPositiveDefiniteError, Sampler, logdet_psd, solve_psd, vec
+from bayeslora.linalg import NotPositiveDefiniteError, logdet_psd, solve_psd, vec
 
 
 class TestVec:
@@ -76,24 +76,3 @@ class TestLogdetSolve:
         with pytest.raises(NotPositiveDefiniteError):
             solve_psd(np.diag([1.0, -2.0]), np.ones((2, 1)))
 
-
-class TestSampler:
-    def test_seed_determinism(self):
-        a = Sampler(42).gaussian(4, 3)
-        b = Sampler(42).gaussian(4, 3)
-        np.testing.assert_array_equal(a, b)
-        u1 = Sampler(7).uniform(2, 2, low=-1.0, high=1.0)
-        u2 = Sampler(7).uniform(2, 2, low=-1.0, high=1.0)
-        np.testing.assert_array_equal(u1, u2)
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(Sampler(1).gaussian(4, 4), Sampler(2).gaussian(4, 4))
-
-    def test_uniform_bounds(self):
-        u = Sampler(4).uniform(100, 10, low=0.2, high=0.4)
-        assert u.min() >= 0.2 and u.max() <= 0.4
-
-    def test_stream_continues(self):
-        s = Sampler(5)
-        first, second = s.gaussian(2, 2), s.gaussian(2, 2)
-        assert not np.array_equal(first, second)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bayeslora.training import TrainConfig, build_small_net, elbo_minibatch
 def _randomized_net(config, hidden=(4,), input_dim=6, n_classes=3, rank=2, seed=11):
     """Built net with parameters moved off their init values."""
     rng = np.random.default_rng(seed)
-    net = build_small_net(input_dim, hidden, n_classes, rank, config, seed=seed)
+    net = build_small_net(input_dim, hidden, n_classes, rank, replace(config, seed=seed))
     for layer in net.layers:
         layer.adapter.b[...] = rng.normal(0, 0.5, layer.adapter.b.shape)
         layer.adapter.mean_a[...] = rng.normal(0, 0.5, layer.adapter.mean_a.shape)

@@ -1,4 +1,7 @@
-"""Property tests of the shared ops: the adapter branch op and the Gaussian KL."""
+"""Property tests of the shared ops: the adapter branch op, the Gaussian KL
+and the KL weight schedule."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from bayeslora.adapter import branch_backward, branch_forward
 from bayeslora.kl import gaussian_kl
+from bayeslora.training import TrainConfig, kl_weight_at
 
 # Derandomized, so tier-1 runs the same examples every time.
 _settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 _positive = st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False)
+_normalized = st.sampled_from([TrainConfig(kl_mode=m) for m in ("uniform", "blundell", "blob_ascending")])
 
 
 @st.composite
@@ -88,3 +93,20 @@ def test_kl_gradient_matches_central_differences(q):
             param[idx] = orig
             fd[idx] = (up - dn) / (2.0 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(grad).max()))
+
+
+@_settings
+@given(_normalized, st.integers(1, 2000))
+def test_schedule_weights_sum_to_one_over_the_window(config, window):
+    weights = [kl_weight_at(config, window, step) for step in range(1, window + 1)]
+    assert all(0.0 <= w <= 1.0 for w in weights)
+    assert abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
+@_settings
+@given(_normalized, st.integers(1, 10**12))
+def test_schedule_weights_finite_and_flat_after_a_huge_window(config, window):
+    first, last = kl_weight_at(config, window, 1), kl_weight_at(config, window, window)
+    assert all(math.isfinite(w) and 0.0 <= w <= 1.0 for w in (first, last))
+    assert kl_weight_at(config, window, window + 1) == last
+    assert kl_weight_at(config, window, 10 * window) == last

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bayeslora.linalg import Sampler
 from bayeslora.parammaps import ParamMap
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import (
     AdamW,
     FlatParams,
-    KlSchedule,
     Sgd,
     TrainConfig,
     TrainingDivergedError,
@@ -17,6 +15,7 @@ from bayeslora.training import (
     elbo_minibatch,
     init_adapter,
     kl_weight_at,
+    kl_window,
     lr_factor,
     predict,
     rescaled_length,
@@ -40,67 +39,60 @@ class TestRescaledLength:
         assert int(got) == 1264
 
     def test_schedule_stores_floor(self):
-        sched = KlSchedule.for_dataset(640, 16, "blob_ascending")
-        assert sched.rescaled_len == 1264
-        assert sched.n_minibatches == math.ceil(rescaled_length(640) / 16)
+        assert kl_window(TrainConfig(batch_size=16), 640) == math.ceil(rescaled_length(640) / 16)
 
 
 class TestKlWeights:
     def test_uniform_constant(self):
-        sched = KlSchedule(n_minibatches=100, rescaled_len=1600, mode="uniform")
+        config = TrainConfig(kl_mode="uniform")
         for step in (1, 50, 100, 5000):
-            assert kl_weight_at(sched, step) == pytest.approx(0.01, rel=1e-12)
+            assert kl_weight_at(config, 100, step) == pytest.approx(0.01, rel=1e-12)
 
     def test_all_modes_sum_to_one_over_epoch(self):
         for mode in ("uniform", "blundell", "blob_ascending"):
             for m in (3, 17, 64, 200):
-                sched = KlSchedule(n_minibatches=m, rescaled_len=m, mode=mode)
-                total = sum(kl_weight_at(sched, i) for i in range(1, m + 1))
+                config = TrainConfig(kl_mode=mode)
+                total = sum(kl_weight_at(config, m, i) for i in range(1, m + 1))
                 assert total == pytest.approx(1.0, abs=1e-12), (mode, m)
 
     def test_ascending_normalization_reference(self):
         # Literal 2^i / (2^M - 1) sums to ~2; the normalized form divides by
         # 2^(M+1) - 2 instead so the epoch total is exactly one.
         m = 3
-        sched = KlSchedule(n_minibatches=m, rescaled_len=m, mode="blob_ascending")
-        weights = [kl_weight_at(sched, i) for i in (1, 2, 3)]
+        weights = [kl_weight_at(TrainConfig(), m, i) for i in (1, 2, 3)]
         np.testing.assert_allclose(weights, [2.0 / 14.0, 4.0 / 14.0, 8.0 / 14.0], rtol=1e-12)
-        literal = KlSchedule(n_minibatches=m, rescaled_len=m, mode="blob_ascending",
-                             literal_ascending=True)
-        lit = [kl_weight_at(literal, i) for i in (1, 2, 3)]
+        literal = TrainConfig(literal_ascending_weights=True)
+        lit = [kl_weight_at(literal, m, i) for i in (1, 2, 3)]
         np.testing.assert_allclose(lit, [2.0 / 7.0, 4.0 / 7.0, 8.0 / 7.0], rtol=1e-12)
 
     def test_ascending_strictly_increasing_then_saturates(self):
-        sched = KlSchedule(n_minibatches=40, rescaled_len=40, mode="blob_ascending")
-        weights = [kl_weight_at(sched, i) for i in range(1, 41)]
+        config = TrainConfig(kl_mode="blob_ascending")
+        weights = [kl_weight_at(config, 40, i) for i in range(1, 41)]
         assert all(b > a for a, b in zip(weights, weights[1:]))
-        assert kl_weight_at(sched, 41) == weights[-1]
-        assert kl_weight_at(sched, 10_000) == weights[-1]
+        assert kl_weight_at(config, 40, 41) == weights[-1]
+        assert kl_weight_at(config, 40, 10_000) == weights[-1]
 
     def test_blundell_descending(self):
-        sched = KlSchedule(n_minibatches=10, rescaled_len=10, mode="blundell")
-        weights = [kl_weight_at(sched, i) for i in range(1, 11)]
+        weights = [kl_weight_at(TrainConfig(kl_mode="blundell"), 10, i) for i in range(1, 11)]
         assert all(b < a for a, b in zip(weights, weights[1:]))
 
     def test_off_mode(self):
-        sched = KlSchedule(n_minibatches=10, rescaled_len=10, mode="off")
-        assert kl_weight_at(sched, 5) == 0.0
+        assert kl_weight_at(TrainConfig(kl_mode="off"), 10, 5) == 0.0
 
     def test_large_m_no_overflow(self):
-        sched = KlSchedule(n_minibatches=5000, rescaled_len=5000, mode="blob_ascending")
-        assert 0.0 <= kl_weight_at(sched, 1) <= 1.0
-        assert kl_weight_at(sched, 5000) == pytest.approx(0.5, rel=1e-6)
+        config = TrainConfig(kl_mode="blob_ascending")
+        assert 0.0 <= kl_weight_at(config, 5000, 1) <= 1.0
+        assert kl_weight_at(config, 5000, 5000) == pytest.approx(0.5, rel=1e-6)
 
     def test_step_must_be_positive(self):
-        sched = KlSchedule(n_minibatches=10, rescaled_len=10, mode="uniform")
         with pytest.raises(ValueError):
-            kl_weight_at(sched, 0)
+            kl_weight_at(TrainConfig(kl_mode="uniform"), 10, 0)
 
 
 class TestInitAdapter:
     def test_g_range_matches_epsilon(self):
         config = TrainConfig(epsilon=0.05)
-        ad = init_adapter(8, 6, 2, config, Sampler(0))
+        ad = init_adapter(8, 6, 2, config, np.random.default_rng(0))
         assert ad.g.min() >= 0.05 / math.sqrt(2.0) - 1e-12
         assert ad.g.max() <= 0.05
         # Concrete bound from epsilon = 0.05: every entry in [0.035355, 0.05].
@@ -108,23 +100,24 @@ class TestInitAdapter:
 
     def test_mean_range_for_n_six(self):
         config = TrainConfig()
-        ad = init_adapter(8, 6, 2, config, Sampler(1))
+        ad = init_adapter(8, 6, 2, config, np.random.default_rng(1))
         assert np.all(np.abs(ad.mean_a) <= 1.0)
 
     def test_b_starts_at_zero(self):
-        ad = init_adapter(8, 6, 2, TrainConfig(), Sampler(2))
+        ad = init_adapter(8, 6, 2, TrainConfig(), np.random.default_rng(2))
         np.testing.assert_array_equal(ad.b, np.zeros((8, 2)))
 
     def test_same_seed_identical(self):
         config = TrainConfig()
-        a = init_adapter(7, 5, 2, config, Sampler(3))
-        b = init_adapter(7, 5, 2, config, Sampler(3))
+        a = init_adapter(7, 5, 2, config, np.random.default_rng(3))
+        b = init_adapter(7, 5, 2, config, np.random.default_rng(3))
         np.testing.assert_array_equal(a.g, b.g)
         np.testing.assert_array_equal(a.mean_a, b.mean_a)
 
     def test_softplus_init_matches_square_omega(self):
-        square = init_adapter(8, 6, 2, TrainConfig(seed=4), Sampler(4))
-        soft = init_adapter(8, 6, 2, TrainConfig(seed=4, param_map=ParamMap.SOFTPLUS), Sampler(4))
+        square = init_adapter(8, 6, 2, TrainConfig(seed=4), np.random.default_rng(4))
+        soft_config = TrainConfig(seed=4, param_map=ParamMap.SOFTPLUS)
+        soft = init_adapter(8, 6, 2, soft_config, np.random.default_rng(4))
         from bayeslora.parammaps import apply_map
 
         np.testing.assert_allclose(
@@ -133,7 +126,7 @@ class TestInitAdapter:
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
-            init_adapter(4, 4, 4, TrainConfig(), Sampler(5))
+            init_adapter(4, 4, 4, TrainConfig(), np.random.default_rng(5))
 
 
 class TestLrFactor:
@@ -196,8 +189,7 @@ class TestTrain:
         net = build_small_net(2, (6,), 2, 1, config)
         before = {k: v.copy() for k, v in net.trainable_params().items()}
         (ds, _) = _small_task()
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
-        net, log = train(net, ds, config, sched)
+        net, log = train(net, ds, config)
         assert log == []
         for key, value in net.trainable_params().items():
             np.testing.assert_array_equal(value, before[key])
@@ -207,8 +199,7 @@ class TestTrain:
         net = build_small_net(2, (8, 8), 2, 2, config)
         frozen = {k: v.copy() for k, v in net.backbone_arrays().items()}
         (ds, _) = _small_task()
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
-        train(net, ds, config, sched)
+        train(net, ds, config)
         for key, value in net.backbone_arrays().items():
             np.testing.assert_array_equal(value, frozen[key])
 
@@ -218,8 +209,7 @@ class TestTrain:
         head_before = net.head_w.copy()
         assert "head.w" not in net.trainable_params()
         (ds, _) = _small_task()
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
-        train(net, ds, config, sched)
+        train(net, ds, config)
         np.testing.assert_array_equal(net.head_w, head_before)
 
     def test_same_seed_bit_identical_trajectory(self):
@@ -229,8 +219,7 @@ class TestTrain:
         for _ in range(2):
             config = TrainConfig(seed=7, steps=50)
             net = build_small_net(2, (8,), 2, 1, config)
-            sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
-            net, log = train(net, ds, config, sched)
+            net, log = train(net, ds, config)
             logs.append(log)
             nets.append(net)
         assert logs[0] == logs[1]
@@ -244,8 +233,7 @@ class TestTrain:
         tr, te = generate_task(spec, seed=42)
         config = TrainConfig(seed=0, steps=2000, batch_size=32)
         net = build_small_net(2, (16, 16), 2, 2, config)
-        sched = KlSchedule.for_dataset(200, config.batch_size, config.kl_mode)
-        net, log = train(net, (tr.x, tr.y), config, sched)
+        net, log = train(net, (tr.x, tr.y), config)
         train_probs = predict(net, tr.x, n_samples=0)
         assert float(np.mean(np.argmax(train_probs, axis=1) == tr.y)) >= 0.95
         test_probs = predict(net, te.x, n_samples=0)
@@ -256,21 +244,18 @@ class TestTrain:
         for mode in ("uniform", "blundell", "blob_ascending"):
             config = TrainConfig(seed=5, steps=150, kl_mode=mode)
             net = build_small_net(2, (8,), 2, 1, config)
-            sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, mode)
-            net, log = train(net, ds, config, sched)
+            net, log = train(net, ds, config)
             assert all(np.isfinite(r.likelihood_loss) for r in log), mode
-            assert log[-1].kl_weight == kl_weight_at(sched, 150)
+            assert log[-1].kl_weight == kl_weight_at(config, kl_window(config, len(ds[1])), 150)
 
     def test_literal_ascending_flag_trains_past_saturation(self):
         # The unnormalized weights exceed 1 at saturation; training must
         # still run (the [0, 1] bound belongs to the normalized schedules).
         (ds, _) = _small_task()
-        config = TrainConfig(seed=6, steps=60, literal_ascending_weights=True)
+        config = TrainConfig(seed=6, steps=60, literal_ascending_weights=True, kl_window=3)
         net = build_small_net(2, (8,), 2, 1, config)
-        sched = KlSchedule(n_minibatches=3, rescaled_len=3, mode="blob_ascending",
-                           literal_ascending=True)
-        assert kl_weight_at(sched, 60) > 1.0
-        net, log = train(net, ds, config, sched)
+        assert kl_weight_at(config, 3, 60) > 1.0
+        net, log = train(net, ds, config)
         assert all(np.isfinite(r.likelihood_loss) for r in log)
         assert log[-1].kl_weight == pytest.approx(8.0 / 7.0)
 
@@ -281,8 +266,7 @@ class TestTrain:
         config = TrainConfig(seed=4, steps=400, bayesianize_b=True)
         net = build_small_net(2, (8,), 2, 1, config)
         assert net.layers[0].g_b is not None
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
-        net, log = train(net, ds, config, sched)
+        net, log = train(net, ds, config)
         assert all(np.isfinite(r.likelihood_loss) for r in log)
         assert log[-1].train_acc >= 0.7
 
@@ -290,17 +274,15 @@ class TestTrain:
         (ds, _) = _small_task()
         config = TrainConfig(seed=2, steps=50, lr_likelihood=1e9, lr_kl=1e9)
         net = build_small_net(2, (8,), 2, 1, config)
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
         with pytest.raises(TrainingDivergedError) as err:
-            train(net, ds, config, sched)
+            train(net, ds, config)
         assert err.value.step >= 1
 
     def test_trajectory_csv_round_trip(self, tmp_path):
         (ds, _) = _small_task()
         config = TrainConfig(seed=3, steps=10)
         net = build_small_net(2, (8,), 2, 1, config)
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, config.kl_mode)
-        net, log = train(net, ds, config, sched)
+        net, log = train(net, ds, config)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(log, str(path))
         lines = path.read_text().splitlines()
@@ -380,8 +362,7 @@ class TestFlatOptimizers:
         )
         net = build_small_net(2, (8, 8), 2, 2, config)
         before = {k: v.copy() for k, v in net.trainable_params().items()}
-        sched = KlSchedule.for_dataset(len(ds[1]), config.batch_size, "off")
-        net, _ = train(net, ds, config, sched)
+        net, _ = train(net, ds, config)
         for i, layer in enumerate(net.layers):
             np.testing.assert_array_equal(layer.g_b, before[f"layers.{i}.g_b"])
         assert not np.array_equal(net.layers[0].adapter.b, before["layers.0.b"])
@@ -428,13 +409,11 @@ class TestMleReduction:
 
         config_det = TrainConfig(seed=11, steps=steps, sampling="none", kl_mode="off")
         net_det = build_small_net(2, (8,), 2, 1, config_det, zero_g=True)
-        sched_det = KlSchedule.for_dataset(len(ds[1]), config_det.batch_size, "off")
-        net_det, _ = train(net_det, ds, config_det, sched_det)
+        net_det, _ = train(net_det, ds, config_det)
 
         config_blob = TrainConfig(seed=11, steps=steps, sampling="flipout", kl_mode="off")
         net_blob = build_small_net(2, (8,), 2, 1, config_blob, zero_g=True)
-        sched_blob = KlSchedule.for_dataset(len(ds[1]), config_blob.batch_size, "off")
-        net_blob, _ = train(net_blob, ds, config_blob, sched_blob)
+        net_blob, _ = train(net_blob, ds, config_blob)
 
         np.testing.assert_array_equal(net_blob.layers[0].adapter.g, 0.0)
         for key in ("layers.0.mean_a", "layers.0.b", "head.w"):
