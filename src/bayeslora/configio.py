@@ -4,8 +4,8 @@
 written by ``write_example_config`` carries each key with its default, and
 CLI flags override file values.  The schedule's warm-up window
 ``n_minibatches`` defaults to ``auto``, computed from the dataset length and
-batch size.  A value that does not convert raises a ``ValueError`` naming
-its ``section.key``.
+batch size.  A value that does not convert or is out of range raises a
+``ValueError`` naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,18 @@ class SuiteConfig:
     n_samples_list: tuple[int, ...] = (0, 5, 10)
     data_seed_offset: int = 1000
     baseline: BaselineSpec = field(default_factory=lambda: BaselineSpec("mle"))
+
+    def __post_init__(self) -> None:
+        if not self.methods:
+            raise ValueError("methods must list at least one method")
+        for name, values, floor in (
+            ("hidden", self.hidden, 1), ("rank", (self.rank,), 1), ("seeds", self.seeds, 0),
+            ("n_samples", self.n_samples_list, 0), ("data_seed_offset", (self.data_seed_offset,), 0),
+        ):
+            if not values:
+                raise ValueError(f"{name} must list at least one value")
+            if min(values) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {_text(values)}")
 
     def net_shape(self) -> tuple[int, tuple[int, ...], int, int]:
         return (self.task.input_dim, self.hidden, self.task.n_classes, self.rank)
@@ -78,28 +90,29 @@ def _parse(key: str, raw: str, default):
 
 
 def load_config(path: str) -> SuiteConfig:
-    """Config from an INI file; absent, empty and 'auto' values keep their default."""
+    """Config from an INI file; absent, empty and 'auto' values keep their default.
+
+    Keys apply one at a time, in file order, so a value that fails a range
+    check raises a ValueError naming its ``section.key``.
+    """
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    default = SuiteConfig()
-    values: dict[str, dict] = {"": {}, "task": {}, "train": {}, "baseline": {}}
+    default = cfg = SuiteConfig()
     for section, keys in _LAYOUT.items():
         for key, owner, name in keys:
             raw = parser.get(section, key, fallback="").strip()
             if raw in ("", "auto"):
                 continue
             try:
-                values[owner][name] = _parse(key, raw, getattr(getattr(default, owner, default), name))
+                value = _parse(key, raw, getattr(getattr(default, owner, default), name))
+                if owner:
+                    cfg = replace(cfg, **{owner: replace(getattr(cfg, owner), **{name: value})})
+                else:
+                    cfg = replace(cfg, **{name: value})
             except ValueError as exc:
                 raise ValueError(f"{section}.{key}: {exc}") from None
-    return replace(
-        default,
-        task=replace(default.task, **values["task"]),
-        train=replace(default.train, **values["train"]),
-        baseline=replace(default.baseline, **values["baseline"]),
-        **values[""],
-    )
+    return cfg
 
 
 def _text(value) -> str:

@@ -12,6 +12,10 @@ the KL runs ``kl.gaussian_kl``, while this module chains them through
 dropout, the Bayesianized b, tanh and omega = map(g); the test suite pins
 every path against central finite differences.
 
+``SmallNet`` owns the flat layout of its trainable arrays: ``pack`` moves
+them into one vector, and ``net_backward`` and ``kl_term`` return vectors
+in that layout, which ``views`` splits back per array.
+
 Input batches are column-major inside this module: an (n, batch) array
 holds one example per column.
 """
@@ -19,8 +23,10 @@ holds one example per column.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,27 +112,39 @@ class SmallNet:
                 slots.append((f"layers.{i}.g_b", layer, "g_b"))
         return slots
 
+    @cached_property
+    def _layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(key, start, stop, shape) of every trainable array in the flat layout."""
+        table, start = [], 0
+        for key, owner, attr in self._param_slots():
+            shape = getattr(owner, attr).shape
+            stop = start + math.prod(shape)
+            table.append((key, start, stop, shape))
+            start = stop
+        return tuple(table)
+
     def trainable_params(self) -> dict[str, np.ndarray]:
         """Mutable views of every trainable array, keyed by a stable name."""
         return {key: getattr(owner, attr) for key, owner, attr in self._param_slots()}
 
-    def bind_params(self, arrays: dict[str, np.ndarray]) -> None:
-        """Rebind every trainable array to the same-shaped array under its key."""
-        for key, owner, attr in self._param_slots():
-            if arrays[key].shape != getattr(owner, attr).shape:
-                raise ShapeError(f"{key} must keep shape {getattr(owner, attr).shape}")
-            setattr(owner, attr, arrays[key])
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-key views of a vector in the flat layout."""
+        return {key: vec[start:stop].reshape(shape) for key, start, stop, shape in self._layout}
 
-    def backbone_arrays(self) -> dict[str, np.ndarray]:
-        """The frozen tensors, for freeze-invariance checks."""
-        frozen: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            frozen[f"layers.{i}.w0"] = layer.adapter.w0
-            frozen[f"layers.{i}.bias"] = layer.bias
-        if not self.head_trainable:
-            frozen["head.w"] = self.head_w
-            frozen["head.b"] = self.head_b
-        return frozen
+    def flatten(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """One vector in the flat layout; zeros where a key is absent."""
+        return np.concatenate([
+            arrays[key].ravel() if key in arrays else np.zeros(stop - start)
+            for key, start, stop, _ in self._layout
+        ])
+
+    def pack(self) -> np.ndarray:
+        """Copy the trainable arrays into one float64 vector and rebind each
+        to its view, so an in-place update of the vector updates the net."""
+        vec = np.concatenate([p.ravel() for p in self.trainable_params().values()], dtype=np.float64)
+        for (_, owner, attr), view in zip(self._param_slots(), self.views(vec).values()):
+            setattr(owner, attr, view)
+        return vec
 
 
 def softmax_columns(u: np.ndarray) -> np.ndarray:
@@ -230,8 +248,9 @@ def net_forward(
     return ForwardCache(layer_caches=caches, h_last=h, logits=logits)
 
 
-def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss given d(loss)/d(logits)."""
+def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient of a scalar loss given d(loss)/d(logits), as
+    one vector in the net's flat layout (zero for g_b in mean mode)."""
     grads: dict[str, np.ndarray] = {}
     if net.head_trainable:
         grads["head.w"] = d_logits @ fwd.h_last.T
@@ -264,15 +283,17 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> dict
         if cache.drop_mask is not None:
             dhd = dhd * cache.drop_mask
         dh = ad.w0.T @ dz + dhd
-    return grads
+    return net.flatten(grads)
 
 
-def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, dict[str, np.ndarray]]:
-    """Summed closed-form KL over every Bayesianized factor, with gradients.
+def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, np.ndarray]:
+    """Summed closed-form KL over every Bayesianized factor, with its
+    gradient as one vector in the net's flat layout.
 
     Each adapter contributes ``gaussian_kl(mean_a, omega, sigma_p)`` with
     omega = map(g); a Bayesianized b contributes the same form with its
-    scaled omega_b = g_b^2 / b_std_scale.
+    scaled omega_b = g_b^2 / b_std_scale.  The head, and b when it is not
+    Bayesianized, get a zero gradient.
     """
     value = 0.0
     grads: dict[str, np.ndarray] = {}
@@ -293,7 +314,7 @@ def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, dict[str, np.ndarray]
             raise NonFiniteLossError("kl") from ValueError(f"layer {i}: {exc}")
     if not np.isfinite(value):
         raise NonFiniteLossError("kl")
-    return value, grads
+    return value, net.flatten(grads)
 
 
 def _fmt(a: np.ndarray) -> str:

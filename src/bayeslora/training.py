@@ -9,7 +9,8 @@ style, linear warmup then linear decay) for the likelihood gradients of
 every trainable tensor, and plain gradient descent for the KL gradients
 of the variational parameters.  The split mirrors the two cost characters:
 the likelihood term is noisy and benefits from adaptivity, the KL term is
-deterministic and converges naturally under bare descent.
+deterministic and converges naturally under bare descent.  Both steps
+take whole vectors in the net's flat layout (``SmallNet.pack``).
 
 The KL weight follows a per-minibatch schedule whose warm-up window is a
 pseudo-rescaled epoch: the dataset length L0 is replaced by
@@ -56,7 +57,6 @@ __all__ = [
     "lr_factor",
     "AdamW",
     "Sgd",
-    "FlatParams",
 ]
 
 KL_MODES = ("uniform", "blundell", "blob_ascending", "off")
@@ -238,24 +238,8 @@ class ElboResult:
     kl_value: float
     kl_weight: float
     train_acc: float
-    likelihood_grads: dict[str, np.ndarray]
-    kl_grads: dict[str, np.ndarray]
-
-    def total_grads(self) -> dict[str, np.ndarray]:
-        """d(loss)/d(param) = likelihood grad + kl_weight * KL grad."""
-        total = {k: v.copy() for k, v in self.likelihood_grads.items()}
-        for key, grad in self.kl_grads.items():
-            total[key] = total.get(key, 0.0) + self.kl_weight * grad
-        return total
-
-
-def _accumulate(acc: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale: float) -> None:
-    for key, grad in grads.items():
-        if key in acc:
-            acc[key] += scale * grad
-        else:
-            # 1.0 * grad is grad bit for bit; skip the copy for K = 1.
-            acc[key] = grad if scale == 1.0 else scale * grad
+    likelihood_grad: np.ndarray        # in the net's flat layout
+    kl_grad: np.ndarray | None         # likewise; None when kl_weight is 0
 
 
 def elbo_minibatch(
@@ -270,8 +254,8 @@ def elbo_minibatch(
 
     Runs K stochastic passes for the likelihood term; the KL term is
     evaluated in closed form whenever the KL path is active.  Gradients
-    come back split by path so the two optimizers can consume them
-    separately.
+    come back split by path, as flat-layout vectors, so the two optimizers
+    can consume them separately.
     """
     if x_batch.shape[0] < 1:
         raise ValueError("batch must be nonempty")
@@ -288,24 +272,27 @@ def elbo_minibatch(
     dropout_active = net.dropout_p > 0.0
 
     likelihood = 0.0
-    lik_grads: dict[str, np.ndarray] = {}
     probs_sum = np.zeros((net.n_classes, batch))
     onehot = np.zeros((net.n_classes, batch))
     onehot[labels, np.arange(batch)] = 1.0
-    for _ in range(k):
+    for i in range(k):
         fwd = net_forward(net, h0, mode=mode, rng=rng, dropout_active=dropout_active)
         probs = softmax_columns(fwd.logits)
         likelihood += cross_entropy(probs, labels) / k
         probs_sum += probs / k
         d_logits = (probs - onehot) / batch
-        _accumulate(lik_grads, net_backward(net, fwd, d_logits), 1.0 / k)
+        grad = net_backward(net, fwd, d_logits)
+        if i == 0:
+            lik_grad = grad if k == 1 else (1.0 / k) * grad
+        else:
+            lik_grad += (1.0 / k) * grad
     if not np.isfinite(likelihood):
         raise NonFiniteLossError("likelihood")
 
     if kl_weight > 0.0:
-        kl_value, kl_grads = kl_term(net, config.sigma_p)
+        kl_value, kl_grad = kl_term(net, config.sigma_p)
     else:
-        kl_value, kl_grads = 0.0, {}
+        kl_value, kl_grad = 0.0, None
 
     loss = likelihood + kl_weight * kl_value
     train_acc = float(np.mean(np.argmax(probs_sum, axis=0) == labels))
@@ -315,8 +302,8 @@ def elbo_minibatch(
         kl_value=kl_value,
         kl_weight=kl_weight,
         train_acc=train_acc,
-        likelihood_grads=lik_grads,
-        kl_grads=kl_grads,
+        likelihood_grad=lik_grad,
+        kl_grad=kl_grad,
     )
 
 
@@ -329,40 +316,6 @@ def lr_factor(step: int, total_steps: int, warmup_ratio: float) -> float:
     if total_steps <= warmup:
         return 1.0
     return max(0.0, (total_steps - t0) / (total_steps - warmup))
-
-
-class FlatParams:
-    """Every trainable array of a net packed into one float64 vector.
-
-    Packing copies the arrays into ``data`` and rebinds each one on the net
-    to its view, so an in-place update of ``data`` is an update of the net.
-    ``grad`` and ``kl_grad`` share the layout, which follows
-    ``SmallNet.trainable_params``.
-    """
-
-    def __init__(self, net: SmallNet):
-        params = net.trainable_params()
-        self.data = np.concatenate([p.ravel() for p in params.values()], dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
-        self.kl_grad = np.zeros_like(self.data)
-        self._zeros = {key: np.zeros(p.size) for key, p in params.items()}
-        self._ends: dict[str, int] = {}
-        views: dict[str, np.ndarray] = {}
-        start = 0
-        for key, p in params.items():
-            views[key] = self.data[start : start + p.size].reshape(p.shape)
-            start += p.size
-            self._ends[key] = start
-        net.bind_params(views)
-
-    def load(self, grads: dict[str, np.ndarray], out: np.ndarray) -> int:
-        """Copy ``grads`` into ``out`` in layout order, zeros for absent keys.
-
-        Returns the offset just past the last key present, so ``out[:stop]``
-        holds every gradient given.
-        """
-        np.concatenate([grads.get(key, zero).ravel() for key, zero in self._zeros.items()], out=out)
-        return max(self._ends[key] for key in grads)
 
 
 class AdamW:
@@ -460,24 +413,28 @@ def train(
     trajectory are functions of config.seed alone; each step's KL weight
     is ``kl_weight_at`` over the window ``kl_window`` of the dataset.
 
-    On entry the trainable arrays are packed into one flat buffer
-    (``FlatParams``), and on return every trainable array of the net is a
-    view into it.  Both optimizers step the whole buffer at once.  A key
+    On entry the trainable arrays are packed into one vector
+    (``SmallNet.pack``), and on return every trainable array of the net is
+    a view into it.  Both optimizers step the vector at once.  An array
     without a likelihood gradient (only ``g_b`` under sampling "none")
     sits at the end of the layout, outside the span AdamW steps, so it and
-    its moments stay untouched; a key without a KL gradient gets a zero
+    its moments stay untouched; an array without a KL gradient gets a zero
     one, which leaves it bit for bit unchanged under plain descent.
     """
     x, y = dataset
     if x.shape[0] < 1:
         raise ValueError("dataset must be nonempty")
-    window = kl_window(config, x.shape[0])
+    # With the KL off every weight is 0, so L* (which a tiny gamma overflows) is never needed.
+    window = kl_window(config, x.shape[0]) if config.kl_mode != "off" else 1
     root = np.random.SeedSequence(config.seed)
     batch_ss, noise_ss = root.spawn(2)
     batches = _BatchIterator(n=x.shape[0], batch_size=config.batch_size, rng=np.random.default_rng(batch_ss))
     step_seeds = np.random.default_rng(noise_ss)
 
-    flat = FlatParams(net)
+    params = net.pack()
+    span = params.size
+    if config.sampling == "none":
+        span -= sum(layer.g_b.size for layer in net.layers if layer.g_b is not None)
     adam = AdamW(lr=config.lr_likelihood, weight_decay=config.weight_decay)
     sgd = Sgd(lr=config.lr_kl)
 
@@ -491,12 +448,9 @@ def train(
         except NonFiniteLossError as err:
             raise TrainingDivergedError(step, err.component) from err
         factor = lr_factor(step, config.steps, config.warmup_ratio)
-        stop = flat.load(result.likelihood_grads, flat.grad)
-        adam.step(flat.data[:stop], flat.grad[:stop], factor)
-        if result.kl_grads and weight > 0.0:
-            flat.load(result.kl_grads, flat.kl_grad)
-            flat.kl_grad *= weight
-            sgd.step(flat.data, flat.kl_grad, factor)
+        adam.step(params[:span], result.likelihood_grad[:span], factor)
+        if result.kl_grad is not None:
+            sgd.step(params, weight * result.kl_grad, factor)
         log.append(
             StepRecord(
                 step=step,

@@ -2,9 +2,12 @@
 
 ``bench/run.py`` wraps functions at the module attributes its spans name
 and cuts ops at ``suite.train_method`` and the oracle groups of
-``Verify.GROUPS``; renaming or deleting any of them breaks ``--trace 1`` or
-the op cuts.  The probe runs in a subprocess because importing the harness
-pins BLAS threads and edits the environment.
+``Verify.GROUPS``; renaming or deleting any of them, or changing the call
+shape a span's name function expects, breaks ``--trace 1`` or the op cuts.
+The probe installs the harness's tracer and calls through it: a few blob
+training steps, one sampled prediction and a small oracle battery.  It runs
+in a subprocess because importing the harness pins BLAS threads and edits
+the environment.
 """
 
 import pathlib
@@ -19,9 +22,29 @@ sys.path.insert(0, sys.argv[1])
 import run
 from tracer import Tracer
 lib = run.Lib()
-run.register_spans(Tracer(), lib)
+tracer = Tracer()
+run.register_spans(tracer, lib)
 for name in ("train_method",) + run.Verify.GROUPS:
     getattr(lib.suite, name)
+
+from bayeslora.configio import SuiteConfig
+from bayeslora.tasks import TaskSpec
+from bayeslora.training import TrainConfig
+
+cfg = SuiteConfig(task=TaskSpec(n_train=40, n_test=20), hidden=(4,),
+                  train=TrainConfig(steps=5, batch_size=8))
+tracer.install()
+train_ds, test_ds = lib.suite.generate_task(cfg.task, seed=1)
+trained = lib.suite.train_method("blob", cfg, (train_ds.x, train_ds.y), 0)
+lib.suite.predict_method(trained, test_ds.x, 2, 0)
+lib.cli.verify_theorems(n_draws=2000, flipout_draws=50)
+tracer.uninstall()
+
+spans = tracer.aggregate(0, tracer.mark())
+expected = ("network.backward.flipout", "network.kl_term", "training.elbo",
+            "suite.train_method.blob", "suite.predict_method.n2", "suite.verify_theorems")
+missing = [name for name in expected if name not in spans]
+assert not missing, f"spans not recorded: {missing}; recorded: {sorted(spans)}"
 """
 
 

@@ -126,6 +126,29 @@ class TestConfigIo:
         with pytest.raises(ValueError, match=f"^{field}: "):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("net.rank", "0"),
+            ("net.hidden", "0,4"),
+            ("net.hidden", ","),
+            ("schedule.n_minibatches", "-3"),
+            ("schedule.gamma", "-1"),
+            ("suite.seeds", "-1"),
+            ("suite.seeds", ","),
+            ("suite.n_samples", "-2"),
+            ("suite.n_samples", ","),
+            ("suite.methods", ","),
+            ("suite.data_seed_offset", "-5"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, tmp_path, field, value):
+        section, key = field.split(".")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            load_config(str(path))
+
     def test_boolean_spellings(self, tmp_path):
         path = tmp_path / "bool.ini"
         for raw, value in (("1", True), ("Yes", True), ("on", True), ("0", False), ("OFF", False)):
@@ -182,6 +205,17 @@ class TestSuite:
         lines = path.read_text().splitlines()
         n_cols = len(lines[0].split(","))
         assert all(len(line.split(",")) == n_cols for line in lines[1:])
+
+    def test_gamma_overflow_fails_only_kl_cells(self, tmp_path):
+        """L* overflows at gamma = 0.01, but only the KL path reads L*."""
+        path = tmp_path / "gamma.ini"
+        path.write_text(TINY_INI.replace("seeds = 0,1", "seeds = 0") + "[schedule]\ngamma = 0.01\n")
+        cfg = load_config(str(path))
+        results, failed = run_suite(replace(cfg, methods=("mle", "blob"), n_samples_list=(0,)))
+        assert failed
+        status = {r.method: r.status for r in results}
+        assert status["mle"] == "ok"
+        assert status["blob"].startswith("error: gamma = 0.01 overflows")
 
     def test_short_benchmark_results_match_golden(self, tmp_path):
         cfg = load_config(str(BENCHMARK_INI))

@@ -13,7 +13,6 @@ from bayeslora.kl import (
     kl_full_weight_regularized,
     kl_monte_carlo,
 )
-from bayeslora.suite import sample_full_weights
 
 
 def _random_adapter(m, n, r, rng, g_low=0.3, g_high=0.9):
@@ -156,21 +155,6 @@ class TestFullPosterior:
         diag = np.diag((omega**2).T.ravel())  # vec(omega)^2, column-stacked
         expected = tilde_b @ diag @ tilde_b.T
         np.testing.assert_allclose(q.cov, expected, atol=1e-12)
-
-    def test_sampled_moments_match(self):
-        """Monte-Carlo mean/cov of vec(w0 + b a) reproduce mu_q, Sigma_q."""
-        rng = np.random.default_rng(0)
-        ad = _random_adapter(4, 3, 2, rng)
-        q = build_full_posterior(ad)
-        draws = 100_000
-        flat = sample_full_weights(ad, draws, rng)
-        se = flat.std(axis=0, ddof=1) / math.sqrt(draws)
-        diff = np.abs(flat.mean(axis=0) - q.mu[:, 0])
-        np.testing.assert_array_less(diff, 3.0 * se + 1e-12)
-        emp_cov = np.cov(flat.T, ddof=1)
-        mask = np.abs(q.cov) > 1e-6
-        rel = np.abs(emp_cov[mask] - q.cov[mask]) / np.abs(q.cov[mask])
-        assert float(rel.max()) <= 0.05
 
     def test_rank_bound(self):
         rng = np.random.default_rng(8)

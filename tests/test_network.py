@@ -36,13 +36,11 @@ def _finite_difference_check(config, hidden=(4,), kl_weight=0.3, seed=11, h=1e-5
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(size=(8, net.input_dim))
     y = rng.integers(0, net.n_classes, size=8)
-    analytic = elbo_minibatch(net, x, y, config, kl_weight, seed=99).total_grads()
+    res = elbo_minibatch(net, x, y, config, kl_weight, seed=99)
+    analytic = net.views(res.likelihood_grad + kl_weight * res.kl_grad)
     worst = 0.0
     for key, param in net.trainable_params().items():
-        grad = analytic.get(key)
-        if grad is None:
-            continue
-        grad = np.asarray(grad)
+        grad = analytic[key]
         flat = param.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
@@ -154,10 +152,10 @@ class TestGradients:
         # d/dg [(m^2 + g^4)/(2 sp^2) - 2 log g] = 2 g^3 / sp^2 - 2 / g
         config = TrainConfig(seed=4, sigma_p=0.3)
         net = _randomized_net(config, hidden=(4,), seed=4)
-        _, grads = kl_term(net, config.sigma_p)
+        _, grad = kl_term(net, config.sigma_p)
         g = net.layers[0].adapter.g
         expected = 2.0 * g**3 / config.sigma_p**2 - 2.0 / g
-        np.testing.assert_allclose(grads["layers.0.g"], expected, rtol=1e-12)
+        np.testing.assert_allclose(net.views(grad)["layers.0.g"], expected, rtol=1e-12)
 
 
 class TestKlTerm:
@@ -168,6 +166,18 @@ class TestKlTerm:
         with pytest.raises(NonFiniteLossError) as err:
             kl_term(net, config.sigma_p)
         assert err.value.component == "kl"
+
+    def test_gradient_is_a_flat_layout_vector(self):
+        """Head and non-Bayesianized b have no KL: their slices are zero."""
+        config = TrainConfig(seed=6)
+        net = _randomized_net(config, seed=6)
+        value, grad = kl_term(net, config.sigma_p)
+        assert isinstance(value, float)
+        assert grad.shape == (sum(p.size for p in net.trainable_params().values()),)
+        views = net.views(grad)
+        for key in ("head.w", "head.b", "layers.0.b"):
+            np.testing.assert_array_equal(views[key], 0.0)
+        assert np.all(views["layers.0.g"] != 0.0)
 
     def test_matches_closed_form_sum(self):
         from bayeslora.kl import PriorSpec, kl_closed_form

@@ -7,7 +7,6 @@ from bayeslora.parammaps import ParamMap
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import (
     AdamW,
-    FlatParams,
     Sgd,
     TrainConfig,
     TrainingDivergedError,
@@ -154,7 +153,7 @@ class TestElbo:
         net = build_small_net(2, (6,), 2, 1, config, zero_g=True)
         (x, y), _ = _small_task()
         res = elbo_minibatch(net, x[:16], y[:16], config, kl_weight=0.0, seed=5)
-        assert res.kl_value == 0.0 and res.kl_grads == {}
+        assert res.kl_value == 0.0 and res.kl_grad is None
 
     def test_deterministic_loss_is_plain_cross_entropy(self):
         from bayeslora.network import cross_entropy, net_forward, softmax_columns
@@ -197,11 +196,12 @@ class TestTrain:
     def test_backbone_frozen(self):
         config = TrainConfig(seed=1, steps=60)
         net = build_small_net(2, (8, 8), 2, 2, config)
-        frozen = {k: v.copy() for k, v in net.backbone_arrays().items()}
+        frozen = [(l.adapter.w0.copy(), l.bias.copy()) for l in net.layers]
         (ds, _) = _small_task()
         train(net, ds, config)
-        for key, value in net.backbone_arrays().items():
-            np.testing.assert_array_equal(value, frozen[key])
+        for layer, (w0, bias) in zip(net.layers, frozen):
+            np.testing.assert_array_equal(layer.adapter.w0, w0)
+            np.testing.assert_array_equal(layer.bias, bias)
 
     def test_frozen_head_stays_put(self):
         config = TrainConfig(seed=1, steps=40)
@@ -344,13 +344,14 @@ class TestFlatOptimizers:
         config = TrainConfig(seed=3, steps=5, bayesianize_b=True)
         net = build_small_net(2, (6, 5), 2, 2, config)
         before = {k: v.copy() for k, v in net.trainable_params().items()}
-        flat = FlatParams(net)
+        flat = net.pack()
         params = net.trainable_params()
         assert list(params)[-2:] == ["layers.0.g_b", "layers.1.g_b"]
         for key, value in params.items():
-            assert np.shares_memory(value, flat.data)
+            assert np.shares_memory(value, flat)
             np.testing.assert_array_equal(value, before[key])
-        flat.data += 1.0
+            np.testing.assert_array_equal(net.views(flat)[key], value)
+        flat += 1.0
         np.testing.assert_array_equal(net.head_b, before["head.b"] + 1.0)
 
     def test_parameter_without_gradient_untouched(self):
