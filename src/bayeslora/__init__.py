@@ -10,16 +10,15 @@ Library layout:
 * ``training``  - ELBO minibatch loop, KL re-weighting schedule, predict;
 * ``baselines`` - the method table (mle / map / mcd / ens / bbb / blob) and
   its one trainer and predictor;
-* ``metrics``   - accuracy, ECE, NLL, reliability bins;
+* ``metrics``   - one ``ece`` report of accuracy, ECE and NLL, reliability bins;
 * ``tasks``     - synthetic datasets with controllable shift;
 * ``suite``     - experiment orchestration and theorem verification;
 * ``cli``       - the ``bayeslora`` command-line harness.
 """
 
 from .adapter import (
-    FlipoutMasks,
     VariationalAdapter,
-    draw_flipout,
+    branch_draws,
     forward_flipout,
     forward_mean,
     forward_naive_shared,
@@ -34,7 +33,7 @@ from .kl import (
     kl_full_weight_regularized,
     kl_monte_carlo,
 )
-from .metrics import CalibrationReport, accuracy, ece, nll
+from .metrics import CalibrationReport, ece
 from .parammaps import ParamMap, apply_map, convergence_race, kl_grad_rho
 from .tasks import Dataset, TaskSpec, generate_task
 from .training import (
@@ -51,9 +50,8 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FlipoutMasks",
     "VariationalAdapter",
-    "draw_flipout",
+    "branch_draws",
     "forward_flipout",
     "forward_mean",
     "forward_naive_shared",
@@ -66,9 +64,7 @@ __all__ = [
     "kl_full_weight_regularized",
     "kl_monte_carlo",
     "CalibrationReport",
-    "accuracy",
     "ece",
-    "nll",
     "ParamMap",
     "apply_map",
     "convergence_race",

@@ -21,7 +21,8 @@ A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
   ``(e * omega) * outer(t_i, s_i)``, which leaves the per-example marginal
   distribution identical to naive independent sampling.
 
-The network trains through these ops unchecked; ``forward_mean``,
+``branch_draws`` is the one rule for what each mode draws.  The network
+trains through these ops unchecked; ``forward_mean``,
 ``forward_naive_shared`` and ``forward_flipout`` are checked one-layer passes.
 """
 
@@ -35,8 +36,7 @@ from .linalg import ShapeError
 
 __all__ = [
     "VariationalAdapter",
-    "FlipoutMasks",
-    "draw_flipout",
+    "branch_draws",
     "branch_forward",
     "branch_backward",
     "forward_mean",
@@ -86,35 +86,29 @@ class VariationalAdapter:
         return self.g * self.g
 
 
-@dataclass
-class FlipoutMasks:
-    """Per-batch sign masks and base noise for one flipout forward pass."""
+def branch_draws(mode: str, rng: np.random.Generator | None, n: int, batch: int, r: int) -> tuple:
+    """Fresh draws for one ``branch_forward`` call on an (n, batch) input at rank r.
 
-    s: np.ndarray  # (n, batch) entries in {-1, +1}
-    t: np.ndarray  # (batch, r) entries in {-1, +1}
-    e: np.ndarray  # (r, n) standard-normal base noise
-
-    def __post_init__(self) -> None:
-        if not np.all(np.abs(self.s) == 1.0):
-            raise ValueError("s entries must be exactly +/-1")
-        if not np.all(np.abs(self.t) == 1.0):
-            raise ValueError("t entries must be exactly +/-1")
-
-
-def draw_flipout(rng: np.random.Generator, n: int, batch: int, r: int) -> tuple:
-    """Fresh flipout draws (s, t, e) in that order: signs s (n, batch) and
-    t (batch, r), standard-normal e (r, n).  ``FlipoutMasks(*draws)`` checks them."""
-    return (
-        2.0 * rng.integers(0, 2, size=(n, batch)) - 1.0,
-        2.0 * rng.integers(0, 2, size=(batch, r)) - 1.0,
-        rng.standard_normal(size=(r, n)),
-    )
+    Flipout draws signs s (n, batch), then signs t (batch, r), then
+    standard-normal e (r, n); shared draws e alone; mean draws nothing and
+    leaves ``rng`` untouched.
+    """
+    if mode == "flipout":
+        return (
+            2.0 * rng.integers(0, 2, size=(n, batch)) - 1.0,
+            2.0 * rng.integers(0, 2, size=(batch, r)) - 1.0,
+            rng.standard_normal(size=(r, n)),
+        )
+    if mode == "shared":
+        return (rng.standard_normal(size=(r, n)),)
+    return ()
 
 
 def branch_forward(mode: str, mean_a: np.ndarray, omega: np.ndarray, hd: np.ndarray, draws: tuple) -> np.ndarray:
     """Adapter branch ``c`` of the branch input ``hd`` (n, batch).
 
-    ``draws`` is (s, t, e) for flipout, (e,) for shared, () for mean.
+    ``draws`` is what ``branch_draws`` returns for the mode: (s, t, e) for
+    flipout, (e,) for shared, () for mean.
     """
     if mode == "flipout":
         s, t, e = draws
@@ -163,20 +157,21 @@ def forward_mean(adapter: VariationalAdapter, h: np.ndarray) -> np.ndarray:
     return adapter.w0 @ h + adapter.b @ c
 
 
-def forward_flipout(adapter: VariationalAdapter, h: np.ndarray, masks: FlipoutMasks) -> np.ndarray:
+def forward_flipout(adapter: VariationalAdapter, h: np.ndarray, draws: tuple) -> np.ndarray:
     """Batched stochastic pass with per-example decorrelated perturbations.
 
-    z = w0 @ h + b @ (mean_a @ h + [(e * omega)(h * s)] * t^T)
+    z = w0 @ h + b @ (mean_a @ h + [(e * omega)(h * s)] * t^T), with
+    ``draws`` = (s, t, e) as ``branch_draws("flipout", ...)`` returns it.
     """
     _check_input(adapter, h)
-    batch = h.shape[1]
-    if masks.s.shape != (adapter.n, batch):
-        raise ShapeError(f"s mask must be ({adapter.n}, {batch}), got {masks.s.shape}")
-    if masks.t.shape != (batch, adapter.rank):
-        raise ShapeError(f"t mask must be ({batch}, {adapter.rank}), got {masks.t.shape}")
-    if masks.e.shape != (adapter.rank, adapter.n):
-        raise ShapeError(f"e noise must be ({adapter.rank}, {adapter.n}), got {masks.e.shape}")
-    c = branch_forward("flipout", adapter.mean_a, adapter.omega(), h, (masks.s, masks.t, masks.e))
+    s, t, e = draws
+    for name, mask, shape in (("s", s, (adapter.n, h.shape[1])), ("t", t, (h.shape[1], adapter.rank))):
+        if mask.shape != shape:
+            raise ShapeError(f"{name} mask must be {shape}, got {mask.shape}")
+        if not np.all(np.abs(mask) == 1.0):
+            raise ValueError(f"{name} entries must be exactly +/-1")
+    _check_noise(adapter, e)
+    c = branch_forward("flipout", adapter.mean_a, adapter.omega(), h, draws)
     return adapter.w0 @ h + adapter.b @ c
 
 

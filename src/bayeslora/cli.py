@@ -211,6 +211,18 @@ def _cmd_verify_theorems(args) -> int:
     return 1 if report.any_failed() else 0
 
 
+def _at_least(floor: int):
+    """argparse type: an integer >= floor; anything else exits 2 naming the flag."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= floor:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {floor}, got {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayeslora",
@@ -223,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=str, default=None,
                        help=f"output directory (default ${ENV_OUT_DIR} or ./bayeslora-out)")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the run seed")
+            p.add_argument("--seed", type=_at_least(0), default=None, help="override the run seed")
         if shift:
             p.add_argument("--shift", choices=SHIFTS, default=None,
                            help="override the test-set shift")
         if n_samples:
-            p.add_argument("--n-samples", type=int, default=None, help="inference sample count")
+            p.add_argument("--n-samples", type=_at_least(0), default=None, help="inference sample count")
         if method:
             p.add_argument("--method", choices=METHODS, default=None, help="method to run")
 
@@ -260,17 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--square-steps", type=int, default=10_000)
     p.add_argument("--softplus-steps", type=int, default=50_000)
-    p.add_argument("--record-every", type=int, default=50)
+    p.add_argument("--record-every", type=_at_least(1), default=50)
     p.set_defaults(func=_cmd_race)
 
     p = sub.add_parser("verify-theorems", help="run the numeric oracle battery")
     common(p, shift=False)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--m", type=_at_least(1), default=4)
+    p.add_argument("--n", type=_at_least(1), default=3)
+    p.add_argument("--r", type=_at_least(1), default=2)
     p.add_argument("--sigma-p", type=float, default=0.2)
-    p.add_argument("--draws", type=int, default=100_000)
-    p.add_argument("--flipout-draws", type=int, default=10_000)
+    p.add_argument("--draws", type=_at_least(2), default=100_000)
+    p.add_argument("--flipout-draws", type=_at_least(2), default=10_000)
     p.add_argument("--degenerate-b", action="store_true",
                    help="zero out b to exercise the rank-precondition guard")
     p.set_defaults(func=_cmd_verify_theorems)

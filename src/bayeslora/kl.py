@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .adapter import VariationalAdapter
 from .linalg import ShapeError, logdet_psd, solve_psd, vec
@@ -155,16 +156,11 @@ def build_full_posterior(adapter: VariationalAdapter) -> FullWeightGaussian:
     The covariance is block-diagonal: block i equals
     b @ diag(omega[:, i]^2) @ b^T, one (m x m) block per input column.
     """
-    m, n, r = adapter.m, adapter.n, adapter.rank
-    _guard_dims(m, n)
+    _guard_dims(adapter.m, adapter.n)
     omega = adapter.omega()
     mu = vec(adapter.w0 + adapter.b @ adapter.mean_a)
-    cov = np.zeros((m * n, m * n))
-    for i in range(n):
-        block = adapter.b @ np.diag(omega[:, i] ** 2) @ adapter.b.T
-        cov[i * m : (i + 1) * m, i * m : (i + 1) * m] = block
-    cov = 0.5 * (cov + cov.T)
-    return FullWeightGaussian(mu=mu, cov=cov)
+    cov = block_diag(*(adapter.b @ np.diag(omega[:, i] ** 2) @ adapter.b.T for i in range(adapter.n)))
+    return FullWeightGaussian(mu=mu, cov=0.5 * (cov + cov.T))
 
 
 def build_full_prior(
@@ -189,11 +185,8 @@ def build_full_prior(
         raise ShapeError(f"r_factor must have {m} rows, got {factor.shape}")
     gram = factor @ factor.T
     sp2 = prior.sigma_p * prior.sigma_p
-    cov = np.zeros((m * n, m * n))
-    for i in range(n):
-        cov[i * m : (i + 1) * m, i * m : (i + 1) * m] = sp2 * gram
-    cov = 0.5 * (cov + cov.T)
-    return FullWeightGaussian(mu=vec(w0), cov=cov)
+    cov = block_diag(*[sp2 * gram] * n)
+    return FullWeightGaussian(mu=vec(w0), cov=0.5 * (cov + cov.T))
 
 
 def kl_full_weight_regularized(

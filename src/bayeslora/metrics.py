@@ -1,4 +1,4 @@
-"""Accuracy, expected calibration error, and negative log-likelihood.
+"""One calibration report (``ece``): accuracy, expected calibration error, and NLL.
 
 ECE uses equal-width bins on the top-label confidence: the unit interval
 is split into ``n_bins`` right-inclusive bins (a confidence of exactly 0
@@ -18,8 +18,6 @@ import numpy as np
 __all__ = [
     "BinStat",
     "CalibrationReport",
-    "accuracy",
-    "nll",
     "ece",
     "report_to_json",
     "write_bins_csv",
@@ -63,12 +61,6 @@ def _validate(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     return probs, labels
 
 
-def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax predictions matching labels (ties -> lowest class)."""
-    probs, labels = _validate(probs, labels)
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
-
-
 def _nll_parts(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float, int]:
     picked = probs[np.arange(probs.shape[0]), labels]
     n_clamped = int(np.sum(picked < NLL_FLOOR))
@@ -77,14 +69,9 @@ def _nll_parts(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float, int
     return total / probs.shape[0], total, n_clamped
 
 
-def nll(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true labels."""
-    probs, labels = _validate(probs, labels)
-    return _nll_parts(probs, labels)[0]
-
-
 def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> CalibrationReport:
-    """Full calibration report: accuracy, binned ECE, and NLL."""
+    """Full calibration report: accuracy (argmax, ties to the lowest class),
+    binned ECE, and mean and summed NLL."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     probs, labels = _validate(probs, labels)

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adapter import VariationalAdapter, branch_backward, branch_forward, draw_flipout
+from .adapter import VariationalAdapter, branch_backward, branch_draws, branch_forward
 from .kl import gaussian_kl
 from .linalg import ShapeError
 from .parammaps import ParamMap, apply_map, map_derivative
@@ -166,7 +166,7 @@ class _LayerCache:
     drop_mask: np.ndarray | None
     omega: np.ndarray
     mode: str
-    draws: tuple                     # (s, t, e) flipout, (e,) shared, () mean
+    draws: tuple                     # branch_draws(mode, ...)
     c: np.ndarray
     b_used: np.ndarray
     e_b: np.ndarray | None
@@ -176,7 +176,6 @@ class _LayerCache:
 @dataclass
 class ForwardCache:
     layer_caches: list[_LayerCache]
-    h_last: np.ndarray
     logits: np.ndarray
 
 
@@ -190,8 +189,8 @@ def net_forward(
     """One pass through the network; draws fresh noise/masks per call.
 
     mode is one of "mean", "flipout", "shared".  Per layer the draw order
-    is: dropout mask, then (s, t, e) for flipout or e for shared, then the
-    b-noise when b is Bayesianized.  Dropout applies to the adapter-branch
+    is: dropout mask, then ``branch_draws`` for the mode, then the b-noise
+    when b is Bayesianized.  Dropout applies to the adapter-branch
     input only; the frozen path always sees the raw activations.
     """
     if mode not in ("mean", "flipout", "shared"):
@@ -219,12 +218,7 @@ def net_forward(
             drop_mask = None
             hd = h
 
-        if mode == "flipout":
-            draws = draw_flipout(rng, ad.n, batch, ad.rank)
-        elif mode == "shared":
-            draws = (rng.standard_normal(size=(ad.rank, ad.n)),)
-        else:
-            draws = ()
+        draws = branch_draws(mode, rng, ad.n, batch, ad.rank)
         c = branch_forward(mode, ad.mean_a, omega, hd, draws)
 
         e_b = None
@@ -245,7 +239,7 @@ def net_forward(
         h = h_out
 
     logits = net.head_w @ h + net.head_b[:, None]
-    return ForwardCache(layer_caches=caches, h_last=h, logits=logits)
+    return ForwardCache(layer_caches=caches, logits=logits)
 
 
 def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.ndarray:
@@ -253,7 +247,7 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
     one vector in the net's flat layout (zero for g_b in mean mode)."""
     grads: dict[str, np.ndarray] = {}
     if net.head_trainable:
-        grads["head.w"] = d_logits @ fwd.h_last.T
+        grads["head.w"] = d_logits @ fwd.layer_caches[-1].h_out.T
         grads["head.b"] = d_logits.sum(axis=1)
     dh = net.head_w.T @ d_logits
 
@@ -350,10 +344,7 @@ def save_net(net: SmallNet, path: str) -> None:
         ad = layer.adapter
         has_gb = int(layer.g_b is not None)
         lines.append(f"layer {ad.m} {ad.n} {ad.rank} {has_gb}")
-        lines.append("w0 " + _fmt(ad.w0))
-        lines.append("b " + _fmt(ad.b))
-        lines.append("mean_a " + _fmt(ad.mean_a))
-        lines.append("g " + _fmt(ad.g))
+        lines += [f"{name} " + _fmt(getattr(ad, name)) for name in ("w0", "b", "mean_a", "g")]
         lines.append("bias " + _fmt(layer.bias))
         if layer.g_b is not None:
             lines.append("g_b " + _fmt(layer.g_b))

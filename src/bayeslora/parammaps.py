@@ -102,6 +102,19 @@ def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
     return s * (sigma / (sigma_p * sigma_p) - 1.0 / sigma)
 
 
+def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps: int):
+    """(step, sigma(rho)) at step 0, where sigma = sigma_q0, and after each of
+    n_steps plain gradient-descent steps on the scalar KL alone (no
+    momentum, no schedule)."""
+    if sigma_q0 <= 0.0:
+        raise ValueError("sigma_q0 must be positive")
+    yield 0, sigma_q0
+    rho = float(inverse_map(pmap, sigma_q0))
+    for step in range(1, n_steps + 1):
+        rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
+        yield step, _apply_scalar(pmap, rho)
+
+
 def convergence_race(
     pmap: ParamMap,
     sigma_p: float,
@@ -110,23 +123,12 @@ def convergence_race(
     target: float,
     max_steps: int,
 ) -> int:
-    """Plain gradient-descent steps on rho until sigma(rho) >= target.
-
-    Descends the scalar KL alone (no momentum, no schedule) from
-    sigma(rho_0) = sigma_q0.  Returns the first step index at which the
-    standard deviation reaches the target, 0 if already there, or
-    ``max_steps`` if the target is never reached within the budget.
-    """
-    if sigma_q0 <= 0.0:
-        raise ValueError("sigma_q0 must be positive")
+    """First step of the descent from sigma_q0 at which sigma(rho) >= target:
+    0 if already there, ``max_steps`` if never within the budget."""
     if target > sigma_p:
         raise ValueError("target must not exceed sigma_p")
-    if sigma_q0 >= target:
-        return 0
-    rho = float(inverse_map(pmap, sigma_q0))
-    for step in range(1, max_steps + 1):
-        rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
-        if _apply_scalar(pmap, rho) >= target:
+    for step, sigma in _descent(pmap, sigma_p, sigma_q0, lr, max_steps):
+        if sigma >= target:
             return step
     return max_steps
 
@@ -139,13 +141,9 @@ def race_curve(
     n_steps: int,
     record_every: int = 1,
 ) -> list[tuple[int, float]]:
-    """(step, sigma_q) trajectory of the race, for plotting/export."""
-    if sigma_q0 <= 0.0:
-        raise ValueError("sigma_q0 must be positive")
-    rho = float(inverse_map(pmap, sigma_q0))
-    points = [(0, sigma_q0)]
-    for step in range(1, n_steps + 1):
-        rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
-        if step % record_every == 0 or step == n_steps:
-            points.append((step, _apply_scalar(pmap, rho)))
-    return points
+    """(step, sigma_q) trajectory of the race at every ``record_every``-th
+    step and the last one, for plotting/export."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    return [(step, sigma) for step, sigma in _descent(pmap, sigma_p, sigma_q0, lr, n_steps)
+            if step % record_every == 0 or step == n_steps]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import FlipoutMasks, VariationalAdapter, draw_flipout, forward_flipout, forward_mean, forward_naive_shared
+from .adapter import VariationalAdapter, branch_draws, forward_flipout, forward_mean, forward_naive_shared
 from .baselines import SAMPLING_METHODS, BaselineModel, predict_baseline, train_baseline
 from .configio import SuiteConfig
 from .kl import (
@@ -136,15 +136,9 @@ def _csv_safe(text: str) -> str:
 def write_results_csv(results: list[RunResult], path: str) -> None:
     lines = ["method,seed,n_samples,task,status,acc,ece,nll,n_test"]
     for r in results:
-        status = _csv_safe(r.status)
-        if r.report is None:
-            lines.append(f"{r.method},{r.seed},{r.n_inference_samples},{r.task_label},{status},,,,")
-        else:
-            rep = r.report
-            lines.append(
-                f"{r.method},{r.seed},{r.n_inference_samples},{r.task_label},{status},"
-                f"{rep.acc!r},{rep.ece!r},{rep.nll!r},{rep.n}"
-            )
+        rep = r.report
+        row = f"{r.method},{r.seed},{r.n_inference_samples},{r.task_label},{_csv_safe(r.status)},"
+        lines.append(row + (",,," if rep is None else f"{rep.acc!r},{rep.ece!r},{rep.nll!r},{rep.n}"))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -174,19 +168,12 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def write_summary_csv(results: list[RunResult], path: str) -> None:
     """Mean +/- sample standard deviation over seeds per (method, n_samples)."""
-    groups: dict[tuple[str, int], list[CalibrationReport]] = {}
-    order: list[tuple[str, int]] = []
+    groups: dict[tuple[str, int], list[CalibrationReport]] = {}  # in first-seen order
     for r in results:
-        if r.report is None:
-            continue
-        key = (r.method, r.n_inference_samples)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r.report)
+        if r.report is not None:
+            groups.setdefault((r.method, r.n_inference_samples), []).append(r.report)
     lines = ["method,n_samples,n_seeds,acc_mean,acc_std,ece_mean,ece_std,nll_mean,nll_std"]
-    for key in order:
-        reports = groups[key]
+    for key, reports in groups.items():
         acc_m, acc_s = _mean_std([rep.acc for rep in reports])
         ece_m, ece_s = _mean_std([rep.ece for rep in reports])
         nll_m, nll_s = _mean_std([rep.nll for rep in reports])
@@ -347,14 +334,14 @@ def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
     mean_out = forward_mean(adapter, h)
 
     def perturbations(mode: str) -> np.ndarray:
-        draws = np.empty((n_draws, m, batch))
+        out = np.empty((n_draws, m, batch))
         for d in range(n_draws):
+            draws = branch_draws(mode, rng, n, batch, r)
             if mode == "flipout":
-                masks = FlipoutMasks(*draw_flipout(rng, n, batch, r))
-                draws[d] = forward_flipout(adapter, h, masks) - mean_out
+                out[d] = forward_flipout(adapter, h, draws) - mean_out
             else:
-                draws[d] = forward_naive_shared(adapter, h, rng.standard_normal((r, n))) - mean_out
-        return draws
+                out[d] = forward_naive_shared(adapter, h, *draws) - mean_out
+        return out
 
     def mean_abs_corr(d: np.ndarray) -> float:
         centred = d - d.mean(axis=0, keepdims=True)
@@ -415,6 +402,9 @@ def verify_theorems(
     degenerate_b: bool = False,
 ) -> TheoremReport:
     """Run the full oracle battery and report per-check margins."""
+    for name, value in (("n_draws", n_draws), ("flipout_draws", flipout_draws)):
+        if value < 2:  # a spread over one draw is 0 or undefined: a check on it shows nothing
+            raise ValueError(f"{name} must be >= 2, got {value}")
     if m * n > 4096:
         raise ValueError("m*n exceeds the dense-oracle guard (4096)")
     rng = np.random.default_rng(seed)
@@ -422,10 +412,9 @@ def verify_theorems(
     if degenerate_b:
         adapter.b = np.zeros_like(adapter.b)
 
-    checks: list[TheoremCheck] = []
-    mean_check, cov_check = _posterior_moment_check(adapter, n_draws, rng)
-    checks.extend([mean_check, cov_check])
-    checks.extend(_kl_equivalence_check(adapter, sigma_p, degenerate_b))
-    checks.extend(_flipout_checks(flipout_draws, seed + 1))
-    checks.append(_race_check())
-    return TheoremReport(checks=checks)
+    return TheoremReport(checks=[
+        *_posterior_moment_check(adapter, n_draws, rng),
+        *_kl_equivalence_check(adapter, sigma_p, degenerate_b),
+        *_flipout_checks(flipout_draws, seed + 1),
+        _race_check(),
+    ])

@@ -22,7 +22,7 @@ Weights sum to one over that window and then hold at their final value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,8 +170,6 @@ def init_adapter(m: int, n: int, r: int, config: TrainConfig, rng: np.random.Gen
     standard deviation omega matches the square map's, keeping variants
     comparable at step 0.
     """
-    if not (1 <= r < min(m, n)):
-        raise ValueError(f"rank must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
     g_raw = rng.uniform(config.epsilon / math.sqrt(2.0), config.epsilon, size=(r, n))
     if config.param_map is ParamMap.SQUARE:
         g = g_raw
@@ -379,27 +377,14 @@ class StepRecord:
     train_acc: float
 
 
-@dataclass
-class _BatchIterator:
-    """Full shuffled epochs, chained so every batch has batch_size examples."""
-
-    n: int
-    batch_size: int
-    rng: np.random.Generator
-    _order: np.ndarray = field(init=False)
-    _pos: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self._order = self.rng.permutation(self.n)
-
-    def next_batch(self) -> np.ndarray:
-        take = min(self.batch_size, self.n)
-        if self._pos + take > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        out = self._order[self._pos : self._pos + take]
-        self._pos += take
-        return out
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Index batches of min(batch_size, n) examples from full shuffled epochs,
+    one fresh permutation per epoch; an epoch's leftover tail is skipped."""
+    take = min(batch_size, n)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - take + 1, take):
+            yield order[start : start + take]
 
 
 def train(
@@ -428,7 +413,7 @@ def train(
     window = kl_window(config, x.shape[0]) if config.kl_mode != "off" else 1
     root = np.random.SeedSequence(config.seed)
     batch_ss, noise_ss = root.spawn(2)
-    batches = _BatchIterator(n=x.shape[0], batch_size=config.batch_size, rng=np.random.default_rng(batch_ss))
+    batches = _batches(x.shape[0], config.batch_size, np.random.default_rng(batch_ss))
     step_seeds = np.random.default_rng(noise_ss)
 
     params = net.pack()
@@ -440,7 +425,7 @@ def train(
 
     log: list[StepRecord] = []
     for step in range(1, config.steps + 1):
-        idx = batches.next_batch()
+        idx = next(batches)
         weight = kl_weight_at(config, window, step)
         step_seed = int(step_seeds.integers(0, 2**63))
         try:

@@ -11,20 +11,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.adapter import VariationalAdapter
 from bayeslora.baselines import BaselineSpec, predict_baseline, train_baseline
 from bayeslora.cli import main
-from bayeslora.kl import (
-    PriorSpec,
-    build_full_posterior,
-    build_full_prior,
-    kl_closed_form,
-    kl_full_weight_regularized,
-    kl_monte_carlo,
+from bayeslora.kl import PriorSpec, kl_closed_form, kl_monte_carlo
+from bayeslora.metrics import ece
+from bayeslora.suite import (
+    _flipout_checks,
+    _kl_equivalence_check,
+    _posterior_moment_check,
+    _race_check,
+    _random_adapter,
 )
-from bayeslora.metrics import ece, nll
-from bayeslora.parammaps import ParamMap, convergence_race
-from bayeslora.suite import _flipout_checks, _posterior_moment_check
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import TrainConfig, build_small_net, elbo_minibatch
 
@@ -33,43 +30,28 @@ def _report(line: str) -> None:
     print(line)
 
 
-def _random_adapter(m, n, r, rng, g_low=0.3, g_high=0.9):
-    return VariationalAdapter(
-        w0=rng.normal(size=(m, n)),
-        b=rng.normal(size=(m, r)),
-        mean_a=rng.normal(0.0, 0.5, size=(r, n)),
-        g=rng.uniform(g_low, g_high, size=(r, n)),
-    )
-
-
 def test_criterion_01_full_weight_kl_equivalence():
-    """20 random adapters: ridged full-weight KL -> closed form as lambda -> 0."""
+    """20 random adapters: ridged full-weight KL -> closed form as lambda -> 0
+    (monotone, final rel gap <= 1e-4), and the prior does not depend on the
+    choice of its factor R, by verify-theorems' own KL-equivalence check."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    worst_final = 0.0
     for trial in range(20):
         m = int(rng.integers(2, 7))
         n = int(rng.integers(2, 6))
         r = int(rng.integers(1, min(m, n)))
         sigma_p = 0.2 if trial % 2 == 0 else 1.0
         adapter = _random_adapter(m, n, r, rng)
-        assert np.linalg.matrix_rank(adapter.b) == r
-        prior = PriorSpec(sigma_p)
-        q = build_full_posterior(adapter)
-        p = build_full_prior(adapter.w0, adapter.b, prior)
-        closed = kl_closed_form(adapter.mean_a, adapter.g, prior)
-        gaps = [
-            abs(kl_full_weight_regularized(q, p, lam) - closed) / abs(closed)
-            for lam in (1e-4, 1e-6, 1e-8)
-        ]
-        assert gaps[0] > gaps[1] > gaps[2], f"trial {trial}: gap not monotone: {gaps}"
-        assert gaps[2] <= 1e-4, f"trial {trial}: final gap {gaps[2]:.3e}"
-        worst_final = max(worst_final, gaps[2])
+        checks = _kl_equivalence_check(adapter, sigma_p, degenerate_b=False)
+        names = [check.name for check in checks]
+        assert names == ["full-weight-kl-equivalence", "prior-factor-choice-invariance"], names
+        for check in checks:
+            assert check.status == "pass", f"trial {trial} {check.name}: {check.margin}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(
-        f"criterion 01 PASS full-weight KL equivalence: worst final rel gap "
-        f"{worst_final:.3e} <= 1e-4 over 20 adapters ({elapsed:.2f}s < 10s)"
+        f"criterion 01 PASS full-weight KL equivalence and prior-factor invariance "
+        f"on 20 adapters; last: {checks[0].margin}; {checks[1].margin} ({elapsed:.2f}s < 10s)"
     )
 
 
@@ -156,18 +138,14 @@ def test_criterion_04_gradient_correctness():
 
 
 def test_criterion_05_parameterization_race():
-    """Square map opens sigma_q to 0.9 within 10k steps; softplus stalls at 50k."""
+    """Square map opens sigma_q to 0.9 within 10k steps; softplus stalls at
+    50k, by verify-theorems' own race check."""
     t0 = time.perf_counter()
-    square = convergence_race(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 0.9, 10_000)
-    softplus = convergence_race(ParamMap.SOFTPLUS, 1.0, 0.01, 1e-4, 0.9, 50_000)
-    assert square < 10_000
-    assert softplus == 50_000
+    check = _race_check()
+    assert check.status == "pass", check.margin
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _report(
-        f"criterion 05 PASS parameterization race: square {square} steps < 10000, "
-        f"softplus capped at {softplus} ({elapsed:.2f}s < 5s)"
-    )
+    _report(f"criterion 05 PASS parameterization race: {check.margin} ({elapsed:.2f}s < 5s)")
 
 
 def test_criterion_06_flipout_efficiency():
@@ -248,7 +226,7 @@ def test_criterion_09_metric_unit_fidelity():
     assert report.ece == pytest.approx(0.10, abs=1e-15)
     for c in (2, 3, 5):
         uniform = np.full((8, c), 1.0 / c)
-        value = nll(uniform, np.zeros(8, dtype=int))
+        value = ece(uniform, np.zeros(8, dtype=int)).nll
         assert value == pytest.approx(math.log(c), abs=1e-12)
     _report(
         f"criterion 09 PASS metric unit fidelity: hand-binned ECE = {report.ece!r} "

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bayeslora.adapter import (
-    FlipoutMasks,
     VariationalAdapter,
-    draw_flipout,
+    branch_draws,
     forward_flipout,
     forward_mean,
     forward_naive_shared,
@@ -13,7 +12,7 @@ from bayeslora.linalg import ShapeError
 
 
 def _masks(ad, batch, rng):
-    return FlipoutMasks(*draw_flipout(rng, ad.n, batch, ad.rank))
+    return branch_draws("flipout", rng, ad.n, batch, ad.rank)
 
 
 def _random_adapter(m=5, n=4, r=2, seed=0, g_scale=(0.2, 0.8)):
@@ -47,8 +46,17 @@ class TestInvariants:
         assert np.all(ad.omega() >= 0.0)
 
     def test_masks_must_be_signs(self):
-        with pytest.raises(ValueError):
-            FlipoutMasks(s=np.zeros((2, 2)), t=np.ones((2, 2)), e=np.zeros((2, 2)))
+        ad = _random_adapter(m=4, n=3, r=2, seed=1)
+        h = np.ones((3, 2))
+        good = (np.ones((3, 2)), np.ones((2, 2)), np.zeros((2, 3)))
+        forward_flipout(ad, h, good)
+        for bad in ((np.zeros((3, 2)),) + good[1:], good[:1] + (np.full((2, 2), 0.5),) + good[2:]):
+            with pytest.raises(ValueError, match="exactly"):
+                forward_flipout(ad, h, bad)
+        for bad in ((np.ones((2, 2)),) + good[1:], good[:1] + (np.ones((2, 3)),) + good[2:],
+                    good[:2] + (np.zeros((3, 2)),)):
+            with pytest.raises(ShapeError):
+                forward_flipout(ad, h, bad)
 
 
 class TestForwardMean:
@@ -100,15 +108,15 @@ class TestFlipout:
     def test_zero_base_noise_equals_mean(self):
         ad = _random_adapter(seed=12)
         h = np.random.default_rng(13).normal(size=(ad.n, 6))
-        s, t, _ = draw_flipout(np.random.default_rng(14), ad.n, 6, ad.rank)
-        masks = FlipoutMasks(s=s, t=t, e=np.zeros((ad.rank, ad.n)))
+        s, t, _ = _masks(ad, 6, np.random.default_rng(14))
+        masks = (s, t, np.zeros((ad.rank, ad.n)))
         np.testing.assert_allclose(forward_flipout(ad, h, masks), forward_mean(ad, h), rtol=1e-13)
 
     def test_batch_one_unit_masks_is_naive(self):
         ad = _random_adapter(seed=15)
         h = np.random.default_rng(16).normal(size=(ad.n, 1))
         e = np.random.default_rng(17).standard_normal((ad.rank, ad.n))
-        masks = FlipoutMasks(s=np.ones((ad.n, 1)), t=np.ones((1, ad.rank)), e=e)
+        masks = (np.ones((ad.n, 1)), np.ones((1, ad.rank)), e)
         np.testing.assert_allclose(
             forward_flipout(ad, h, masks), forward_naive_shared(ad, h, e), rtol=1e-13
         )
@@ -118,11 +126,11 @@ class TestFlipout:
         ad = _random_adapter(seed=18)
         batch = 5
         h = np.random.default_rng(19).normal(size=(ad.n, batch))
-        masks = _masks(ad, batch, np.random.default_rng(20))
-        out = forward_flipout(ad, h, masks)
+        s, t, e = _masks(ad, batch, np.random.default_rng(20))
+        out = forward_flipout(ad, h, (s, t, e))
         omega = ad.omega()
         for i in range(batch):
-            delta_a = (masks.e * omega) * np.outer(masks.t[i], masks.s[:, i])
+            delta_a = (e * omega) * np.outer(t[i], s[:, i])
             expect = ad.w0 @ h[:, i] + ad.b @ ((ad.mean_a + delta_a) @ h[:, i])
             np.testing.assert_allclose(out[:, i], expect, rtol=1e-12, atol=1e-12)
 
@@ -162,13 +170,20 @@ class TestFlipout:
             forward_mean(ad, np.zeros((ad.n, 0)))
 
     def test_draw_order_and_signs(self):
-        """s, then t, then e from one stream; the signs are exactly +/-1."""
-        s, t, e = draw_flipout(np.random.default_rng(29), 50, 40, 3)
+        """Flipout draws s, then t, then e from one stream, the signs exactly
+        +/-1; shared draws e alone; mean draws nothing and leaves the rng be."""
+        s, t, e = branch_draws("flipout", np.random.default_rng(29), 50, 40, 3)
         assert set(np.unique(s)) == {-1.0, 1.0} and set(np.unique(t)) == {-1.0, 1.0}
         rng = np.random.default_rng(29)
         np.testing.assert_array_equal(s, 2.0 * rng.integers(0, 2, (50, 40)) - 1.0)
         np.testing.assert_array_equal(t, 2.0 * rng.integers(0, 2, (40, 3)) - 1.0)
         np.testing.assert_array_equal(e, rng.standard_normal((3, 50)))
+        (e,) = branch_draws("shared", np.random.default_rng(29), 50, 40, 3)
+        np.testing.assert_array_equal(e, np.random.default_rng(29).standard_normal((3, 50)))
+        rng = np.random.default_rng(29)
+        assert branch_draws("mean", rng, 50, 40, 3) == ()
+        assert rng.random() == np.random.default_rng(29).random()
+        assert branch_draws("mean", None, 50, 40, 3) == ()
 
 
 class TestNaiveShared:

@@ -265,6 +265,12 @@ class TestTheoremBattery:
         cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
         assert cov.status == "pass", cov.margin
 
+    @pytest.mark.parametrize("arg", ["n_draws", "flipout_draws"])
+    def test_single_draw_rejected(self, arg):
+        """Every variance over one draw is 0, so a check on it would pass on no evidence."""
+        with pytest.raises(ValueError, match=arg):
+            verify_theorems(**{arg: 1})
+
     def test_race_ordering_reported(self):
         report = verify_theorems(n_draws=2_000, flipout_draws=500, seed=1)
         race = [c for c in report.checks if c.name == "parameterization-race"][0]
@@ -403,6 +409,24 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert "rank precondition violated" in captured.out
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--n-samples", "-1"],
+        ["suite", "--seed", "-1"],
+        ["train", "--method", "mle", "--seed", "-3"],
+        ["eval", "--model-dir", ".", "--n-samples", "two"],
+        ["race", "--record-every", "0"],
+        ["verify-theorems", "--draws", "1"],
+        ["verify-theorems", "--flipout-draws", "1"],
+        ["verify-theorems", "--m", "0"],
+        ["verify-theorems", "--n", "0"],
+        ["verify-theorems", "--r", "-2"],
+    ])
+    def test_bad_integer_flag_exits_2_naming_the_flag(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be an integer >= " in capsys.readouterr().err
 
     def test_env_var_out_dir(self, tiny_config, tmp_path, monkeypatch):
         target = tmp_path / "envout"

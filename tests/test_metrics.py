@@ -4,51 +4,45 @@ import math
 import numpy as np
 import pytest
 
-from bayeslora.metrics import (
-    accuracy,
-    ece,
-    nll,
-    report_to_json,
-    write_bins_csv,
-)
+from bayeslora.metrics import ece, report_to_json, write_bins_csv
 
 
 class TestAccuracy:
     def test_all_correct(self):
         probs = np.eye(3)
-        assert accuracy(probs, np.array([0, 1, 2])) == 1.0
+        assert ece(probs, np.array([0, 1, 2])).acc == 1.0
 
     def test_all_wrong(self):
         probs = np.eye(3)
-        assert accuracy(probs, np.array([1, 2, 0])) == 0.0
+        assert ece(probs, np.array([1, 2, 0])).acc == 0.0
 
     def test_mixed(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]])
-        assert accuracy(probs, np.array([0, 1, 0, 0])) == 0.75
+        assert ece(probs, np.array([0, 1, 0, 0])).acc == 0.75
 
     def test_tie_broken_to_lowest_class(self):
         probs = np.array([[0.5, 0.5]])
-        assert accuracy(probs, np.array([0])) == 1.0
-        assert accuracy(probs, np.array([1])) == 0.0
+        assert ece(probs, np.array([0])).acc == 1.0
+        assert ece(probs, np.array([1])).acc == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            ece(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestNll:
     def test_perfect_predictions(self):
-        assert nll(np.eye(3), np.array([0, 1, 2])) == 0.0
+        assert ece(np.eye(3), np.array([0, 1, 2])).nll == 0.0
 
     def test_uniform_is_log_c(self):
         for c in (2, 4, 7):
             probs = np.full((10, c), 1.0 / c)
-            assert nll(probs, np.zeros(10, dtype=int)) == pytest.approx(math.log(c), abs=1e-12)
+            assert ece(probs, np.zeros(10, dtype=int)).nll == pytest.approx(math.log(c), abs=1e-12)
 
     def test_two_example_value(self):
         # (log 2 + log 4) / 2 = 1.5 log 2
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
-        assert nll(probs, np.array([0, 0])) == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
+        assert ece(probs, np.array([0, 0])).nll == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
 
     def test_zero_probability_clamped_and_flagged(self):
         probs = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -60,7 +54,7 @@ class TestNll:
         labels = np.array([0, 0, 0])
         worse = np.full((3, 2), 0.5)
         better = np.array([[0.8, 0.2]] * 3)
-        assert nll(better, labels) < nll(worse, labels)
+        assert ece(better, labels).nll < ece(worse, labels).nll
 
 
 class TestEce:

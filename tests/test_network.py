@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.adapter import FlipoutMasks, forward_flipout, forward_mean, forward_naive_shared
+from bayeslora.adapter import forward_flipout, forward_mean, forward_naive_shared
 from bayeslora.network import (
     NonFiniteLossError,
     cross_entropy,
@@ -97,7 +97,7 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="flipout", rng=np.random.default_rng(123))
         cache = fwd.layer_caches[0]
-        z_adapter = forward_flipout(net.layers[0].adapter, h0, FlipoutMasks(*cache.draws))
+        z_adapter = forward_flipout(net.layers[0].adapter, h0, cache.draws)
         np.testing.assert_array_equal(
             cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )

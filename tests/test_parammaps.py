@@ -112,6 +112,15 @@ class TestRace:
         with pytest.raises(ValueError):
             convergence_race(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 1.5, 100)
 
+    def test_curve_rejects_record_every_below_one(self):
+        with pytest.raises(ValueError, match="record_every"):
+            race_curve(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 10, record_every=0)
+
+    def test_race_stops_where_the_curve_first_reaches_the_target(self):
+        curve = race_curve(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 10_000)
+        first = next(step for step, sigma in curve if sigma >= 0.9)
+        assert convergence_race(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 0.9, 10_000) == first
+
     def test_curve_monotone_and_consistent(self):
         curve = race_curve(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 2000, record_every=100)
         sigmas = [s for _, s in curve]

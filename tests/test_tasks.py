@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bayeslora.baselines import BaselineSpec, predict_baseline, train_baseline
-from bayeslora.metrics import accuracy
+from bayeslora.metrics import ece
 from bayeslora.tasks import (
     TaskSpec,
     class_separation,
@@ -105,7 +105,7 @@ class TestGenerators:
             BaselineSpec("mle"), (2, (16, 16), 2, 2), (train.x, train.y), config
         )
         probs = predict_baseline(model, test.x)
-        assert accuracy(probs, test.y) >= 0.99
+        assert ece(probs, test.y).acc >= 0.99
 
 
 class TestSeparationUnits:
