@@ -13,6 +13,7 @@ Library layout:
 * ``metrics``   - one ``ece`` report of accuracy, ECE and NLL, reliability bins;
 * ``tasks``     - synthetic datasets with controllable shift;
 * ``suite``     - experiment orchestration and theorem verification;
+* ``textio``    - the one byte format of every CSV, JSON and model file;
 * ``cli``       - the ``bayeslora`` command-line harness.
 """
 

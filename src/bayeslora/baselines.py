@@ -18,9 +18,9 @@ Each method is one row of ``METHOD_TABLE``, under the name the CLI and
 
 A row says which ``TrainConfig`` fields the method overrides, whether its
 std parameter is pinned to zero, whether it trains ``n_members`` members
-or one, and how it predicts.  The bbb configuration differs from the
-variational default in exactly three fields (param_map, kl_mode,
-sampling), which is what makes the ablation grid well defined.
+or one, and whether it samples at prediction.  The bbb configuration
+differs from the variational default in exactly three fields (param_map,
+kl_mode, sampling), which is what makes the ablation grid well defined.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Method:
     changes: Callable[["BaselineSpec"], dict]  # TrainConfig fields the method overrides
     zero_g: bool     # std parameter pinned to zero (no weight noise)
     ensemble: bool   # trains spec.n_members members instead of one
-    predict: str     # "mean" pass, averaged member "logits", or N "sampled" passes
+    sampled: bool    # predicts from N stochastic passes; else from averaged member logits
 
 
 _DETERMINISTIC = dict(
@@ -75,19 +75,19 @@ _DETERMINISTIC = dict(
 )
 
 METHOD_TABLE: dict[str, Method] = {
-    "mle": Method(lambda spec: _DETERMINISTIC, True, False, "mean"),
-    "map": Method(lambda spec: {**_DETERMINISTIC, "weight_decay": spec.weight_decay}, True, False, "mean"),
-    "mcd": Method(lambda spec: {**_DETERMINISTIC, "dropout_p": spec.dropout_p}, True, False, "sampled"),
-    "ens": Method(lambda spec: _DETERMINISTIC, True, True, "logits"),
+    "mle": Method(lambda spec: _DETERMINISTIC, True, False, False),
+    "map": Method(lambda spec: {**_DETERMINISTIC, "weight_decay": spec.weight_decay}, True, False, False),
+    "mcd": Method(lambda spec: {**_DETERMINISTIC, "dropout_p": spec.dropout_p}, True, False, True),
+    "ens": Method(lambda spec: _DETERMINISTIC, True, True, False),
     "bbb": Method(
         lambda spec: dict(param_map=ParamMap.SOFTPLUS, kl_mode="uniform", sampling="shared"),
-        False, False, "sampled",
+        False, False, True,
     ),
-    "blob": Method(lambda spec: {}, False, False, "sampled"),
+    "blob": Method(lambda spec: {}, False, False, True),
 }
 METHODS = tuple(METHOD_TABLE)
 # Methods whose predictions depend on the number of inference samples.
-SAMPLING_METHODS = tuple(name for name, row in METHOD_TABLE.items() if row.predict == "sampled")
+SAMPLING_METHODS = tuple(name for name, row in METHOD_TABLE.items() if row.sampled)
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,12 @@ def predict_baseline(
 ) -> np.ndarray:
     """Class probabilities, one row per example.
 
-    mle/map use the single deterministic pass; ens averages member logits
-    before one softmax; mcd, bbb and blob average the softmax outputs of
-    n_samples stochastic passes (0 falls back to the deterministic pass).
+    mcd, bbb and blob average the softmax outputs of n_samples stochastic
+    passes.  Every other case takes one softmax of the member-averaged
+    posterior-mean logits: mle, map and the sampling methods at
+    n_samples = 0 have one member, ens has n_members.
     """
-    rule = METHOD_TABLE[model.spec.kind].predict
-    if rule == "logits":
-        stacked = np.stack([logits_mean(net, x) for net in model.models])
-        return softmax_columns(stacked.mean(axis=0).T).T
-    return predict(model.models[0], x, n_samples=n_samples if rule == "sampled" else 0, seed=seed)
+    if METHOD_TABLE[model.spec.kind].sampled and n_samples != 0:  # predict rejects n_samples < 0
+        return predict(model.models[0], x, n_samples=n_samples, seed=seed)
+    stacked = np.stack([logits_mean(net, x) for net in model.models])
+    return softmax_columns(stacked.mean(axis=0).T).T

@@ -31,6 +31,7 @@ from .suite import (
     write_summary_csv,
 )
 from .tasks import SHIFTS, generate_task, write_dataset_csv
+from .textio import write_csv, write_json, write_lines
 from .training import write_trajectory_csv
 
 ENV_OUT_DIR = "BAYESLORA_OUT_DIR"
@@ -66,10 +67,9 @@ def _cmd_gen_data(args) -> int:
     out = _out_dir(args)
     seed = cfg.data_seed_offset + cfg.train.seed
     train_ds, test_ds = generate_task(cfg.task, seed=seed)
-    write_dataset_csv(train_ds, os.path.join(out, "train.csv"))
-    write_dataset_csv(test_ds, os.path.join(out, "test.csv"))
-    print(os.path.join(out, "train.csv"))
-    print(os.path.join(out, "test.csv"))
+    for dataset, name in ((train_ds, "train.csv"), (test_ds, "test.csv")):
+        write_dataset_csv(dataset, os.path.join(out, name))
+        print(os.path.join(out, name))
     return 0
 
 
@@ -93,8 +93,7 @@ def _cmd_train(args) -> int:
     for k, net in enumerate(trained.models):
         save_net(net, os.path.join(out, f"model-{k}.txt"))
         write_trajectory_csv(trained.logs[k], os.path.join(out, f"trajectory-{k}.csv"))
-    with open(os.path.join(out, "model.json"), "w", encoding="ascii") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(os.path.join(out, "model.json"), manifest)
     print(os.path.join(out, "model.json"))
     return 0
 
@@ -153,8 +152,7 @@ def _cmd_eval(args) -> int:
     n_samples = args.n_samples if args.n_samples is not None else 0
     probs = predict_method(trained, test_ds.x, n_samples, seed)
     report = ece(probs, test_ds.y)
-    with open(os.path.join(out, "report.json"), "w", encoding="ascii") as fh:
-        fh.write(report_to_json(report) + "\n")
+    write_lines(os.path.join(out, "report.json"), [report_to_json(report)])
     write_bins_csv(report, os.path.join(out, "bins.csv"))
     write_reliability_csv(report, os.path.join(out, "reliability.csv"))
     print(os.path.join(out, "report.json"))
@@ -167,13 +165,13 @@ def _cmd_suite(args) -> int:
         cfg = replace(cfg, methods=(args.method,))
     out = _out_dir(args)
     t0 = time.perf_counter()
-    results, any_failed = run_suite(cfg)
+    results = run_suite(cfg)
     print(f"suite: {len(results)} cells in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     write_results_csv(results, os.path.join(out, "results.csv"))
     write_results_json(results, os.path.join(out, "results.json"))
     write_summary_csv(results, os.path.join(out, "summary.csv"))
     print(os.path.join(out, "results.csv"))
-    return 1 if any_failed else 0
+    return 1 if any(r.status != "ok" for r in results) else 0
 
 
 def _cmd_race(args) -> int:
@@ -184,10 +182,7 @@ def _cmd_race(args) -> int:
     ):
         curve = race_curve(pmap, args.sigma_p, args.sigma_q0, args.lr, steps, record_every=args.record_every)
         path = os.path.join(out, name)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("step,sigma_q\n")
-            for step, sigma in curve:
-                fh.write(f"{step},{sigma!r}\n")
+        write_csv(path, ("step", "sigma_q"), curve)
         print(path)
     return 0
 
@@ -202,12 +197,7 @@ def _cmd_verify_theorems(args) -> int:
     for line in report.lines():
         print(line)
     if args.out_dir or os.environ.get(ENV_OUT_DIR):
-        out = _out_dir(args)
-        payload = [
-            {"name": c.name, "status": c.status, "margin": c.margin} for c in report.checks
-        ]
-        with open(os.path.join(out, "theorems.json"), "w", encoding="ascii") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(os.path.join(_out_dir(args), "theorems.json"), [asdict(c) for c in report.checks])
     return 1 if report.any_failed() else 0
 
 
@@ -270,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-p", type=float, default=1.0)
     p.add_argument("--sigma-q0", type=float, default=0.01)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--square-steps", type=int, default=10_000)
-    p.add_argument("--softplus-steps", type=int, default=50_000)
+    p.add_argument("--square-steps", type=_at_least(0), default=10_000)
+    p.add_argument("--softplus-steps", type=_at_least(0), default=50_000)
     p.add_argument("--record-every", type=_at_least(1), default=50)
     p.set_defaults(func=_cmd_race)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .baselines import METHODS, BaselineSpec
 from .tasks import TaskSpec
+from .textio import write_lines
 from .training import TrainConfig
 
 __all__ = ["SuiteConfig", "load_config", "write_example_config"]
@@ -135,5 +136,4 @@ def write_example_config(path: str, cfg: SuiteConfig | None = None) -> None:
     for section, keys in _LAYOUT.items():
         lines += ["", f"[{section}]"]
         lines += [f"{key} = {_text(getattr(getattr(cfg, owner, cfg), name))}" for key, owner, name in keys]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -10,10 +10,11 @@ probability of zero is clamped at 1e-12 and counted in the report.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
+
+from .textio import to_json, write_csv
 
 __all__ = [
     "BinStat",
@@ -115,41 +116,16 @@ def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> CalibrationR
 
 
 def report_to_json(report: CalibrationReport) -> str:
-    payload = {
-        "acc": report.acc,
-        "ece": report.ece,
-        "nll": report.nll,
-        "nll_sum": report.nll_sum,
-        "n": report.n,
-        "n_clamped": report.n_clamped,
-        "bins": [
-            {
-                "lower": b.lower,
-                "upper": b.upper,
-                "count": b.count,
-                "mean_conf": b.mean_conf,
-                "mean_acc": b.mean_acc,
-            }
-            for b in report.bins
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return to_json(asdict(report))
 
 
 def write_bins_csv(report: CalibrationReport, path: str) -> None:
     """Reliability-diagram bin table."""
-    lines = ["bin_lower,bin_upper,count,mean_conf,mean_acc"]
-    for b in report.bins:
-        lines.append(f"{b.lower!r},{b.upper!r},{b.count},{b.mean_conf!r},{b.mean_acc!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ("bin_lower", "bin_upper", "count", "mean_conf", "mean_acc")
+    write_csv(path, header, map(astuple, report.bins))
 
 
 def write_reliability_csv(report: CalibrationReport, path: str) -> None:
     """Two-column (mean_conf, mean_acc) curve over occupied bins, plot-ready."""
-    lines = ["mean_conf,mean_acc"]
-    for b in report.bins:
-        if b.count:
-            lines.append(f"{b.mean_conf!r},{b.mean_acc!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    occupied = ((b.mean_conf, b.mean_acc) for b in report.bins if b.count)
+    write_csv(path, ("mean_conf", "mean_acc"), occupied)

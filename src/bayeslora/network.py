@@ -34,6 +34,7 @@ from .adapter import VariationalAdapter, branch_backward, branch_draws, branch_f
 from .kl import gaussian_kl
 from .linalg import ShapeError
 from .parammaps import ParamMap, apply_map, map_derivative
+from .textio import write_lines
 
 __all__ = [
     "AdapterLayer",
@@ -352,8 +353,7 @@ def save_net(net: SmallNet, path: str) -> None:
     lines.append(f"head {c} {h}")
     lines.append("w " + _fmt(net.head_w))
     lines.append("hb " + _fmt(net.head_b))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _next_field(lines: Iterator[str], key: str) -> str:

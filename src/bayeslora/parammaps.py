@@ -105,9 +105,12 @@ def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
 def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps: int):
     """(step, sigma(rho)) at step 0, where sigma = sigma_q0, and after each of
     n_steps plain gradient-descent steps on the scalar KL alone (no
-    momentum, no schedule)."""
-    if sigma_q0 <= 0.0:
-        raise ValueError("sigma_q0 must be positive")
+    momentum, no schedule).  Bad arguments raise before step 0 is yielded."""
+    for name, value in (("sigma_p", sigma_p), ("sigma_q0", sigma_q0), ("lr", lr)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if n_steps < 0:
+        raise ValueError(f"the step count must be >= 0, got {n_steps}")
     yield 0, sigma_q0
     rho = float(inverse_map(pmap, sigma_q0))
     for step in range(1, n_steps + 1):
@@ -125,7 +128,7 @@ def convergence_race(
 ) -> int:
     """First step of the descent from sigma_q0 at which sigma(rho) >= target:
     0 if already there, ``max_steps`` if never within the budget."""
-    if target > sigma_p:
+    if target > sigma_p > 0.0:  # _descent names a sigma_p <= 0
         raise ValueError("target must not exceed sigma_p")
     for step, sigma in _descent(pmap, sigma_p, sigma_q0, lr, max_steps):
         if sigma >= target:

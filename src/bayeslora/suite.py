@@ -2,10 +2,9 @@
 
 ``run_suite`` expands a configuration into (method, seed, n_samples)
 cells, trains each (method, seed) model once, evaluates it at every
-requested sample count, and writes deterministic CSV/JSON tables; the
-aggregate table reports mean and sample standard deviation across seeds.
-Wall-clock timings are kept off the serialized outputs so that reruns are
-byte-identical.
+requested sample count; the ``write_*`` functions turn its rows into
+deterministic CSV/JSON tables, the aggregate one holding the mean and
+sample standard deviation across seeds.
 
 ``verify_theorems`` runs the oracle battery at desk scale: sampled
 moments of the induced full-weight posterior, convergence of the
@@ -17,10 +16,8 @@ race.
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,6 +34,7 @@ from .kl import (
 from .metrics import CalibrationReport, ece
 from .parammaps import ParamMap, convergence_race
 from .tasks import generate_task
+from .textio import write_csv, write_json
 from .training import train  # noqa: F401  (bench/run.py traces training under this name)
 
 __all__ = [
@@ -57,11 +55,10 @@ __all__ = [
 class RunResult:
     method: str
     seed: int
-    n_inference_samples: int
-    task_label: str
+    n_samples: int
+    task: str
     status: str                        # "ok" or an error description
     report: CalibrationReport | None
-    wall_time: float                   # in-memory only, never serialized
 
 
 def train_method(
@@ -85,85 +82,57 @@ def predict_method(
     return predict_baseline(trained, x, n_samples, seed)
 
 
-def run_suite(cfg: SuiteConfig) -> tuple[list[RunResult], bool]:
+def run_suite(cfg: SuiteConfig) -> list[RunResult]:
     """All cells of the configured grid; failures are recorded, not raised.
 
     N-sample counts only vary for the sampling methods (mcd, bbb, blob);
     the deterministic methods emit a single row per seed.
     """
     results: list[RunResult] = []
-    any_failed = False
-    task_label = f"{cfg.task.generator}/{cfg.task.shift}"
+    task = f"{cfg.task.generator}/{cfg.task.shift}"
     for seed in cfg.seeds:
-        data_seed = cfg.data_seed_offset + seed
-        train_ds, test_ds = generate_task(cfg.task, seed=data_seed)
+        train_ds, test_ds = generate_task(cfg.task, seed=cfg.data_seed_offset + seed)
         dataset = (train_ds.x, train_ds.y)
         for method in cfg.methods:
             n_values = cfg.n_samples_list if method in SAMPLING_METHODS else (0,)
-            t0 = time.perf_counter()
             try:
                 trained = train_method(method, cfg, dataset, seed)
             except Exception as exc:  # per-cell failure, suite continues
-                any_failed = True
                 for n in n_values:
-                    results.append(
-                        RunResult(method, seed, n, task_label, f"error: {exc}", None, 0.0)
-                    )
+                    results.append(RunResult(method, seed, n, task, f"error: {exc}", None))
                 continue
-            train_time = time.perf_counter() - t0
             for n in n_values:
-                t1 = time.perf_counter()
                 try:
                     probs = predict_method(trained, test_ds.x, n, seed)
                     report = ece(probs, test_ds.y)
                     status = "ok"
                 except Exception as exc:
-                    any_failed = True
                     report, status = None, f"error: {exc}"
-                results.append(
-                    RunResult(
-                        method, seed, n, task_label, status, report,
-                        train_time + (time.perf_counter() - t1),
-                    )
-                )
-    return results, any_failed
+                results.append(RunResult(method, seed, n, task, status, report))
+    return results
 
 
-def _csv_safe(text: str) -> str:
-    return text.replace(",", ";").replace("\n", " ")
+def _entry(r: RunResult) -> dict:
+    """One cell's results record; a failed cell has no metrics."""
+    entry = {f.name: getattr(r, f.name) for f in fields(RunResult) if f.name != "report"}
+    if r.report is not None:
+        entry.update(acc=r.report.acc, ece=r.report.ece, nll=r.report.nll, n_test=r.report.n)
+    return entry
 
 
 def write_results_csv(results: list[RunResult], path: str) -> None:
-    lines = ["method,seed,n_samples,task,status,acc,ece,nll,n_test"]
+    """The results.json records as rows: a failed cell's metrics are empty, and
+    commas and newlines in a status become ';' and ' '."""
+    header = ("method", "seed", "n_samples", "task", "status", "acc", "ece", "nll", "n_test")
+    rows = []
     for r in results:
-        rep = r.report
-        row = f"{r.method},{r.seed},{r.n_inference_samples},{r.task_label},{_csv_safe(r.status)},"
-        lines.append(row + (",,," if rep is None else f"{rep.acc!r},{rep.ece!r},{rep.nll!r},{rep.n}"))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        entry = {**_entry(r), "status": r.status.replace(",", ";").replace("\n", " ")}
+        rows.append([entry.get(name, "") for name in header])
+    write_csv(path, header, rows)
 
 
 def write_results_json(results: list[RunResult], path: str) -> None:
-    payload = []
-    for r in results:
-        entry = {
-            "method": r.method,
-            "seed": r.seed,
-            "n_samples": r.n_inference_samples,
-            "task": r.task_label,
-            "status": r.status,
-        }
-        if r.report is not None:
-            entry.update(acc=r.report.acc, ece=r.report.ece, nll=r.report.nll, n_test=r.report.n)
-        payload.append(entry)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
+    write_json(path, [_entry(r) for r in results])
 
 
 def write_summary_csv(results: list[RunResult], path: str) -> None:
@@ -171,17 +140,17 @@ def write_summary_csv(results: list[RunResult], path: str) -> None:
     groups: dict[tuple[str, int], list[CalibrationReport]] = {}  # in first-seen order
     for r in results:
         if r.report is not None:
-            groups.setdefault((r.method, r.n_inference_samples), []).append(r.report)
-    lines = ["method,n_samples,n_seeds,acc_mean,acc_std,ece_mean,ece_std,nll_mean,nll_std"]
-    for key, reports in groups.items():
-        acc_m, acc_s = _mean_std([rep.acc for rep in reports])
-        ece_m, ece_s = _mean_std([rep.ece for rep in reports])
-        nll_m, nll_s = _mean_std([rep.nll for rep in reports])
-        lines.append(
-            f"{key[0]},{key[1]},{len(reports)},{acc_m!r},{acc_s!r},{ece_m!r},{ece_s!r},{nll_m!r},{nll_s!r}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+            groups.setdefault((r.method, r.n_samples), []).append(r.report)
+    header = ("method", "n_samples", "n_seeds", "acc_mean", "acc_std", "ece_mean", "ece_std",
+              "nll_mean", "nll_std")
+    rows = []
+    for (method, n), reports in groups.items():
+        row = [method, n, len(reports)]
+        for name in ("acc", "ece", "nll"):
+            values = np.array([getattr(rep, name) for rep in reports])
+            row += [float(values.mean()), float(values.std(ddof=1)) if values.size > 1 else 0.0]
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 # --------------------------------------------------------------------------
@@ -402,6 +371,10 @@ def verify_theorems(
     degenerate_b: bool = False,
 ) -> TheoremReport:
     """Run the full oracle battery and report per-check margins."""
+    if not sigma_p > 0.0:
+        raise ValueError(f"sigma_p must be positive, got {sigma_p}")
+    if not 1 <= r < min(m, n):
+        raise ValueError(f"r must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
     for name, value in (("n_draws", n_draws), ("flipout_draws", flipout_draws)):
         if value < 2:  # a spread over one draw is 0 or undefined: a check on it shows nothing
             raise ValueError(f"{name} must be >= 2, got {value}")

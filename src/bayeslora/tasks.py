@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import write_csv
+
 __all__ = ["TaskSpec", "Dataset", "generate_task", "class_separation", "write_dataset_csv"]
 
 GENERATORS = ("gauss_blobs", "two_moons_like", "ring_vs_disk")
@@ -132,10 +134,6 @@ def generate_task(spec: TaskSpec, seed: int) -> tuple[Dataset, Dataset]:
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    d = dataset.x.shape[1]
-    header = ",".join(f"x{i}" for i in range(d)) + ",label"
-    lines = [header]
-    for row, label in zip(dataset.x, dataset.y):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [f"x{i}" for i in range(dataset.x.shape[1])] + ["label"]
+    rows = (x + [label] for x, label in zip(dataset.x.tolist(), dataset.y.tolist()))
+    write_csv(path, header, rows)

@@ -22,7 +22,7 @@ Weights sum to one over that window and then hold at their final value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .network import (
     softmax_columns,
 )
 from .parammaps import ParamMap, inverse_map
+from .textio import write_csv
 
 __all__ = [
     "TrainConfig",
@@ -105,12 +106,15 @@ class TrainConfig:
         for name, value in positive.items():
             if not (value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        for name in ("steps", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative 64-bit integer")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
+        if not (0.0 <= self.warmup_ratio <= 1.0):
+            raise ValueError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         if self.kl_mode not in KL_MODES:
@@ -458,10 +462,9 @@ def predict(net: SmallNet, x: np.ndarray, n_samples: int, seed: int = 0) -> np.n
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    h0 = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
     if n_samples == 0:
-        fwd = net_forward(net, h0, mode="mean", rng=None, dropout_active=False)
-        return softmax_columns(fwd.logits).T
+        return softmax_columns(logits_mean(net, x).T).T
+    h0 = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
     rng = np.random.default_rng(seed)
     acc = np.zeros((net.n_classes, h0.shape[1]))
     for _ in range(n_samples):
@@ -478,10 +481,4 @@ def logits_mean(net: SmallNet, x: np.ndarray) -> np.ndarray:
 
 
 def write_trajectory_csv(log: list[StepRecord], path: str) -> None:
-    lines = ["step,likelihood_loss,kl_value,kl_weight,train_acc"]
-    for rec in log:
-        lines.append(
-            f"{rec.step},{rec.likelihood_loss!r},{rec.kl_value!r},{rec.kl_weight!r},{rec.train_acc!r}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [f.name for f in fields(StepRecord)], map(astuple, log))

@@ -11,17 +11,44 @@ from bayeslora.cli import _load_trained, main
 from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
 from bayeslora.kl import build_full_posterior
-from bayeslora.suite import run_suite, verify_theorems, write_results_csv
+from bayeslora.suite import (
+    run_suite,
+    verify_theorems,
+    write_results_csv,
+    write_results_json,
+    write_summary_csv,
+)
 from bayeslora.tasks import TaskSpec
 from bayeslora.training import TrainConfig, kl_window
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 BENCHMARK_INI = CONFIGS / "benchmark.ini"
 
-# sha256 of results.csv for the benchmark config cut to 1 seed, 40 steps
-# and N in {0, 5}, recorded with per-tensor optimizer loops; any byte of
-# drift in training or prediction shows here.
-GOLDEN_RESULTS_SHA256 = "d930d45343a3933ed2d4bdd00c1dfdbe21bd487abeb0cd150bc23869d67097e2"
+# sha256 of the suite tables for the benchmark config cut to 1 seed, 40
+# steps and N in {0, 5}; results.csv was recorded with per-tensor optimizer
+# loops.  Any byte of drift in training, prediction or the writers shows here.
+GOLDEN_RESULTS_SHA256 = {
+    "results.csv": "d930d45343a3933ed2d4bdd00c1dfdbe21bd487abeb0cd150bc23869d67097e2",
+    "results.json": "254aecbc8b0f1170b5cf61f106cc275d3216d8bb2280f7c9dc0af60037dd6462",
+    "summary.csv": "5784064a952ec3a912f8b770242d802e0675ffd8352bc8000fdf8488136e9fda",
+}
+
+# sha256 of every file test_written_files_match_golden writes, recorded when
+# each writer still had its own encoder; any byte of drift in a CSV, JSON or
+# model file shows here.
+GOLDEN_FILES_SHA256 = {
+    "data/test.csv": "918eefa59c4c588f926de23cb8572f1cbd35497e2fb9b33194faba3ef44f94da",
+    "data/train.csv": "df1af6c56b15364df7fc5152e75bd4fdea7050c38d2c75e1cbf6b122902cb747",
+    "eval/bins.csv": "efec4c7b632a50d388cee6e355f7cb9ef377d3274371aa7efbdbe7b10d4915cc",
+    "eval/reliability.csv": "a450015b5795047295227d80864dc5f3f56f6ed4c2dda0b979c9e98d625d2170",
+    "eval/report.json": "33ddbcaa9de438b5cff92866ab1251e3c1ba23e77e21102fd5f476a95486497c",
+    "model/model-0.txt": "e8804ba39f45a5b88ff280a40ec79cc8f1fefc0b0467dabee784a07550a62b8c",
+    "model/model.json": "4a8b08df17a50431c8e456348f582c3494997f44ae74a270e9d07ac029091ddf",
+    "model/trajectory-0.csv": "8ef4fce8af8f1f47d9d420b5ccad78b8d7746bc52f7de518b405ca83e5dad9e8",
+    "race/race_softplus.csv": "e7902ae7201be5a7c682cb7438f2fd79956a6f5cbd32f0a22df9783ed0d69f1f",
+    "race/race_square.csv": "dc205eea0e24d0fd5138ef1e516fcb344d218557ff79c489a46231305c55479f",
+    "theorems/theorems.json": "e0c668ad6f151f11b583f4e1bb2f6eca82d08675b1fefbd3cd8995b7a6811b27",
+}
 
 TINY_INI = """\
 [task]
@@ -140,6 +167,9 @@ class TestConfigIo:
             ("suite.n_samples", ","),
             ("suite.methods", ","),
             ("suite.data_seed_offset", "-5"),
+            ("train.weight_decay", "-1"),
+            ("train.warmup_ratio", "-3"),
+            ("train.warmup_ratio", "1.5"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, tmp_path, field, value):
@@ -161,27 +191,24 @@ class TestSuite:
         """6 methods x 2 seeds; N varies only for the 3 sampling methods
         (mcd, bbb, blob): 3*2*2 + 3*2 = 18 rows."""
         cfg = load_config(tiny_config)
-        results, failed = run_suite(cfg)
-        assert not failed
+        results = run_suite(cfg)
+        assert all(r.status == "ok" for r in results)
         expected = len(SAMPLING_METHODS) * 2 * 2 + 3 * 2
         assert len(results) == expected == 18
 
     def test_single_cell_suite(self, tiny_config):
         cfg = load_config(tiny_config)
         cfg = replace(cfg, methods=("mle",), seeds=(0,))
-        results, failed = run_suite(cfg)
-        assert not failed
+        results = run_suite(cfg)
         assert len(results) == 1
         assert results[0].status == "ok"
         assert results[0].report is not None
 
     def test_summary_matches_hand_aggregation(self, tiny_config, tmp_path):
         """summary.csv holds the mean and sample std (ddof=1) over seeds."""
-        from bayeslora.suite import write_summary_csv
-
         cfg = load_config(tiny_config)
         cfg = replace(cfg, methods=("mle",), seeds=(0, 1))
-        results, _ = run_suite(cfg)
+        results = run_suite(cfg)
         path = tmp_path / "summary.csv"
         write_summary_csv(results, str(path))
         row = path.read_text().splitlines()[1].split(",")
@@ -193,13 +220,10 @@ class TestSuite:
         cfg = load_config(tiny_config)
         bad_train = replace(cfg.train, lr_likelihood=1e12, lr_kl=1e12)
         cfg = replace(cfg, methods=("blob", "mle"), seeds=(0,), train=bad_train)
-        results, failed = run_suite(cfg)
-        assert failed
+        results = run_suite(cfg)
         blob_rows = [r for r in results if r.method == "blob"]
         assert blob_rows and all(r.status.startswith("error:") for r in blob_rows)
         # Error rows keep the CSV rectangular (status text sanitized).
-        from bayeslora.suite import write_results_csv
-
         path = tmp_path / "results.csv"
         write_results_csv(results, str(path))
         lines = path.read_text().splitlines()
@@ -211,22 +235,27 @@ class TestSuite:
         path = tmp_path / "gamma.ini"
         path.write_text(TINY_INI.replace("seeds = 0,1", "seeds = 0") + "[schedule]\ngamma = 0.01\n")
         cfg = load_config(str(path))
-        results, failed = run_suite(replace(cfg, methods=("mle", "blob"), n_samples_list=(0,)))
-        assert failed
+        results = run_suite(replace(cfg, methods=("mle", "blob"), n_samples_list=(0,)))
         status = {r.method: r.status for r in results}
         assert status["mle"] == "ok"
         assert status["blob"].startswith("error: gamma = 0.01 overflows")
+        # The CLI exits 1 when any cell failed.
+        assert main(["suite", "--config", str(path), "--method", "blob", "--n-samples", "0",
+                     "--out-dir", str(tmp_path / "out")]) == 1
 
     def test_short_benchmark_results_match_golden(self, tmp_path):
         cfg = load_config(str(BENCHMARK_INI))
         cfg = replace(
             cfg, seeds=(0,), n_samples_list=(0, 5), train=replace(cfg.train, steps=40)
         )
-        results, failed = run_suite(cfg)
-        assert not failed
-        path = tmp_path / "results.csv"
-        write_results_csv(results, str(path))
-        assert hashlib.sha256(_read(path)).hexdigest() == GOLDEN_RESULTS_SHA256
+        results = run_suite(cfg)
+        assert all(r.status == "ok" for r in results)
+        hashes = {}
+        for name, write in (("results.csv", write_results_csv), ("results.json", write_results_json),
+                            ("summary.csv", write_summary_csv)):
+            write(results, str(tmp_path / name))
+            hashes[name] = hashlib.sha256(_read(tmp_path / name)).hexdigest()
+        assert hashes == GOLDEN_RESULTS_SHA256
 
 
 class TestTheoremBattery:
@@ -264,6 +293,25 @@ class TestTheoremBattery:
         report = verify_theorems(seed=seed, flipout_draws=500)
         cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
         assert cov.status == "pass", cov.margin
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(sigma_p=-1.0), "^sigma_p must be positive, got -1.0"),
+            (dict(sigma_p=0.0), "^sigma_p must be positive, got 0.0"),
+            (dict(r=3), r"^r must satisfy 1 <= r < min\(m, n\); got r=3, m=4, n=3"),
+            (dict(r=0), r"^r must satisfy"),
+            (dict(m=2, n=8, r=2), r"^r must satisfy"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, kwargs, message):
+        """A bad prior scale or rank names its argument before the moment check runs."""
+        def no_draws(*args):
+            raise AssertionError("the moment check ran before the arguments were checked")
+
+        monkeypatch.setattr(suite, "_posterior_moment_check", no_draws)
+        with pytest.raises(ValueError, match=message):
+            verify_theorems(**kwargs)
 
     @pytest.mark.parametrize("arg", ["n_draws", "flipout_draws"])
     def test_single_draw_rejected(self, arg):
@@ -416,6 +464,8 @@ class TestCliCommands:
         ["train", "--method", "mle", "--seed", "-3"],
         ["eval", "--model-dir", ".", "--n-samples", "two"],
         ["race", "--record-every", "0"],
+        ["race", "--square-steps", "-5"],
+        ["race", "--softplus-steps", "-1"],
         ["verify-theorems", "--draws", "1"],
         ["verify-theorems", "--flipout-draws", "1"],
         ["verify-theorems", "--m", "0"],
@@ -438,3 +488,25 @@ class TestCliCommands:
         assert main(["write-config", "--out-dir", str(tmp_path)]) == 0
         cfg = load_config(str(tmp_path / "config.ini"))
         assert cfg.train == TrainConfig()
+
+    def test_written_files_match_golden(self, tiny_config, tmp_path, capsys):
+        """Every file one short run of each writing command leaves, byte for byte."""
+        out = tmp_path / "out"
+        model = str(out / "model")
+        for argv in (
+            ["gen-data", "--config", tiny_config, "--out-dir", str(out / "data")],
+            ["train", "--config", tiny_config, "--method", "blob", "--out-dir", model],
+            ["eval", "--config", tiny_config, "--model-dir", model, "--n-samples", "5",
+             "--out-dir", str(out / "eval")],
+            ["verify-theorems", "--draws", "2000", "--flipout-draws", "50",
+             "--out-dir", str(out / "theorems")],
+            ["race", "--square-steps", "300", "--softplus-steps", "300", "--record-every", "7",
+             "--out-dir", str(out / "race")],
+        ):
+            main(argv)
+        hashes = {
+            path.relative_to(out).as_posix(): hashlib.sha256(_read(path)).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        assert hashes == GOLDEN_FILES_SHA256

@@ -116,6 +116,25 @@ class TestRace:
         with pytest.raises(ValueError, match="record_every"):
             race_curve(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 10, record_every=0)
 
+    @pytest.mark.parametrize("pmap", [ParamMap.SQUARE, ParamMap.SOFTPLUS])
+    @pytest.mark.parametrize(
+        "sigma_p, lr, n_steps, message",
+        [
+            (0.0, 1e-4, 10, "^sigma_p must be positive, got 0.0"),
+            (-1.0, 1e-4, 10, "^sigma_p must be positive, got -1.0"),
+            (1.0, 0.0, 10, "^lr must be positive, got 0.0"),
+            (1.0, -1.0, 3, "^lr must be positive, got -1.0"),
+            (1.0, 1e-4, -5, "^the step count must be >= 0, got -5"),
+        ],
+    )
+    def test_bad_descent_arguments_are_named(self, pmap, sigma_p, lr, n_steps, message):
+        """The race and the curve reject a prior scale, learning rate or step
+        count that gives no descent to compare, before the first step."""
+        with pytest.raises(ValueError, match=message):
+            race_curve(pmap, sigma_p, 0.01, lr, n_steps)
+        with pytest.raises(ValueError, match=message):
+            convergence_race(pmap, sigma_p, 0.01, lr, 0.005, n_steps)
+
     def test_race_stops_where_the_curve_first_reaches_the_target(self):
         curve = race_curve(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 10_000)
         first = next(step for step, sigma in curve if sigma >= 0.9)

@@ -1,15 +1,19 @@
-"""Property tests of the shared ops: the adapter branch op, the Gaussian KL
-and the KL weight schedule."""
+"""Property tests of the shared ops: the adapter branch op, the Gaussian KL,
+the KL weight schedule and the model file."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bayeslora.adapter import branch_backward, branch_forward
+from bayeslora.adapter import VariationalAdapter, branch_backward, branch_forward
 from bayeslora.kl import gaussian_kl
+from bayeslora.network import AdapterLayer, SmallNet, load_net, save_net
+from bayeslora.parammaps import ParamMap
 from bayeslora.training import TrainConfig, kl_weight_at
 
 # Derandomized, so tier-1 runs the same examples every time.
@@ -41,6 +45,66 @@ def _gaussians(draw):
     mean = draw(arrays(np.float64, shape, elements=_finite))
     omega = draw(arrays(np.float64, shape, elements=_positive))
     return mean, omega, draw(_positive)
+
+
+@st.composite
+def _nets(draw):
+    """A net of random widths and ranks, a g_b flag per layer, either std map,
+    any dropout and head flag, and entries anywhere in the finite float64
+    range (signed zeros and subnormals included)."""
+    any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def array(*shape):
+        return draw(arrays(np.float64, shape, elements=any_finite))
+
+    widths = draw(st.lists(st.integers(2, 6), min_size=2, max_size=4))
+    layers = []
+    for n, m in zip(widths[:-1], widths[1:]):
+        r = draw(st.integers(1, min(m, n) - 1))
+        adapter = VariationalAdapter(w0=array(m, n), b=array(m, r), mean_a=array(r, n), g=array(r, n))
+        g_b = array(m, r) if draw(st.booleans()) else None
+        layers.append(AdapterLayer(adapter, bias=array(m), g_b=g_b))
+    n_classes = draw(st.integers(2, 4))
+    return SmallNet(
+        layers=layers,
+        head_w=array(n_classes, widths[-1]),
+        head_b=array(n_classes),
+        param_map=draw(st.sampled_from(ParamMap)),
+        dropout_p=draw(st.floats(0.0, 0.99)),
+        head_trainable=draw(st.booleans()),
+        b_std_scale=draw(st.floats(1e-3, 1e3)),
+    )
+
+
+def _arrays(net):
+    """Every array of a net, by name; an absent g_b is None."""
+    out = {"head_w": net.head_w, "head_b": net.head_b}
+    for i, layer in enumerate(net.layers):
+        for name in ("w0", "b", "mean_a", "g"):
+            out[f"{i}.{name}"] = getattr(layer.adapter, name)
+        out[f"{i}.bias"], out[f"{i}.g_b"] = layer.bias, layer.g_b
+    return out
+
+
+def _bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+@_settings
+@given(_nets())
+def test_model_file_round_trips_bit_exactly(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "model.txt")
+        save_net(net, path)
+        back = load_net(path)
+    assert back.param_map is net.param_map
+    assert back.head_trainable is net.head_trainable
+    assert back.dropout_p.hex() == net.dropout_p.hex()
+    assert back.b_std_scale.hex() == net.b_std_scale.hex()
+    before, after = _arrays(net), _arrays(back)
+    assert list(after) == list(before)
+    for name, array in before.items():
+        assert _bits(after[name]) == _bits(array), name
 
 
 @_settings
