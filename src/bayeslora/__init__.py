@@ -2,9 +2,10 @@
 
 Library layout:
 
-* ``linalg``    - vec and PSD log-determinant/solve;
-* ``adapter``   - the variational low-rank adapter and its per-mode layer op;
-* ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes;
+* ``adapter``   - the variational low-rank adapter, its per-mode layer op
+  and ``ShapeError``;
+* ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes, with
+  the dense ``vec`` and PSD log-determinant/solve they need;
 * ``parammaps`` - square vs softplus std parameterizations and their race;
 * ``network``   - frozen-backbone net with hand-written gradients;
 * ``training``  - ELBO minibatch loop, KL re-weighting schedule, predict;
@@ -12,6 +13,7 @@ Library layout:
   its one trainer and predictor;
 * ``metrics``   - one ``ece`` report of accuracy, ECE and NLL, reliability bins;
 * ``tasks``     - synthetic datasets with controllable shift;
+* ``configio``  - the INI config file: ``load_config`` and the example writer;
 * ``suite``     - experiment orchestration and theorem verification;
 * ``textio``    - the one byte format of every CSV, JSON and model file;
 * ``cli``       - the ``bayeslora`` command-line harness.

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError
-
 __all__ = [
+    "ShapeError",
     "VariationalAdapter",
     "branch_draws",
     "branch_forward",
@@ -43,6 +42,10 @@ __all__ = [
     "forward_flipout",
     "forward_naive_shared",
 ]
+
+
+class ShapeError(ValueError):
+    """Operands have incompatible or invalid dimensions."""
 
 
 @dataclass
@@ -82,7 +85,8 @@ class VariationalAdapter:
         return self.b.shape[1]
 
     def omega(self) -> np.ndarray:
-        """Element-wise posterior standard deviation, recomputed on demand."""
+        """Element-wise posterior std under the square map, omega = g * g,
+        recomputed on demand; a softplus (bbb) net maps g with ``apply_map``."""
         return self.g * self.g
 
 

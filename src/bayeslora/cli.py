@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -201,15 +202,21 @@ def _cmd_verify_theorems(args) -> int:
     return 1 if report.any_failed() else 0
 
 
-def _at_least(floor: int):
-    """argparse type: an integer >= floor; anything else exits 2 naming the flag."""
-    def parse(text: str) -> int:
+def _bounded(floor: int | float):
+    """argparse type: an integer >= an int ``floor``, or a finite float > a
+    float ``floor``; anything else exits 2 naming the flag."""
+    if isinstance(floor, int):
+        convert, ok, want = int, lambda v: v >= floor, f"an integer >= {floor}"
+    else:
+        convert, ok, want = float, lambda v: math.isfinite(v) and v > floor, f"a finite number > {floor}"
+
+    def parse(text: str):
         try:
-            if int(text) >= floor:
-                return int(text)
+            if ok(convert(text)):
+                return convert(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be an integer >= {floor}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
     return parse
 
 
@@ -220,19 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, shift=True, n_samples=False, method=False):
+    def common(p, seed=True, shift=True, n_samples=False):
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--out-dir", type=str, default=None,
                        help=f"output directory (default ${ENV_OUT_DIR} or ./bayeslora-out)")
         if seed:
-            p.add_argument("--seed", type=_at_least(0), default=None, help="override the run seed")
+            p.add_argument("--seed", type=_bounded(0), default=None, help="override the run seed")
         if shift:
             p.add_argument("--shift", choices=SHIFTS, default=None,
                            help="override the test-set shift")
         if n_samples:
-            p.add_argument("--n-samples", type=_at_least(0), default=None, help="inference sample count")
-        if method:
-            p.add_argument("--method", choices=METHODS, default=None, help="method to run")
+            p.add_argument("--n-samples", type=_bounded(0), default=None, help="inference sample count")
 
     p = sub.add_parser("write-config", help="write the example config with every default")
     common(p, seed=False, shift=False)
@@ -243,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train one method and save the model")
-    common(p, n_samples=False, method=True)
-    p.set_defaults(func=_cmd_train, method_required=True)
+    common(p)
+    p.add_argument("--method", choices=METHODS, required=True, help="method to run")
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on the task test set")
     common(p, n_samples=True)
@@ -252,27 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("suite", help="run the full method x seed x N grid")
-    common(p, n_samples=True, method=True)
+    common(p, n_samples=True)
+    p.add_argument("--method", choices=METHODS, default=None, help="method to run")
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("race", help="export the std-parameterization convergence race")
     common(p, seed=False, shift=False)
-    p.add_argument("--sigma-p", type=float, default=1.0)
-    p.add_argument("--sigma-q0", type=float, default=0.01)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--square-steps", type=_at_least(0), default=10_000)
-    p.add_argument("--softplus-steps", type=_at_least(0), default=50_000)
-    p.add_argument("--record-every", type=_at_least(1), default=50)
+    p.add_argument("--sigma-p", type=_bounded(0.0), default=1.0)
+    p.add_argument("--sigma-q0", type=_bounded(0.0), default=0.01)
+    p.add_argument("--lr", type=_bounded(0.0), default=1e-4)
+    p.add_argument("--square-steps", type=_bounded(0), default=10_000)
+    p.add_argument("--softplus-steps", type=_bounded(0), default=50_000)
+    p.add_argument("--record-every", type=_bounded(1), default=50)
     p.set_defaults(func=_cmd_race)
 
     p = sub.add_parser("verify-theorems", help="run the numeric oracle battery")
     common(p, shift=False)
-    p.add_argument("--m", type=_at_least(1), default=4)
-    p.add_argument("--n", type=_at_least(1), default=3)
-    p.add_argument("--r", type=_at_least(1), default=2)
-    p.add_argument("--sigma-p", type=float, default=0.2)
-    p.add_argument("--draws", type=_at_least(2), default=100_000)
-    p.add_argument("--flipout-draws", type=_at_least(2), default=10_000)
+    p.add_argument("--m", type=_bounded(1), default=4)
+    p.add_argument("--n", type=_bounded(1), default=3)
+    p.add_argument("--r", type=_bounded(1), default=2)
+    p.add_argument("--sigma-p", type=_bounded(0.0), default=0.2)
+    p.add_argument("--draws", type=_bounded(2), default=100_000)
+    p.add_argument("--flipout-draws", type=_bounded(2), default=10_000)
     p.add_argument("--degenerate-b", action="store_true",
                    help="zero out b to exercise the rank-precondition guard")
     p.set_defaults(func=_cmd_verify_theorems)
@@ -280,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "method_required", False) and not args.method:
-        parser.error("train requires --method")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -126,9 +126,9 @@ def _text(value) -> str:
     return str(getattr(value, "value", value))
 
 
-def write_example_config(path: str, cfg: SuiteConfig | None = None) -> None:
+def write_example_config(path: str) -> None:
     """Write a config carrying every tunable key with its default value."""
-    cfg = cfg or SuiteConfig()
+    cfg = SuiteConfig()
     lines = [
         "# bayeslora benchmark configuration (flat key = value, INI sections).",
         "# CLI flags override file values; 'auto' keeps the computed default.",

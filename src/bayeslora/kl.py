@@ -20,6 +20,10 @@ Three routes to the same quantity live here, deliberately redundant:
 
 The closed form is returned as a genuine KL, i.e. including the additive
 constant r*n*(log sigma_p - 1/2) that has zero gradient.
+
+The full-weight route's dense helpers live here too: column-stacking
+``vec`` and ``logdet_psd``/``solve_psd``, which raise
+``NotPositiveDefiniteError`` rather than regularize a failed Cholesky.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from .adapter import VariationalAdapter
-from .linalg import ShapeError, logdet_psd, solve_psd, vec
+from .adapter import ShapeError, VariationalAdapter
 
 __all__ = [
+    "NotPositiveDefiniteError",
+    "vec",
+    "logdet_psd",
+    "solve_psd",
     "PriorSpec",
     "FullWeightGaussian",
     "gaussian_kl",
@@ -46,6 +53,60 @@ __all__ = [
 
 # Largest full-weight dimension (m*n) the dense oracle will materialize.
 FULL_WEIGHT_GUARD = 4096
+
+
+class NotPositiveDefiniteError(ValueError):
+    """A symmetric factorization failed: the matrix is not positive definite."""
+
+
+def _check_2d(name: str, a: np.ndarray) -> None:
+    if not isinstance(a, np.ndarray) or a.ndim != 2:
+        raise ShapeError(f"{name} must be a 2-D array")
+
+
+def vec(a: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization: ``vec(a)[i + rows*j] == a[i, j]``, so
+    ``np.kron(I_n, B) @ vec(X) == vec(B @ X)`` whatever the storage order."""
+    _check_2d("a", a)
+    return a.reshape(-1, 1, order="F")
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    _check_2d("a", a)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got {a.shape}")
+    if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
+        raise ValueError("matrix is not symmetric")
+
+
+def logdet_psd(a: np.ndarray) -> float:
+    """Log-determinant of a symmetric positive definite matrix.
+
+    Computed from a Cholesky factor; raises
+    :class:`NotPositiveDefiniteError` instead of regularizing.
+    """
+    _check_symmetric(a)
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            "Cholesky factorization failed: matrix is not positive definite"
+        ) from exc
+    return float(2.0 * np.sum(np.log(np.diag(chol))))
+
+
+def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for symmetric positive definite ``a``."""
+    _check_symmetric(a)
+    if b.shape[0] != a.shape[0]:
+        raise ShapeError(f"solve_psd shape mismatch: {a.shape} vs {b.shape}")
+    try:
+        factor = cho_factor(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            "Cholesky factorization failed: matrix is not positive definite"
+        ) from exc
+    return cho_solve(factor, b, check_finite=False)
 
 
 @dataclass(frozen=True)

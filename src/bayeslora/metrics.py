@@ -1,7 +1,7 @@
 """One calibration report (``ece``): accuracy, expected calibration error, and NLL.
 
 ECE uses equal-width bins on the top-label confidence: the unit interval
-is split into ``n_bins`` right-inclusive bins (a confidence of exactly 0
+is split into ``N_BINS`` = 15 right-inclusive bins (a confidence of exactly 0
 lands in the first bin) and the error is the count-weighted mean absolute
 gap between per-bin accuracy and per-bin confidence.  NLL is reported as
 the per-example mean, with the raw sum kept alongside; a true-label
@@ -25,6 +25,7 @@ __all__ = [
     "write_reliability_csv",
 ]
 
+N_BINS = 15
 NLL_FLOOR = 1e-12
 
 
@@ -70,25 +71,23 @@ def _nll_parts(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float, int
     return total / probs.shape[0], total, n_clamped
 
 
-def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15) -> CalibrationReport:
+def ece(probs: np.ndarray, labels: np.ndarray) -> CalibrationReport:
     """Full calibration report: accuracy (argmax, ties to the lowest class),
-    binned ECE, and mean and summed NLL."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    ``N_BINS``-bin ECE, and mean and summed NLL."""
     probs, labels = _validate(probs, labels)
     n = probs.shape[0]
     confidence = probs.max(axis=1)
     predicted = np.argmax(probs, axis=1)
     correct = (predicted == labels).astype(np.float64)
 
-    edges = np.arange(n_bins + 1) / n_bins
+    edges = np.arange(N_BINS + 1) / N_BINS
     # Right-inclusive bins (edge[k-1], edge[k]]; confidence 0 joins bin 1.
     bin_index = np.searchsorted(edges[1:], confidence, side="left")
-    bin_index = np.clip(bin_index, 0, n_bins - 1)
+    bin_index = np.clip(bin_index, 0, N_BINS - 1)
 
     bins: list[BinStat] = []
     ece_value = 0.0
-    for k in range(n_bins):
+    for k in range(N_BINS):
         mask = bin_index == k
         count = int(mask.sum())
         if count:

@@ -30,9 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .adapter import VariationalAdapter, branch_backward, branch_draws, branch_forward
+from .adapter import ShapeError, VariationalAdapter, branch_backward, branch_draws, branch_forward
 from .kl import gaussian_kl
-from .linalg import ShapeError
 from .parammaps import ParamMap, apply_map, map_derivative
 from .textio import write_lines
 

@@ -23,7 +23,6 @@ __all__ = [
     "apply_map",
     "map_derivative",
     "inverse_map",
-    "scalar_kl",
     "kl_grad_rho",
     "convergence_race",
     "race_curve",
@@ -78,20 +77,13 @@ def _apply_scalar(pmap: ParamMap, rho: float) -> float:
     return math.log1p(math.exp(rho))
 
 
-def scalar_kl(pmap: ParamMap, rho: float, sigma_p: float) -> float:
-    """KL( N(0, sigma(rho)^2) || N(0, sigma_p^2) ) for one coordinate."""
-    sigma = _apply_scalar(pmap, rho)
-    if sigma <= 0.0:
-        raise ValueError("scalar_kl is undefined at sigma = 0")
-    return math.log(sigma_p / sigma) + sigma * sigma / (2.0 * sigma_p * sigma_p) - 0.5
-
-
 def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
-    """Derivative of :func:`scalar_kl` with respect to rho, on Python floats.
+    """d/d rho of KL(N(0, sigma(rho)^2) || N(0, sigma_p^2)), on Python floats.
 
+    It is ``kl.gaussian_kl``'s d/d omega times :func:`map_derivative` (the
+    gradient training applies to g) for one coordinate; the race descends it.
     Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
     Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
-    This is the gradient that ``convergence_race`` descends.
     """
     if pmap is ParamMap.SQUARE:
         if rho == 0.0:

@@ -378,8 +378,6 @@ def verify_theorems(
     for name, value in (("n_draws", n_draws), ("flipout_draws", flipout_draws)):
         if value < 2:  # a spread over one draw is 0 or undefined: a check on it shows nothing
             raise ValueError(f"{name} must be >= 2, got {value}")
-    if m * n > 4096:
-        raise ValueError("m*n exceeds the dense-oracle guard (4096)")
     rng = np.random.default_rng(seed)
     adapter = _random_adapter(m, n, r, rng)
     if degenerate_b:

@@ -327,16 +327,10 @@ class AdamW:
     are allocated at the first step with the vector's length.
     """
 
-    def __init__(
-        self,
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: np.ndarray | None = None

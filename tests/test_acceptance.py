@@ -222,7 +222,7 @@ def test_criterion_09_metric_unit_fidelity():
     """Hand-binned 4-example ECE is 0.10; uniform-prediction NLL is log C."""
     probs = np.array([[0.6, 0.4], [0.6, 0.4], [0.9, 0.1], [0.9, 0.1]])
     labels = np.array([0, 1, 0, 0])
-    report = ece(probs, labels, n_bins=15)
+    report = ece(probs, labels)
     assert report.ece == pytest.approx(0.10, abs=1e-15)
     for c in (2, 3, 5):
         uniform = np.full((8, c), 1.0 / c)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from bayeslora.adapter import (
+    ShapeError,
     VariationalAdapter,
     branch_draws,
     forward_flipout,
     forward_mean,
     forward_naive_shared,
 )
-from bayeslora.linalg import ShapeError
 
 
 def _masks(ad, batch, rng):

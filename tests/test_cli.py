@@ -319,6 +319,15 @@ class TestTheoremBattery:
         with pytest.raises(ValueError, match=arg):
             verify_theorems(**{arg: 1})
 
+    def test_dense_oracle_guard(self, monkeypatch):
+        """The full-weight guard of build_full_posterior stops the battery before any draw."""
+        def no_draws(*args):
+            raise AssertionError("weights were drawn before the guard ran")
+
+        monkeypatch.setattr(suite, "sample_full_weights", no_draws)
+        with pytest.raises(ValueError, match="exceeds guard 4096"):
+            verify_theorems(m=70, n=70)
+
     def test_race_ordering_reported(self):
         report = verify_theorems(n_draws=2_000, flipout_draws=500, seed=1)
         race = [c for c in report.checks if c.name == "parameterization-race"][0]
@@ -477,6 +486,25 @@ class TestCliCommands:
             main(argv + ["--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be an integer >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["race", "--sigma-p"],
+        ["race", "--sigma-q0"],
+        ["race", "--lr"],
+        ["verify-theorems", "--sigma-p"],
+    ], ids=" ".join)
+    def test_bad_float_flag_exits_2_naming_the_flag(self, argv, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {argv[-1]}: must be a finite number > 0.0, got {value!r}" in capsys.readouterr().err
+
+    def test_train_requires_method(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --method" in capsys.readouterr().err
 
     def test_env_var_out_dir(self, tiny_config, tmp_path, monkeypatch):
         target = tmp_path / "envout"

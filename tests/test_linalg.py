@@ -1,7 +1,10 @@
+"""The dense helpers of the full-weight KL route: ``kl.vec``,
+``kl.logdet_psd`` and ``kl.solve_psd``."""
+
 import numpy as np
 import pytest
 
-from bayeslora.linalg import NotPositiveDefiniteError, logdet_psd, solve_psd, vec
+from bayeslora.kl import NotPositiveDefiniteError, logdet_psd, solve_psd, vec
 
 
 class TestVec:

@@ -69,7 +69,7 @@ class TestEce:
         for the 0.6/0.9 representations)."""
         probs = np.array([[0.6, 0.4], [0.6, 0.4], [0.9, 0.1], [0.9, 0.1]])
         labels = np.array([0, 1, 0, 0])
-        report = ece(probs, labels, n_bins=15)
+        report = ece(probs, labels)
         assert report.ece == pytest.approx(0.10, abs=1e-15)
         occupied = [b for b in report.bins if b.count]
         assert len(occupied) == 2

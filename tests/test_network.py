@@ -255,6 +255,35 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match=field):
             load_net(str(path))
 
+    def test_every_single_line_mutation_names_its_field(self, tmp_path):
+        """Deleting, duplicating, retagging, halving or blanking any one line
+        of a model file, or swapping it with the next, raises a ValueError
+        naming the field the reader expected there: that line's tag, or for
+        a duplicate the next line's."""
+        net = build_small_net(input_dim=3, hidden=(4, 4), n_classes=2, rank=2, config=TrainConfig(seed=16))
+        net.layers[1] = replace(net.layers[1], g_b=np.full(net.layers[1].adapter.b.shape, 0.5))
+        path = tmp_path / "model.txt"
+        save_net(net, str(path))
+        lines = path.read_text().splitlines()
+        tags = [line.partition(" ")[0] for line in lines]
+        for i, line in enumerate(lines):
+            last = i + 1 == len(lines)
+            mutations = {
+                "delete": (lines[:i] + lines[i + 1:], i),
+                "duplicate": (lines[:i + 1] + lines[i:], i if last else i + 1),
+                "retag": (lines[:i] + ["zz " + line.partition(" ")[2]] + lines[i + 1:], i),
+                "halve": (lines[:i] + [line[: len(line) // 2]] + lines[i + 1:], i),
+                "blank": (lines[:i] + [""] + lines[i + 1:], i),
+            }
+            if not last:
+                mutations["swap"] = (lines[:i] + [lines[i + 1], line] + lines[i + 2:], i)
+            for kind, (mutated, at) in mutations.items():
+                path.write_text("\n".join(mutated) + "\n")
+                field = "not a bayeslora-model" if at == 0 else f"{tags[at]}:"
+                with pytest.raises(ValueError) as exc:
+                    load_net(str(path))
+                assert str(exc.value).startswith(field), (i, kind, str(exc.value))
+
 
 def _edit_meta(line: str, key: str, value=None) -> str:
     """Set ``key`` of the meta line to ``value``, or drop it when None."""

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bayeslora.kl import gaussian_kl
 from bayeslora.parammaps import (
     ParamMap,
+    _apply_scalar,
     apply_map,
     convergence_race,
     inverse_map,
     kl_grad_rho,
+    map_derivative,
     race_curve,
-    scalar_kl,
 )
 
 
@@ -37,6 +39,11 @@ class TestApply:
     def test_inverse_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             inverse_map(ParamMap.SQUARE, 0.0)
+
+
+def _coordinate_kl(pmap, rho, sigma_p):
+    """The training KL, ``gaussian_kl``, of one zero-mean coordinate at sigma(rho)."""
+    return gaussian_kl(np.zeros(1), np.array([apply_map(pmap, rho)]), sigma_p)[0]
 
 
 class TestKlGrad:
@@ -67,9 +74,29 @@ class TestKlGrad:
         for pmap, rhos in points.items():
             for rho in rhos:
                 for sigma_p in (0.2, 1.0):
-                    fd = (scalar_kl(pmap, rho + h, sigma_p) - scalar_kl(pmap, rho - h, sigma_p)) / (2 * h)
+                    fd = (_coordinate_kl(pmap, rho + h, sigma_p) - _coordinate_kl(pmap, rho - h, sigma_p)) / (2 * h)
                     an = kl_grad_rho(pmap, rho, sigma_p)
                     assert an == pytest.approx(fd, rel=1e-6), (pmap, rho, sigma_p)
+
+    @pytest.mark.parametrize("pmap", list(ParamMap))
+    def test_is_the_training_gradient(self, pmap):
+        """The race descends what training applies to g: gaussian_kl's
+        d/d omega times map_derivative, to rounding of the closed form's size."""
+        rng = np.random.default_rng(17)
+        low, high = (-2.0, 2.0) if pmap is ParamMap.SQUARE else (-8.0, 4.0)
+        for rho, sigma_p in zip(rng.uniform(low, high, 20_000), rng.uniform(0.05, 2.0, 20_000)):
+            omega = apply_map(pmap, rho)
+            _, _, d_omega = gaussian_kl(np.zeros(1), np.array([omega]), sigma_p)
+            training = d_omega[0] * map_derivative(pmap, rho)
+            scale = abs(map_derivative(pmap, rho)) * (omega / sigma_p**2 + 1.0 / omega)
+            assert abs(kl_grad_rho(pmap, float(rho), float(sigma_p)) - training) <= 4e-15 * scale
+
+    def test_scalar_softplus_matches_apply_map(self):
+        """The race's Python-float softplus stays within 2 ulp of the array
+        map training uses, both sides of its rho > 30 branch included."""
+        for rho in np.linspace(-740.0, 740.0, 42_001):
+            sigma = apply_map(ParamMap.SOFTPLUS, rho)
+            assert abs(_apply_scalar(ParamMap.SOFTPLUS, float(rho)) - sigma) <= 2 * np.spacing(sigma), rho
 
     def test_square_gradient_blows_up_near_zero(self):
         for rho in (0.001, 0.01, 0.05, 0.1):
