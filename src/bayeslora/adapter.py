@@ -98,9 +98,11 @@ def branch_draws(mode: str, rng: np.random.Generator | None, n: int, batch: int,
     leaves ``rng`` untouched.
     """
     if mode == "flipout":
+        # One call draws the same signs as two consecutive calls for s and t.
+        signs = 2.0 * rng.integers(0, 2, size=n * batch + batch * r) - 1.0
         return (
-            2.0 * rng.integers(0, 2, size=(n, batch)) - 1.0,
-            2.0 * rng.integers(0, 2, size=(batch, r)) - 1.0,
+            signs[: n * batch].reshape(n, batch),
+            signs[n * batch :].reshape(batch, r),
             rng.standard_normal(size=(r, n)),
         )
     if mode == "shared":
@@ -112,11 +114,12 @@ def branch_forward(mode: str, mean_a: np.ndarray, omega: np.ndarray, hd: np.ndar
     """Adapter branch ``c`` of the branch input ``hd`` (n, batch).
 
     ``draws`` is what ``branch_draws`` returns for the mode: (s, t, e) for
-    flipout, (e,) for shared, () for mean.
+    flipout, (e,) for shared, () for mean.  Draws stacked along a leading
+    axis give the stacked branches, one per draw.
     """
     if mode == "flipout":
         s, t, e = draws
-        return mean_a @ hd + ((e * omega) @ (hd * s)) * t.T
+        return mean_a @ hd + ((e * omega) @ (hd * s)) * np.swapaxes(t, -1, -2)
     if mode == "shared":
         return (mean_a + omega * draws[0]) @ hd
     return mean_a @ hd

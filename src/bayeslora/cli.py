@@ -10,6 +10,7 @@ comes from the BAYESLORA_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -175,13 +176,34 @@ def _cmd_suite(args) -> int:
     return 1 if any(r.status != "ok" for r in results) else 0
 
 
+@contextlib.contextmanager
+def _usage_errors(args, flags: dict[str, str]):
+    """Turn a ValueError whose message starts with a parameter named in
+    ``flags`` into a usage error (exit 2) naming that parameter's flag.
+
+    For argument errors that no flag type can see, because they depend on
+    several flags or on the run; any other ValueError propagates.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        flag = flags.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        args.usage_error(f"argument {flag}: {exc}")
+
+
 def _cmd_race(args) -> int:
     out = _out_dir(args)
-    for pmap, steps, name in (
-        (ParamMap.SQUARE, args.square_steps, "race_square.csv"),
-        (ParamMap.SOFTPLUS, args.softplus_steps, "race_softplus.csv"),
-    ):
-        curve = race_curve(pmap, args.sigma_p, args.sigma_q0, args.lr, steps, record_every=args.record_every)
+    with _usage_errors(args, {"lr": "--lr"}):
+        curves = [
+            (name, race_curve(pmap, args.sigma_p, args.sigma_q0, args.lr, steps, record_every=args.record_every))
+            for pmap, steps, name in (
+                (ParamMap.SQUARE, args.square_steps, "race_square.csv"),
+                (ParamMap.SOFTPLUS, args.softplus_steps, "race_softplus.csv"),
+            )
+        ]
+    for name, curve in curves:
         path = os.path.join(out, name)
         write_csv(path, ("step", "sigma_q"), curve)
         print(path)
@@ -189,12 +211,13 @@ def _cmd_race(args) -> int:
 
 
 def _cmd_verify_theorems(args) -> int:
-    report = verify_theorems(
-        m=args.m, n=args.n, r=args.r, sigma_p=args.sigma_p,
-        n_draws=args.draws, flipout_draws=args.flipout_draws,
-        seed=args.seed if args.seed is not None else 0,
-        degenerate_b=args.degenerate_b,
-    )
+    with _usage_errors(args, {"r": "--r", "full-weight": "--m/--n"}):
+        report = verify_theorems(
+            m=args.m, n=args.n, r=args.r, sigma_p=args.sigma_p,
+            n_draws=args.draws, flipout_draws=args.flipout_draws,
+            seed=args.seed if args.seed is not None else 0,
+            degenerate_b=args.degenerate_b,
+        )
     for line in report.lines():
         print(line)
     if args.out_dir or os.environ.get(ENV_OUT_DIR):
@@ -270,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square-steps", type=_bounded(0), default=10_000)
     p.add_argument("--softplus-steps", type=_bounded(0), default=50_000)
     p.add_argument("--record-every", type=_bounded(1), default=50)
-    p.set_defaults(func=_cmd_race)
+    p.set_defaults(func=_cmd_race, usage_error=p.error)
 
     p = sub.add_parser("verify-theorems", help="run the numeric oracle battery")
     common(p, shift=False)
@@ -282,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flipout-draws", type=_bounded(2), default=10_000)
     p.add_argument("--degenerate-b", action="store_true",
                    help="zero out b to exercise the rank-precondition guard")
-    p.set_defaults(func=_cmd_verify_theorems)
+    p.set_defaults(func=_cmd_verify_theorems, usage_error=p.error)
     return parser
 
 

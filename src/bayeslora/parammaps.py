@@ -97,7 +97,9 @@ def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
 def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps: int):
     """(step, sigma(rho)) at step 0, where sigma = sigma_q0, and after each of
     n_steps plain gradient-descent steps on the scalar KL alone (no
-    momentum, no schedule).  Bad arguments raise before step 0 is yielded."""
+    momentum, no schedule).  Bad arguments raise before step 0 is yielded;
+    a step that leaves sigma no finite positive number raises a ValueError
+    naming ``lr``, the step size that overshot."""
     for name, value in (("sigma_p", sigma_p), ("sigma_q0", sigma_q0), ("lr", lr)):
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
@@ -106,8 +108,14 @@ def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps
     yield 0, sigma_q0
     rho = float(inverse_map(pmap, sigma_q0))
     for step in range(1, n_steps + 1):
-        rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
-        yield step, _apply_scalar(pmap, rho)
+        try:
+            rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
+        except OverflowError:  # rho**3 past the float range
+            rho = math.inf
+        sigma = _apply_scalar(pmap, rho)
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"lr = {lr} makes the descent diverge: sigma = {sigma} at step {step}")
+        yield step, sigma
 
 
 def convergence_race(

@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .adapter import VariationalAdapter, branch_draws, forward_flipout, forward_mean, forward_naive_shared
+from .adapter import VariationalAdapter, branch_draws, branch_forward
+from .adapter import forward_flipout, forward_mean, forward_naive_shared  # noqa: F401  (bench/run.py traces these names here)
 from .baselines import SAMPLING_METHODS, BaselineModel, predict_baseline, train_baseline
 from .configio import SuiteConfig
 from .kl import (
@@ -294,57 +295,75 @@ def _kl_equivalence_check(
     return checks
 
 
+# Draws stacked per branch_forward call in the flipout oracle: large enough
+# that the per-call overhead vanishes, small enough that a stack stays a few MiB.
+_FLIPOUT_CHUNK = 1000
+
+
+def _perturbation_cov(
+    adapter: VariationalAdapter, h: np.ndarray, mode: str, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(m, batch, batch) sample covariance over n_draws of the layer
+    perturbation b @ (c - c_mean), one batch x batch matrix per output.
+
+    Draws are taken one at a time by ``branch_draws``, in training's order,
+    and pushed through ``branch_forward`` in stacks of ``_FLIPOUT_CHUNK``;
+    only the sum and the cross-product sum of the perturbation are kept.
+    """
+    omega = adapter.omega()
+    c_mean = branch_forward("mean", adapter.mean_a, omega, h, ())
+    m, batch = adapter.m, h.shape[1]
+    total, cross = np.zeros((m, batch)), np.zeros((m, batch, batch))
+    for start in range(0, n_draws, _FLIPOUT_CHUNK):
+        draws = [branch_draws(mode, rng, adapter.n, batch, adapter.rank)
+                 for _ in range(min(_FLIPOUT_CHUNK, n_draws - start))]
+        stacked = tuple(np.stack(part) for part in zip(*draws))
+        pert = adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, stacked) - c_mean)
+        total += pert.sum(axis=0)
+        per_output = pert.transpose(1, 2, 0)  # (m, batch, draws)
+        cross += per_output @ per_output.transpose(0, 2, 1)
+    return (cross - total[:, :, None] * total[:, None, :] / n_draws) / (n_draws - 1)
+
+
 def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
+    """Flipout through the op training runs: examples decorrelate (shared
+    draws do not), and each example keeps the marginal of naive
+    independent sampling."""
     rng = np.random.default_rng(seed)
     m = n = 8
     r, batch = 2, 64
     adapter = _random_adapter(m, n, r, rng)
     h = np.tile(rng.normal(size=(n, 1)), (1, batch))
-    mean_out = forward_mean(adapter, h)
 
-    def perturbations(mode: str) -> np.ndarray:
-        out = np.empty((n_draws, m, batch))
-        for d in range(n_draws):
-            draws = branch_draws(mode, rng, n, batch, r)
-            if mode == "flipout":
-                out[d] = forward_flipout(adapter, h, draws) - mean_out
-            else:
-                out[d] = forward_naive_shared(adapter, h, *draws) - mean_out
-        return out
-
-    def mean_abs_corr(d: np.ndarray) -> float:
-        centred = d - d.mean(axis=0, keepdims=True)
-        cov = np.einsum("dki,dkj->kij", centred, centred) / (n_draws - 1)
+    def mean_abs_corr(cov: np.ndarray) -> float:
         sd = np.sqrt(np.einsum("kii->ki", cov))
         corr = cov / (sd[:, :, None] * sd[:, None, :] + 1e-300)
         iu = np.triu_indices(batch, 1)
         return float(np.abs(corr[:, iu[0], iu[1]]).mean())
 
-    flip = perturbations("flipout")
-    shared = perturbations("shared")
-    corr_flip = mean_abs_corr(flip)
-    corr_shared = mean_abs_corr(shared)
+    cov_flip = _perturbation_cov(adapter, h, "flipout", n_draws, rng)
+    corr_flip = mean_abs_corr(cov_flip)
+    corr_shared = mean_abs_corr(_perturbation_cov(adapter, h, "shared", n_draws, rng))
     corr_check = TheoremCheck(
         name="flipout-decorrelation",
         status="pass" if corr_flip <= 0.05 and corr_shared >= 0.5 else "fail",
         margin=f"mean |corr|: flipout = {corr_flip:.4f} (<= 0.05), shared = {corr_shared:.4f} (>= 0.5)",
     )
 
-    # Naive independent per-example sampling as the marginal-variance oracle.
-    naive = np.empty((n_draws, m, batch))
-    omega = adapter.omega()
-    for d in range(n_draws):
-        noise = rng.standard_normal((batch, r, n))
-        a = adapter.mean_a[None] + omega[None] * noise
-        ah = np.einsum("brn,nb->rb", a, h)
-        naive[d] = adapter.w0 @ h + adapter.b @ ah - mean_out
-    var_flip = flip.var(axis=0).sum(axis=0)
-    var_naive = naive.var(axis=0).sum(axis=0)
-    rel = float(np.max(np.abs(var_flip - var_naive) / np.maximum(var_naive, 1e-300)))
+    # Naive sampling gives example i the perturbation covariance
+    # C_i = b diag(v_i) b^T, v = (omega^2) @ (h^2) (local reparameterization);
+    # given its signs, a flipout example's perturbation is exactly N(0, C_i),
+    # so its summed sample variance has Wishart variance 2 tr(C_i^2) / (D - 1).
+    v = (adapter.omega() ** 2) @ (h**2)
+    gram = adapter.b.T @ adapter.b
+    var_naive = np.diag(gram) @ v
+    var_se = np.sqrt(2.0 * np.sum(v * (gram**2 @ v), axis=0) / (n_draws - 1))
+    var_flip = np.einsum("kii->i", cov_flip)
+    max_z, exact_ok, _ = _max_z(np.abs(var_flip - var_naive), var_se, np.maximum(1.0, var_naive))
     var_check = TheoremCheck(
         name="flipout-marginal-variance",
-        status="pass" if rel <= 0.05 else "fail",
-        margin=f"max per-example rel diff vs naive sampling = {rel:.4f} (limit 0.05)",
+        status="pass" if max_z <= 4.5 and exact_ok else "fail",
+        margin=f"max |z| = {max_z:.3f} (limit 4.5) vs exact naive variance on {batch} examples",
     )
     return [corr_check, var_check]
 

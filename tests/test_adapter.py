@@ -5,6 +5,7 @@ from bayeslora.adapter import (
     ShapeError,
     VariationalAdapter,
     branch_draws,
+    branch_forward,
     forward_flipout,
     forward_mean,
     forward_naive_shared,
@@ -172,18 +173,35 @@ class TestFlipout:
     def test_draw_order_and_signs(self):
         """Flipout draws s, then t, then e from one stream, the signs exactly
         +/-1; shared draws e alone; mean draws nothing and leaves the rng be."""
-        s, t, e = branch_draws("flipout", np.random.default_rng(29), 50, 40, 3)
-        assert set(np.unique(s)) == {-1.0, 1.0} and set(np.unique(t)) == {-1.0, 1.0}
-        rng = np.random.default_rng(29)
-        np.testing.assert_array_equal(s, 2.0 * rng.integers(0, 2, (50, 40)) - 1.0)
-        np.testing.assert_array_equal(t, 2.0 * rng.integers(0, 2, (40, 3)) - 1.0)
-        np.testing.assert_array_equal(e, rng.standard_normal((3, 50)))
+        for n, batch, r in ((50, 40, 3), (3, 7, 1), (2, 33, 2)):
+            s, t, e = branch_draws("flipout", np.random.default_rng(29), n, batch, r)
+            assert set(np.unique(s)) == {-1.0, 1.0} and set(np.unique(t)) == {-1.0, 1.0}
+            rng = np.random.default_rng(29)
+            np.testing.assert_array_equal(s, 2.0 * rng.integers(0, 2, (n, batch)) - 1.0)
+            np.testing.assert_array_equal(t, 2.0 * rng.integers(0, 2, (batch, r)) - 1.0)
+            np.testing.assert_array_equal(e, rng.standard_normal((r, n)))
         (e,) = branch_draws("shared", np.random.default_rng(29), 50, 40, 3)
         np.testing.assert_array_equal(e, np.random.default_rng(29).standard_normal((3, 50)))
         rng = np.random.default_rng(29)
         assert branch_draws("mean", rng, 50, 40, 3) == ()
         assert rng.random() == np.random.default_rng(29).random()
         assert branch_draws("mean", None, 50, 40, 3) == ()
+
+
+class TestStackedBranch:
+    @pytest.mark.parametrize("mode", ["flipout", "shared"])
+    def test_stacked_draws_give_the_per_draw_branches_bit_for_bit(self, mode):
+        """Draws stacked along a leading axis give, slice by slice, exactly
+        the branch of each draw alone (the stacked flipout oracle relies on it)."""
+        ad = _random_adapter(m=8, n=8, r=2, seed=34)
+        batch = 64
+        h = np.random.default_rng(35).normal(size=(ad.n, batch))
+        rng = np.random.default_rng(36)
+        draws = [branch_draws(mode, rng, ad.n, batch, ad.rank) for _ in range(5)]
+        stacked = tuple(np.stack(part) for part in zip(*draws))
+        out = branch_forward(mode, ad.mean_a, ad.omega(), h, stacked)
+        for d, one in enumerate(draws):
+            np.testing.assert_array_equal(out[d], branch_forward(mode, ad.mean_a, ad.omega(), h, one))
 
 
 class TestNaiveShared:

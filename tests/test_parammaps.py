@@ -162,6 +162,21 @@ class TestRace:
         with pytest.raises(ValueError, match=message):
             convergence_race(pmap, sigma_p, 0.01, lr, 0.005, n_steps)
 
+    @pytest.mark.parametrize(
+        "pmap, lr, message",
+        [
+            # rho**3 overflows at step 6; sigma was 404, 2.6e8, ... 1.5e235 before it.
+            (ParamMap.SQUARE, 1.0, r"^lr = 1.0 makes the descent diverge: sigma = inf at step 6$"),
+            # One step overshoots rho to about -1e6, where softplus is exactly 0.
+            (ParamMap.SOFTPLUS, 1e6, r"^lr = 1000000.0 makes the descent diverge: sigma = 0.0 at step 2$"),
+        ],
+    )
+    def test_diverging_descent_names_lr(self, pmap, lr, message):
+        """A step size that sends sigma past the float range, or to 0, raises
+        at that step instead of writing the runaway values or a traceback."""
+        with pytest.raises(ValueError, match=message):
+            race_curve(pmap, 1.0, 0.01, lr, 10)
+
     def test_race_stops_where_the_curve_first_reaches_the_target(self):
         curve = race_curve(ParamMap.SQUARE, 1.0, 0.01, 1e-4, 10_000)
         first = next(step for step, sigma in curve if sigma >= 0.9)
