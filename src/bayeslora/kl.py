@@ -5,8 +5,8 @@ Three routes to the same quantity live here, deliberately redundant:
 1. ``kl_closed_form`` - the analytical KL between the factorized posterior
    q(a) = prod N(mean_a_ij, omega_ij^2) and the isotropic prior
    prod N(0, sigma_p^2), evaluated in the low-rank space by
-   ``gaussian_kl``, which also gives its gradients and is the KL that
-   training runs (``network.kl_term``).
+   ``gaussian_kl``, which also gives its gradients; training runs the same
+   closed form over all factors at once (``network.kl_term``).
 2. ``kl_monte_carlo`` - an unbiased sample estimate of E_q[log q - log p],
    used to cross-check the closed form.
 3. The full-weight route: ``build_full_posterior`` / ``build_full_prior``

@@ -8,13 +8,14 @@ Bayesianized b, and the head receive gradients.
 
 Gradients are reverse-mode and written out explicitly: each layer's
 adapter branch runs ``adapter.branch_forward``/``branch_backward`` and
-the KL runs ``kl.gaussian_kl``, while this module chains them through
-dropout, the Bayesianized b, tanh and omega = map(g); the test suite pins
-every path against central finite differences.
+the KL is ``kl.gaussian_kl``'s closed form, while this module chains them
+through dropout, the Bayesianized b, tanh and omega = map(g); the test
+suite pins every path against central finite differences.
 
 ``SmallNet`` owns the flat layout of its trainable arrays: ``pack`` moves
-them into one vector, and ``net_backward`` and ``kl_term`` return vectors
-in that layout, which ``views`` splits back per array.
+them into one vector, ``net_backward`` returns a vector in that layout,
+which ``views`` splits back per array, and ``kl_term`` returns one over
+the layout's tail, ``kl_span``.
 
 Input batches are column-major inside this module: an (n, batch) array
 holds one example per column.
@@ -31,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .adapter import ShapeError, VariationalAdapter, branch_backward, branch_draws, branch_forward
-from .kl import gaussian_kl
 from .parammaps import ParamMap, apply_map, map_derivative
 from .textio import write_lines
 
@@ -95,22 +95,22 @@ class SmallNet:
         return self.head_w.shape[0]
 
     def _param_slots(self) -> list[tuple[str, object, str]]:
-        """(key, owner, attribute name) of every trainable array.
+        """(key, owner, attribute name) of every trainable array: the head,
+        every b (Bayesianized last), every mean_a, every g, every g_b.  So the
+        KL means and then the KL stds form one run that ends the layout,
+        ``kl_span``, and under mean-mode sampling, where the g_b are the only
+        arrays without a likelihood gradient, the arrays with one lead."""
+        slots = [("head.w", self, "head_w"), ("head.b", self, "head_b")] if self.head_trainable else []
+        slots += [(f"layers.{i}.b", self.layers[i].adapter, "b") for i in self._b_order]
+        for name in ("mean_a", "g"):
+            slots += [(f"layers.{i}.{name}", layer.adapter, name) for i, layer in enumerate(self.layers)]
+        bayesianized = [(i, layer) for i, layer in enumerate(self.layers) if layer.g_b is not None]
+        return slots + [(f"layers.{i}.g_b", layer, "g_b") for i, layer in bayesianized]
 
-        The Bayesianized-b std parameters come last: under mean-mode
-        sampling they are the only arrays without a likelihood gradient,
-        so the arrays that have one form a leading run.
-        """
-        slots: list[tuple[str, object, str]] = []
-        for i, layer in enumerate(self.layers):
-            for name in ("b", "mean_a", "g"):
-                slots.append((f"layers.{i}.{name}", layer.adapter, name))
-        if self.head_trainable:
-            slots += [("head.w", self, "head_w"), ("head.b", self, "head_b")]
-        for i, layer in enumerate(self.layers):
-            if layer.g_b is not None:
-                slots.append((f"layers.{i}.g_b", layer, "g_b"))
-        return slots
+    @cached_property
+    def _b_order(self) -> list[int]:
+        """Layer indices in the layout order of the b arrays."""
+        return sorted(range(len(self.layers)), key=lambda i: self.layers[i].g_b is not None)
 
     @cached_property
     def _layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
@@ -131,12 +131,29 @@ class SmallNet:
         """Per-key views of a vector in the flat layout."""
         return {key: vec[start:stop].reshape(shape) for key, start, stop, shape in self._layout}
 
-    def flatten(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        """One vector in the flat layout; zeros where a key is absent."""
-        return np.concatenate([
-            arrays[key].ravel() if key in arrays else np.zeros(stop - start)
-            for key, start, stop, _ in self._layout
-        ])
+    @property
+    def kl_span(self) -> slice:
+        """The tail of the flat layout that ``kl_term``'s gradient covers."""
+        return slice(self._kl_layout[0], None)
+
+    @cached_property
+    def _kl_layout(self) -> tuple:
+        """(start, slots, g_start, n_g, factors): the KL span's offset in the
+        layout, its arrays' (owner, attribute), its stds' offset in it and how
+        many of those are g; per Gaussian factor in layer order (mean_a, then
+        a Bayesianized b), the layer, the mean slice in the span and the std
+        slice in the stds."""
+        n_kl = 2 * (len(self.layers) + sum(layer.g_b is not None for layer in self.layers))
+        tail = self._layout[-n_kl:]
+        at = {key: (a - tail[0][1], b - tail[0][1]) for key, a, b, _ in tail}
+        g0 = at["layers.0.g"][0]
+        factors = []
+        for i, layer in enumerate(self.layers):
+            for mean, std in (("mean_a", "g"), ("b", "g_b"))[: 1 + (layer.g_b is not None)]:
+                (m0, m1), (s0, s1) = at[f"layers.{i}.{mean}"], at[f"layers.{i}.{std}"]
+                factors.append((i, slice(m0, m1), slice(s0 - g0, s1 - g0)))
+        slots = [(owner, attr) for _, owner, attr in self._param_slots()[-n_kl:]]
+        return tail[0][1], slots, g0, sum(layer.adapter.g.size for layer in self.layers), factors
 
     def pack(self) -> np.ndarray:
         """Copy the trainable arrays into one float64 vector and rebind each
@@ -148,16 +165,16 @@ class SmallNet:
 
 
 def softmax_columns(u: np.ndarray) -> np.ndarray:
-    shifted = u - u.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = np.exp(u - np.maximum.reduce(u, axis=0, keepdims=True))
+    e /= np.add.reduce(e, axis=0, keepdims=True)
+    return e
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class (columns = examples)."""
     picked = probs[labels, np.arange(probs.shape[1])]
     with np.errstate(divide="ignore"):
-        return float(-np.mean(np.log(picked)))
+        return float(-(np.add.reduce(np.log(picked)) / picked.size))
 
 
 @dataclass
@@ -200,8 +217,7 @@ def net_forward(
     batch = h0.shape[1]
     if batch < 1:
         raise ShapeError("batch size must be >= 1")
-    stochastic = mode != "mean" or (dropout_active and net.dropout_p > 0.0)
-    if stochastic and rng is None:
+    if (mode != "mean" or (dropout_active and net.dropout_p > 0.0)) and rng is None:
         raise ValueError("stochastic forward requires an rng")
 
     h = h0
@@ -210,33 +226,26 @@ def net_forward(
         ad = layer.adapter
         omega = apply_map(net.param_map, ad.g)
 
+        drop_mask, hd = None, h
         if dropout_active and net.dropout_p > 0.0:
             keep = 1.0 - net.dropout_p
             drop_mask = (rng.random(size=h.shape) < keep).astype(np.float64) / keep
             hd = h * drop_mask
-        else:
-            drop_mask = None
-            hd = h
 
         draws = branch_draws(mode, rng, ad.n, batch, ad.rank)
         c = branch_forward(mode, ad.mean_a, omega, hd, draws)
 
-        e_b = None
-        b_used = ad.b
+        e_b, b_used = None, ad.b
         if layer.g_b is not None and mode != "mean":
             omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
             e_b = rng.standard_normal(size=ad.b.shape)
             b_used = ad.b + omega_b * e_b
 
-        z = ad.w0 @ h + b_used @ c + layer.bias[:, None]
-        h_out = np.tanh(z)
-        caches.append(
-            _LayerCache(
-                hd=hd, drop_mask=drop_mask, omega=omega, mode=mode, draws=draws,
-                c=c, b_used=b_used, e_b=e_b, h_out=h_out,
-            )
-        )
-        h = h_out
+        z = ad.w0 @ h
+        z += b_used @ c
+        z += layer.bias[:, None]
+        h = np.tanh(z, out=z)
+        caches.append(_LayerCache(hd, drop_mask, omega, mode, draws, c, b_used, e_b, h))
 
     logits = net.head_w @ h + net.head_b[:, None]
     return ForwardCache(layer_caches=caches, logits=logits)
@@ -245,70 +254,62 @@ def net_forward(
 def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of a scalar loss given d(loss)/d(logits), as
     one vector in the net's flat layout (zero for g_b in mean mode)."""
-    grads: dict[str, np.ndarray] = {}
-    if net.head_trainable:
-        grads["head.w"] = d_logits @ fwd.layer_caches[-1].h_out.T
-        grads["head.b"] = d_logits.sum(axis=1)
+    n_layers = len(net.layers)
+    d_b, d_mean_a, d_g, d_g_b = ([None] * n_layers for _ in range(4))
     dh = net.head_w.T @ d_logits
-
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
+    for i in reversed(range(n_layers)):
+        layer, cache = net.layers[i], fwd.layer_caches[i]
         ad = layer.adapter
-        cache = fwd.layer_caches[i]
         dz = dh * (1.0 - cache.h_out * cache.h_out)
 
-        db_used = dz @ cache.c.T
-        grads[f"layers.{i}.b"] = db_used
-        if layer.g_b is not None and cache.e_b is not None:
-            grads[f"layers.{i}.g_b"] = (
-                db_used * cache.e_b * (2.0 * layer.g_b / net.b_std_scale)
-            )
+        d_b[i] = dz @ cache.c.T
+        if layer.g_b is not None:  # zero in mean mode, which draws no b noise
+            d_g_b[i] = np.zeros(layer.g_b.shape) if cache.e_b is None else (
+                d_b[i] * cache.e_b * (2.0 * layer.g_b / net.b_std_scale))
 
         dc = cache.b_used.T @ dz
-        d_mean_a, d_omega, dhd = branch_backward(
-            cache.mode, ad.mean_a, cache.omega, cache.hd, cache.draws, dc
-        )
-        grads[f"layers.{i}.mean_a"] = d_mean_a
-        if d_omega is None:  # mean mode: an explicit zero, not 0 * map', which can be -0.0
-            grads[f"layers.{i}.g"] = np.zeros_like(ad.g)
-        else:
-            grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
+        d_mean_a[i], d_omega, dhd = branch_backward(cache.mode, ad.mean_a, cache.omega, cache.hd, cache.draws, dc)
+        # mean mode: an explicit zero, not 0 * map', which can be -0.0
+        d_g[i] = np.zeros(ad.g.shape) if d_omega is None else d_omega * map_derivative(net.param_map, ad.g)
 
-        if cache.drop_mask is not None:
-            dhd = dhd * cache.drop_mask
-        dh = ad.w0.T @ dz + dhd
-    return net.flatten(grads)
+        if i > 0:  # the gradient of the network input is not needed
+            if cache.drop_mask is not None:
+                dhd = dhd * cache.drop_mask
+            dh = ad.w0.T @ dz + dhd
+    head = [d_logits @ fwd.layer_caches[-1].h_out.T, np.add.reduce(d_logits, axis=1)] if net.head_trainable else []
+    d_b = [d_b[i] for i in net._b_order]
+    return np.concatenate(head + d_b + d_mean_a + d_g + [d for d in d_g_b if d is not None], axis=None)
 
 
 def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, np.ndarray]:
-    """Summed closed-form KL over every Bayesianized factor, with its
-    gradient as one vector in the net's flat layout.
-
-    Each adapter contributes ``gaussian_kl(mean_a, omega, sigma_p)`` with
-    omega = map(g); a Bayesianized b contributes the same form with its
-    scaled omega_b = g_b^2 / b_std_scale.  The head, and b when it is not
-    Bayesianized, get a zero gradient.
-    """
+    """Summed ``kl.gaussian_kl`` over every Bayesianized factor, (mean_a,
+    omega = map(g)) per adapter and (b, omega_b = g_b^2 / b_std_scale) per
+    Bayesianized b, with its gradient over the net's ``kl_span``.  One pass
+    over the span: the gradient is elementwise, and the value sums each
+    factor's reductions in layer order, bit for bit a per-factor loop."""
+    _, slots, g_start, n_g, factors = net._kl_layout
+    span = np.concatenate([getattr(owner, attr) for owner, attr in slots], axis=None)
+    means, g, g_b = span[:g_start], span[g_start : g_start + n_g], span[g_start + n_g :]
+    omega, d_map = apply_map(net.param_map, g), map_derivative(net.param_map, g)
+    if g_b.size:
+        omega = np.concatenate((omega, (g_b * g_b) / net.b_std_scale))
+        d_map = np.concatenate((d_map, 2.0 * g_b / net.b_std_scale))
+    if (omega <= 0.0).any():
+        layer = next(i for i, _, std in factors if (omega[std] <= 0.0).any())
+        raise NonFiniteLossError("kl") from ValueError(f"layer {layer}: some omega entry is <= 0")
+    sp2 = sigma_p * sigma_p
+    grad = np.concatenate((means / sp2, (omega / sp2 - 1.0 / omega) * d_map))
+    sq_means, sq_omega, log_omega, offset = means * means, omega * omega, np.log(omega), np.log(sigma_p) - 0.5
     value = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(net.layers):
-        ad = layer.adapter
-        try:
-            kl_a, d_mean_a, d_omega = gaussian_kl(ad.mean_a, apply_map(net.param_map, ad.g), sigma_p)
-            value += kl_a
-            grads[f"layers.{i}.mean_a"] = d_mean_a
-            grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
-            if layer.g_b is not None:
-                omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
-                kl_b, d_b, d_omega_b = gaussian_kl(ad.b, omega_b, sigma_p)
-                value += kl_b
-                grads[f"layers.{i}.b"] = d_b
-                grads[f"layers.{i}.g_b"] = d_omega_b * (2.0 * layer.g_b / net.b_std_scale)
-        except ValueError as exc:
-            raise NonFiniteLossError("kl") from ValueError(f"layer {i}: {exc}")
-    if not np.isfinite(value):
+    for _, mean, std in factors:
+        value += float(
+            (np.add.reduce(sq_means[mean]) + np.add.reduce(sq_omega[std])) / (2.0 * sp2)
+            - np.add.reduce(log_omega[std])
+            + (std.stop - std.start) * offset
+        )
+    if not math.isfinite(value):
         raise NonFiniteLossError("kl")
-    return value, net.flatten(grads)
+    return value, grad
 
 
 def _fmt(a: np.ndarray) -> str:

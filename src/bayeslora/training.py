@@ -10,7 +10,8 @@ every trainable tensor, and plain gradient descent for the KL gradients
 of the variational parameters.  The split mirrors the two cost characters:
 the likelihood term is noisy and benefits from adaptivity, the KL term is
 deterministic and converges naturally under bare descent.  Both steps
-take whole vectors in the net's flat layout (``SmallNet.pack``).
+take whole vectors: AdamW the net's flat layout (``SmallNet.pack``),
+descent its KL span.
 
 The KL weight follows a per-minibatch schedule whose warm-up window is a
 pseudo-rescaled epoch: the dataset length L0 is replaced by
@@ -241,7 +242,7 @@ class ElboResult:
     kl_weight: float
     train_acc: float
     likelihood_grad: np.ndarray        # in the net's flat layout
-    kl_grad: np.ndarray | None         # likewise; None when kl_weight is 0
+    kl_grad: np.ndarray | None         # over the layout's kl_span; None when kl_weight is 0
 
 
 def elbo_minibatch(
@@ -265,30 +266,31 @@ def elbo_minibatch(
     # form deliberately overshoots 1 at saturation, so only sanity-check it.
     if not (kl_weight >= 0.0 and math.isfinite(kl_weight)):
         raise ValueError("kl_weight must be finite and >= 0")
-    rng = np.random.default_rng(seed)
     h0 = np.ascontiguousarray(x_batch.T)
     labels = np.asarray(y_batch, dtype=np.intp)
     batch = h0.shape[1]
     k = config.k_train_samples
     mode = {"flipout": "flipout", "shared": "shared", "none": "mean"}[config.sampling]
     dropout_active = net.dropout_p > 0.0
+    rng = np.random.default_rng(seed) if mode != "mean" or dropout_active else None  # else nothing is drawn
 
     likelihood = 0.0
-    probs_sum = np.zeros((net.n_classes, batch))
-    onehot = np.zeros((net.n_classes, batch))
-    onehot[labels, np.arange(batch)] = 1.0
+    columns = np.arange(batch)
     for i in range(k):
         fwd = net_forward(net, h0, mode=mode, rng=rng, dropout_active=dropout_active)
         probs = softmax_columns(fwd.logits)
         likelihood += cross_entropy(probs, labels) / k
-        probs_sum += probs / k
-        d_logits = (probs - onehot) / batch
+        d_logits = probs.copy()
+        d_logits[labels, columns] -= 1.0
+        d_logits /= batch
         grad = net_backward(net, fwd, d_logits)
         if i == 0:
+            probs_mean = probs if k == 1 else probs / k
             lik_grad = grad if k == 1 else (1.0 / k) * grad
         else:
+            probs_mean += probs / k
             lik_grad += (1.0 / k) * grad
-    if not np.isfinite(likelihood):
+    if not math.isfinite(likelihood):
         raise NonFiniteLossError("likelihood")
 
     if kl_weight > 0.0:
@@ -297,7 +299,7 @@ def elbo_minibatch(
         kl_value, kl_grad = 0.0, None
 
     loss = likelihood + kl_weight * kl_value
-    train_acc = float(np.mean(np.argmax(probs_sum, axis=0) == labels))
+    train_acc = int(np.count_nonzero(np.argmax(probs_mean, axis=0) == labels)) / batch
     return ElboResult(
         loss=loss,
         likelihood=likelihood,
@@ -324,7 +326,8 @@ class AdamW:
     """Adaptive moment-based descent with decoupled weight decay.
 
     Steps one flat parameter vector with whole-vector ufuncs; the moments
-    are allocated at the first step with the vector's length.
+    and two scratch vectors are allocated at the first step with the
+    vector's length, and every step writes into them.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -333,8 +336,7 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
+        self._m = self._v = self._a = self._b = None
 
     def step(self, params: np.ndarray, grads: np.ndarray, factor: float) -> None:
         """Update ``params`` in place from ``grads`` of the same shape."""
@@ -343,17 +345,17 @@ class AdamW:
         bc2 = 1.0 - self.beta2**self.t
         lr_t = self.lr * factor
         if self._m is None:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
-        m, v = self._m, self._v
+            self._m, self._v, self._a, self._b = (np.zeros_like(params) for _ in range(4))
+        m, v, a, b = self._m, self._v, self._a, self._b
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        m += np.multiply(grads, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * grads * grads
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        v += np.multiply(np.multiply(grads, 1.0 - self.beta2, out=a), grads, out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.eps, out=a)
+        update = np.divide(np.divide(m, bc1, out=b), a, out=b)
         if self.weight_decay:
-            update = update + self.weight_decay * params
-        params -= lr_t * update
+            update += np.multiply(params, self.weight_decay, out=a)
+        params -= np.multiply(update, lr_t, out=b)
 
 
 class Sgd:
@@ -398,11 +400,11 @@ def train(
 
     On entry the trainable arrays are packed into one vector
     (``SmallNet.pack``), and on return every trainable array of the net is
-    a view into it.  Both optimizers step the vector at once.  An array
-    without a likelihood gradient (only ``g_b`` under sampling "none")
-    sits at the end of the layout, outside the span AdamW steps, so it and
-    its moments stay untouched; an array without a KL gradient gets a zero
-    one, which leaves it bit for bit unchanged under plain descent.
+    a view into it.  AdamW steps the vector at once.  An array without a
+    likelihood gradient (only ``g_b`` under sampling "none") sits at the
+    end of the layout, outside the span AdamW steps, so it and its moments
+    stay untouched.  Plain descent steps only the layout's tail
+    ``SmallNet.kl_span``, which holds exactly the arrays with a KL gradient.
     """
     x, y = dataset
     if x.shape[0] < 1:
@@ -418,6 +420,7 @@ def train(
     span = params.size
     if config.sampling == "none":
         span -= sum(layer.g_b.size for layer in net.layers if layer.g_b is not None)
+    kl_params = params[net.kl_span]
     adam = AdamW(lr=config.lr_likelihood, weight_decay=config.weight_decay)
     sgd = Sgd(lr=config.lr_kl)
 
@@ -433,16 +436,8 @@ def train(
         factor = lr_factor(step, config.steps, config.warmup_ratio)
         adam.step(params[:span], result.likelihood_grad[:span], factor)
         if result.kl_grad is not None:
-            sgd.step(params, weight * result.kl_grad, factor)
-        log.append(
-            StepRecord(
-                step=step,
-                likelihood_loss=result.likelihood,
-                kl_value=result.kl_value,
-                kl_weight=result.kl_weight,
-                train_acc=result.train_acc,
-            )
-        )
+            sgd.step(kl_params, weight * result.kl_grad, factor)
+        log.append(StepRecord(step, result.likelihood, result.kl_value, result.kl_weight, result.train_acc))
     return net, log
 
 

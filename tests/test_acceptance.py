@@ -112,7 +112,7 @@ def test_criterion_04_gradient_correctness():
         y = rng.integers(0, 3, size=8)
         noise_seed = 5000 + point
         res = elbo_minibatch(net, x, y, config, kl_weight=1.0, seed=noise_seed)
-        analytic = net.views(res.likelihood_grad + res.kl_grad)
+        analytic = net.views(res.likelihood_grad + np.pad(res.kl_grad, (net.kl_span.start, 0)))
         for key in ("layers.0.mean_a", "layers.0.g", "layers.0.b"):
             param = net.trainable_params()[key]
             grad = analytic[key]

@@ -136,25 +136,23 @@ class TestFlipout:
             np.testing.assert_allclose(out[:, i], expect, rtol=1e-12, atol=1e-12)
 
     def test_expectation_matches_mean_forward(self):
-        """E[flipout output] == mean forward within 3 standard errors."""
+        """The flipout perturbation is odd in e, so for every draw (s, t, e)
+        the branches at e and at -e average to the mean branch, exactly up
+        to rounding: within 1e-15 of the larger of |mean branch| and the
+        mean |flipout branch|.  The expectation over e is then the mean
+        branch itself, and the layer output is linear in the branch."""
         ad = _random_adapter(m=4, n=4, r=2, seed=21, g_scale=(0.3, 0.7))
         batch = 8
-        rng = np.random.default_rng(22)
-        h = rng.normal(size=(ad.n, batch))
-        base = forward_mean(ad, h)
-        draws = 100_000
-        acc = np.zeros_like(base)
-        acc2 = np.zeros_like(base)
+        h = np.random.default_rng(22).normal(size=(ad.n, batch))
+        omega = ad.omega()
+        c_mean = branch_forward("mean", ad.mean_a, omega, h, ())
         smp = np.random.default_rng(23)
-        for _ in range(draws):
-            masks = _masks(ad, batch, smp)
-            z = forward_flipout(ad, h, masks)
-            acc += z
-            acc2 += z * z
-        emp_mean = acc / draws
-        emp_se = np.sqrt(np.maximum(acc2 / draws - emp_mean**2, 0.0) / draws)
-        diff = np.abs(emp_mean - base)
-        np.testing.assert_array_less(diff, 3.0 * emp_se + 1e-9)
+        for _ in range(2000):
+            s, t, e = branch_draws("flipout", smp, ad.n, batch, ad.rank)
+            c_pos = branch_forward("flipout", ad.mean_a, omega, h, (s, t, e))
+            c_neg = branch_forward("flipout", ad.mean_a, omega, h, (s, t, -e))
+            scale = np.maximum(np.abs(c_mean), 0.5 * (np.abs(c_pos) + np.abs(c_neg)))
+            assert np.all(np.abs(0.5 * (c_pos + c_neg) - c_mean) <= 1e-15 * scale)
 
     def test_zero_b_kills_perturbation(self):
         ad = _random_adapter(seed=24)

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bayeslora.baselines import SAMPLING_METHODS
+from bayeslora.baselines import SAMPLING_METHODS, BaselineSpec, derive_config
 from bayeslora.cli import _load_trained, main
 from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
@@ -20,7 +21,7 @@ from bayeslora.suite import (
     write_summary_csv,
 )
 from bayeslora.tasks import TaskSpec
-from bayeslora.training import TrainConfig, kl_window
+from bayeslora.training import TrainConfig, kl_weight_at, kl_window
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 BENCHMARK_INI = CONFIGS / "benchmark.ini"
@@ -50,6 +51,38 @@ GOLDEN_FILES_SHA256 = {
     "race/race_softplus.csv": "e7902ae7201be5a7c682cb7438f2fd79956a6f5cbd32f0a22df9783ed0d69f1f",
     "race/race_square.csv": "dc205eea0e24d0fd5138ef1e516fcb344d218557ff79c489a46231305c55479f",
     "theorems/theorems.json": "79ba933508922dad535a2c29d5fabac72362db082a76f5d9bb5bcc80999d1cb3",
+}
+
+# sha256 of train's model-0.txt and trajectory-0.csv on TINY_INI for the
+# training paths the goldens above miss: (method, extra [train] lines,
+# model hash, trajectory hash).  Recorded with per-layer KL calls and
+# dict-built gradients, before the KL became one pass over a contiguous span.
+GOLDEN_TRAIN_PATHS = {
+    "k_train_samples_2": (
+        "blob", "k_train_samples = 2",
+        "e7c25d34355866375270f518a63dd5bd3b17e4cbd034b578bac2ce7742f069cb",
+        "28539054b39a6df07298604a4c6268459fead783fecab3774b6aaf3b44fff282",
+    ),
+    "bayesianize_b_flipout": (
+        "blob", "bayesianize_b = true",
+        "0983ade105dddb9b5a6518442271ba3c2fa54c3ad8529802a9e501e48c5217c2",
+        "af7fbb53d6fafd1bb47ec8b86510295575f8af8b5b26adc6db76d44e9bb9eaf2",
+    ),
+    "bayesianize_b_shared": (
+        "blob", "bayesianize_b = true\nsampling = shared",
+        "af69f6e663c167f204899762f39d74826e2e00b8e63267889234ff67a8cc8824",
+        "3c8148ce39b48303a768ee250197ff8c0c5b0a37dda021d3c13a6e1b1f9f4f6d",
+    ),
+    "dropout_flipout": (
+        "blob", "dropout_p = 0.1",
+        "662f0e81179e9b278cd9aae2efc9860b9f205234f9c6197ea93c18cc4f7d7afd",
+        "ab08a8dd601f2e1f6cb34153871355b246577715daf30b5348dbcb6bd97c3d8c",
+    ),
+    "bbb": (
+        "bbb", "",
+        "34ff08f4d32dbce380a13c74907a2ab3050d84a503f8373edcf1a0b2dc6a4720",
+        "6c4c31fa3466e3d025a699c2358ec7ccb602231508a5c28f00b7a46c33e3d399",
+    ),
 }
 
 TINY_INI = """\
@@ -126,6 +159,20 @@ class TestConfigIo:
         path.write_text("[train]\nsteps = 2\n[schedule]\ngamma = 0.01\n")
         with pytest.raises(ValueError, match="^gamma = 0.01"):
             main(["train", "--config", str(path), "--method", "blob", "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("method, summed, temperature", [("blob", 2983.0, 248.58), ("bbb", 166.67, 13.89)])
+    def test_benchmark_temperature(self, method, summed, temperature):
+        """What train optimizes on the benchmark config: the KL weights
+        summed over the run, against the ELBO's steps / n_train = 12 (one
+        full KL per epoch).  The window is M = 36 steps; after it blob keeps
+        its last ascending weight, about 0.5, and bbb its uniform 1/36."""
+        cfg = load_config(str(BENCHMARK_INI))
+        config = derive_config(BaselineSpec(kind=method), cfg.train)
+        window = kl_window(config, cfg.task.n_train)
+        assert window == 36
+        total = math.fsum(kl_weight_at(config, window, step) for step in range(1, config.steps + 1))
+        assert total == pytest.approx(summed, abs=0.005)
+        assert total / (config.steps / cfg.task.n_train) == pytest.approx(temperature, abs=0.005)
 
     def test_bbb_honours_n_minibatches(self, tiny_config):
         """bbb weights the KL uniformly over the warm-up window, so every
@@ -611,3 +658,15 @@ class TestCliCommands:
             if path.is_file()
         }
         assert hashes == GOLDEN_FILES_SHA256
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_PATHS))
+    def test_train_paths_match_golden(self, case, tmp_path, capsys):
+        """K > 1, a Bayesianized b under flipout and shared, dropout under
+        flipout, and bbb: each trained model and trajectory, byte for byte."""
+        method, extra, model_sha, trajectory_sha = GOLDEN_TRAIN_PATHS[case]
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_INI.replace("[train]\n", f"[train]\n{extra}\n"))
+        out = tmp_path / "model"
+        assert main(["train", "--config", str(ini), "--method", method, "--out-dir", str(out)]) == 0
+        hashes = [hashlib.sha256(_read(out / name)).hexdigest() for name in ("model-0.txt", "trajectory-0.csv")]
+        assert hashes == [model_sha, trajectory_sha]

@@ -37,7 +37,7 @@ def _finite_difference_check(config, hidden=(4,), kl_weight=0.3, seed=11, h=1e-5
     x = rng.normal(size=(8, net.input_dim))
     y = rng.integers(0, net.n_classes, size=8)
     res = elbo_minibatch(net, x, y, config, kl_weight, seed=99)
-    analytic = net.views(res.likelihood_grad + kl_weight * res.kl_grad)
+    analytic = net.views(res.likelihood_grad + kl_weight * np.pad(res.kl_grad, (net.kl_span.start, 0)))
     worst = 0.0
     for key, param in net.trainable_params().items():
         grad = analytic[key]
@@ -155,7 +155,9 @@ class TestGradients:
         _, grad = kl_term(net, config.sigma_p)
         g = net.layers[0].adapter.g
         expected = 2.0 * g**3 / config.sigma_p**2 - 2.0 / g
-        np.testing.assert_allclose(net.views(grad)["layers.0.g"], expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            net.views(np.pad(grad, (net.kl_span.start, 0)))["layers.0.g"], expected, rtol=1e-12
+        )
 
 
 class TestKlTerm:
@@ -167,17 +169,39 @@ class TestKlTerm:
             kl_term(net, config.sigma_p)
         assert err.value.component == "kl"
 
-    def test_gradient_is_a_flat_layout_vector(self):
-        """Head and non-Bayesianized b have no KL: their slices are zero."""
+    def test_gradient_covers_the_kl_span(self):
+        """The gradient covers the layout's tail from the first mean_a; the
+        head and a non-Bayesianized b lie before it."""
         config = TrainConfig(seed=6)
         net = _randomized_net(config, seed=6)
         value, grad = kl_term(net, config.sigma_p)
         assert isinstance(value, float)
-        assert grad.shape == (sum(p.size for p in net.trainable_params().values()),)
-        views = net.views(grad)
-        for key in ("head.w", "head.b", "layers.0.b"):
-            np.testing.assert_array_equal(views[key], 0.0)
-        assert np.all(views["layers.0.g"] != 0.0)
+        offsets = net.views(np.arange(sum(p.size for p in net.trainable_params().values())))
+        assert net.kl_span.start == offsets["layers.0.mean_a"].flat[0]
+        assert grad.shape == (offsets["layers.0.g"].size * 2,)
+        assert np.all(net.views(np.pad(grad, (net.kl_span.start, 0)))["layers.0.g"] != 0.0)
+
+    @pytest.mark.parametrize(
+        "with_g_b, keys",
+        [
+            ((False, False), ["head.w", "head.b", "layers.0.b", "layers.1.b", "layers.0.mean_a",
+                              "layers.1.mean_a", "layers.0.g", "layers.1.g"]),
+            ((True, True), ["head.w", "head.b", "layers.0.b", "layers.1.b", "layers.0.mean_a",
+                            "layers.1.mean_a", "layers.0.g", "layers.1.g", "layers.0.g_b", "layers.1.g_b"]),
+            ((True, False), ["head.w", "head.b", "layers.1.b", "layers.0.b", "layers.0.mean_a",
+                             "layers.1.mean_a", "layers.0.g", "layers.1.g", "layers.0.g_b"]),
+        ],
+    )
+    def test_layout_key_order(self, with_g_b, keys):
+        """Head, every b (Bayesianized last), every mean_a, every g, every
+        g_b: the KL span starts at the first KL mean and ends the layout."""
+        net = build_small_net(2, (5, 4), 2, 2, TrainConfig(seed=7, bayesianize_b=True))
+        for layer, keep in zip(net.layers, with_g_b):
+            layer.g_b = layer.g_b if keep else None
+        assert list(net.trainable_params()) == keys
+        first = "layers.0.b" if with_g_b[0] else "layers.1.b" if with_g_b[1] else "layers.0.mean_a"
+        offsets = net.views(np.arange(sum(p.size for p in net.trainable_params().values())))
+        assert net.kl_span.start == offsets[first].flat[0]
 
     def test_matches_closed_form_sum(self):
         from bayeslora.kl import PriorSpec, kl_closed_form

@@ -1,19 +1,20 @@
-"""Property tests of the shared ops: the adapter branch op, the Gaussian KL,
-the KL weight schedule and the model file."""
+"""Property tests of the shared ops: the adapter branch op, the Gaussian KL
+and the network's one-pass KL, the KL weight schedule and the model file."""
 
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayeslora.adapter import VariationalAdapter, branch_backward, branch_forward
 from bayeslora.kl import gaussian_kl
-from bayeslora.network import AdapterLayer, SmallNet, load_net, save_net
-from bayeslora.parammaps import ParamMap
+from bayeslora.network import AdapterLayer, SmallNet, kl_term, load_net, save_net
+from bayeslora.parammaps import ParamMap, apply_map, map_derivative
 from bayeslora.training import TrainConfig, kl_weight_at
 
 # Derandomized, so tier-1 runs the same examples every time.
@@ -157,6 +158,60 @@ def test_kl_gradient_matches_central_differences(q):
             param[idx] = orig
             fd[idx] = (up - dn) / (2.0 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(grad).max()))
+
+
+@st.composite
+def _kl_nets(draw, param_map):
+    """A net of random widths (up to 40, so the reductions run past their
+    unrolled blocks) and ranks, with a Bayesianized b on all, some or no
+    layers; entries come from a drawn seed."""
+    widths = draw(st.lists(st.integers(2, 40), min_size=2, max_size=4))
+    pattern = draw(st.sampled_from(["all", "some", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for i, (n, m) in enumerate(zip(widths[:-1], widths[1:])):
+        r = draw(st.integers(1, min(m, n, 6) - 1))
+        std = lambda *shape: rng.uniform(0.05, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        adapter = VariationalAdapter(
+            w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, r)), mean_a=rng.normal(size=(r, n)), g=std(r, n)
+        )
+        bayesianized = pattern == "all" or (pattern == "some" and i % 2 == 0)
+        layers.append(AdapterLayer(adapter, bias=np.zeros(m), g_b=std(m, r) if bayesianized else None))
+    return SmallNet(
+        layers=layers, head_w=rng.normal(size=(2, widths[-1])), head_b=np.zeros(2),
+        param_map=param_map, b_std_scale=draw(st.floats(1e-2, 1e2)),
+    )
+
+
+def _per_layer_kl(net, sigma_p):
+    """The KL as a loop of ``gaussian_kl`` calls, one per factor in layer
+    order, with each array's gradient by key."""
+    value, grads = 0.0, {}
+    for i, layer in enumerate(net.layers):
+        ad = layer.adapter
+        kl_a, grads[f"layers.{i}.mean_a"], d_omega = gaussian_kl(ad.mean_a, apply_map(net.param_map, ad.g), sigma_p)
+        value += kl_a
+        grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
+        if layer.g_b is not None:
+            omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
+            kl_b, grads[f"layers.{i}.b"], d_omega_b = gaussian_kl(ad.b, omega_b, sigma_p)
+            value += kl_b
+            grads[f"layers.{i}.g_b"] = d_omega_b * (2.0 * layer.g_b / net.b_std_scale)
+    return value, grads
+
+
+@pytest.mark.parametrize("param_map", list(ParamMap))
+@_settings
+@given(data=st.data(), sigma_p=_positive)
+def test_kl_term_is_the_per_layer_gaussian_kl_sum_bit_for_bit(param_map, data, sigma_p):
+    net = data.draw(_kl_nets(param_map))
+    value, grad = kl_term(net, sigma_p)
+    expected_value, expected_grads = _per_layer_kl(net, sigma_p)
+    assert value.hex() == expected_value.hex()
+    scattered = net.views(np.pad(grad, (net.kl_span.start, 0)))
+    for key, array in scattered.items():
+        expected = expected_grads.get(key, np.zeros_like(array))
+        assert array.tobytes() == expected.tobytes(), key
 
 
 @_settings
