@@ -24,6 +24,8 @@ constant r*n*(log sigma_p - 1/2) that has zero gradient.
 The full-weight route's dense helpers live here too: column-stacking
 ``vec`` and ``logdet_psd``/``solve_psd``, which raise
 ``NotPositiveDefiniteError`` rather than regularize a failed Cholesky.
+Only the oracle needs SciPy, so ``solve_psd`` imports ``scipy.linalg`` on
+its first call and training never loads it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .adapter import ShapeError, VariationalAdapter
 
@@ -100,6 +101,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_symmetric(a)
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"solve_psd shape mismatch: {a.shape} vs {b.shape}")
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -211,6 +214,18 @@ def _guard_dims(m: int, n: int) -> None:
         raise ValueError(f"full-weight dimension m*n = {m * n} exceeds guard {FULL_WEIGHT_GUARD}")
 
 
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix (values copied, not computed)."""
+    size = sum(block.shape[0] for block in blocks)
+    out = np.zeros((size, size))
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[0]
+        out[start:stop, start:stop] = block
+        start = stop
+    return out
+
+
 def build_full_posterior(adapter: VariationalAdapter) -> FullWeightGaussian:
     """Materialize the induced Gaussian over vec(w0 + b @ a).
 
@@ -220,7 +235,7 @@ def build_full_posterior(adapter: VariationalAdapter) -> FullWeightGaussian:
     _guard_dims(adapter.m, adapter.n)
     omega = adapter.omega()
     mu = vec(adapter.w0 + adapter.b @ adapter.mean_a)
-    cov = block_diag(*(adapter.b @ np.diag(omega[:, i] ** 2) @ adapter.b.T for i in range(adapter.n)))
+    cov = _block_diag([adapter.b @ np.diag(omega[:, i] ** 2) @ adapter.b.T for i in range(adapter.n)])
     return FullWeightGaussian(mu=mu, cov=0.5 * (cov + cov.T))
 
 
@@ -246,7 +261,7 @@ def build_full_prior(
         raise ShapeError(f"r_factor must have {m} rows, got {factor.shape}")
     gram = factor @ factor.T
     sp2 = prior.sigma_p * prior.sigma_p
-    cov = block_diag(*[sp2 * gram] * n)
+    cov = _block_diag([sp2 * gram] * n)
     return FullWeightGaussian(mu=vec(w0), cov=0.5 * (cov + cov.T))
 
 

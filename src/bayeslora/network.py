@@ -173,8 +173,12 @@ def softmax_columns(u: np.ndarray) -> np.ndarray:
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class (columns = examples)."""
     picked = probs[labels, np.arange(probs.shape[1])]
-    with np.errstate(divide="ignore"):
-        return float(-(np.add.reduce(np.log(picked)) / picked.size))
+    if np.count_nonzero(picked) == picked.size:  # no zero: skip the costly errstate context
+        logs = np.log(picked)
+    else:
+        with np.errstate(divide="ignore"):  # an exact zero gives inf without a warning
+            logs = np.log(picked)
+    return float(-(np.add.reduce(logs) / picked.size))
 
 
 @dataclass

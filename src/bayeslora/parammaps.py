@@ -16,7 +16,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "ParamMap",
@@ -46,9 +45,17 @@ def apply_map(pmap: ParamMap, rho):
 
 
 def map_derivative(pmap: ParamMap, rho):
-    """d sigma / d rho, element-wise."""
+    """d sigma / d rho, element-wise.
+
+    The softplus derivative is SciPy's ``expit``, imported on first use so
+    that square-map training never loads SciPy; NumPy's ``1/(1+exp(-rho))``
+    is not a drop-in, because its SIMD ``exp`` rounds differently from
+    libm's on about 2 % of inputs.
+    """
     if pmap is ParamMap.SQUARE:
         return 2.0 * rho
+    from scipy.special import expit
+
     return expit(rho)
 
 

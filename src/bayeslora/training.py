@@ -414,7 +414,8 @@ def train(
     root = np.random.SeedSequence(config.seed)
     batch_ss, noise_ss = root.spawn(2)
     batches = _batches(x.shape[0], config.batch_size, np.random.default_rng(batch_ss))
-    step_seeds = np.random.default_rng(noise_ss)
+    # One vector draw yields the same seeds as one scalar integers() call per step.
+    step_seeds = np.random.default_rng(noise_ss).integers(0, 2**63, size=config.steps).tolist()
 
     params = net.pack()
     span = params.size
@@ -425,10 +426,9 @@ def train(
     sgd = Sgd(lr=config.lr_kl)
 
     log: list[StepRecord] = []
-    for step in range(1, config.steps + 1):
+    for step, step_seed in enumerate(step_seeds, start=1):
         idx = next(batches)
         weight = kl_weight_at(config, window, step)
-        step_seed = int(step_seeds.integers(0, 2**63))
         try:
             result = elbo_minibatch(net, x[idx], y[idx], config, weight, step_seed)
         except NonFiniteLossError as err:

@@ -1,0 +1,91 @@
+"""SciPy stays off the cold-start path.
+
+Every CLI call starts a fresh interpreter, and SciPy more than doubles the
+import time of ``bayeslora.cli``.  Only the dense oracle (``kl.solve_psd``,
+``scipy.linalg``) and the softplus derivative (``parammaps.map_derivative``,
+``scipy.special``) need it, and each imports its submodule on first use.
+The probes run in fresh interpreters, because the test process has long
+since loaded SciPy.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+TINY_INI = """\
+[task]
+n_train = 60
+n_test = 40
+
+[net]
+hidden = 4
+
+[train]
+steps = 10
+batch_size = 8
+"""
+
+# argv[1] is the work directory; the tiny mle and bbb models sit in
+# argv[1]/mle and argv[1]/bbb.
+PROBE = """
+import sys
+from pathlib import Path
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+import bayeslora.cli
+assert loaded() == [], f"import bayeslora.cli loaded {loaded()}"
+
+work = Path(sys.argv[1])
+config = str(work / "tiny.ini")
+main = bayeslora.cli.main
+assert main(["write-config", "--out-dir", str(work / "cfg")]) == 0
+assert main(["gen-data", "--config", config, "--out-dir", str(work / "data")]) == 0
+assert main(["race", "--square-steps", "20", "--softplus-steps", "20", "--record-every", "5",
+             "--out-dir", str(work / "race")]) == 0
+assert main(["train", "--config", config, "--method", "blob", "--out-dir", str(work / "blob")]) == 0
+for method in ("mle", "bbb"):
+    for n in ("0", "5"):
+        assert main(["eval", "--config", config, "--model-dir", str(work / method), "--n-samples", n,
+                     "--out-dir", str(work / f"eval-{method}-{n}")]) == 0
+assert loaded() == [], f"the SciPy-free commands loaded {loaded()}"
+
+assert main(["verify-theorems", "--draws", "2000", "--flipout-draws", "2000",
+             "--out-dir", str(work / "verify")]) == 0
+assert "scipy.linalg" in sys.modules, "verify-theorems ran without scipy.linalg"
+"""
+
+# A softplus net's training loads scipy.special for expit, and nothing of scipy.linalg.
+BBB_PROBE = """
+import sys
+from bayeslora.cli import main
+
+work = sys.argv[1]
+assert main(["train", "--config", work + "/tiny.ini", "--method", sys.argv[2],
+             "--out-dir", work + "/" + sys.argv[2]]) == 0
+loaded = {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+if sys.argv[2] == "bbb":
+    assert "scipy.special" in loaded and "scipy.linalg" not in loaded, sorted(loaded)
+else:
+    assert not loaded, sorted(loaded)
+"""
+
+
+def _fresh(script: str, *args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_loads_only_where_the_oracle_or_a_softplus_net_needs_it(tmp_path):
+    (tmp_path / "tiny.ini").write_text(TINY_INI)
+    for method in ("mle", "bbb"):
+        _fresh(BBB_PROBE, str(tmp_path), method)
+    _fresh(PROBE, str(tmp_path))

@@ -191,6 +191,20 @@ class TestFullPrior:
         np.testing.assert_allclose(p.cov, expected, atol=1e-12)
         np.testing.assert_allclose(p.mu[:, 0], w0.T.ravel())
 
+    def test_builders_place_blocks_as_scipy_block_diag(self):
+        # The NumPy block placement only copies values, so both covariances keep their bytes.
+        from scipy.linalg import block_diag
+
+        rng = np.random.default_rng(12)
+        ad = _random_adapter(4, 3, 2, rng)
+        omega = ad.omega()
+        expected = block_diag(*(ad.b @ np.diag(omega[:, i] ** 2) @ ad.b.T for i in range(ad.n)))
+        np.testing.assert_array_equal(build_full_posterior(ad).cov, 0.5 * (expected + expected.T))
+        sp2 = PriorSpec(0.3).sigma_p ** 2
+        expected = block_diag(*[sp2 * (ad.b @ ad.b.T)] * ad.n)
+        np.testing.assert_array_equal(build_full_prior(ad.w0, ad.b, PriorSpec(0.3)).cov,
+                                      0.5 * (expected + expected.T))
+
 
 class TestRegularizedKl:
     def test_identical_distributions(self):

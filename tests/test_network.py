@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,18 @@ class TestSoftmaxCrossEntropy:
     def test_cross_entropy_perfect(self):
         probs = np.eye(3)
         assert cross_entropy(probs, np.array([0, 1, 2])) == 0.0
+
+    def test_cross_entropy_exact_zero_is_inf_without_warning(self):
+        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cross_entropy(probs, np.array([1, 1])) == np.inf
+
+    def test_cross_entropy_nan_stays_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(cross_entropy(np.array([[np.nan, 0.5], [0.2, 0.5]]), np.array([0, 1])))
+            assert np.isnan(cross_entropy(np.array([[np.nan, 0.0]]), np.array([0, 0])))
 
     def test_softmax_large_logits_stable(self):
         p = softmax_columns(np.array([[1000.0], [0.0]]))

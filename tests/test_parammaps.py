@@ -30,6 +30,13 @@ class TestApply:
     def test_softplus_no_overflow(self):
         assert np.isfinite(apply_map(ParamMap.SOFTPLUS, 5000.0))
 
+    def test_softplus_derivative_is_scipy_expit_bit_for_bit(self):
+        # training bytes rest on expit; NumPy's 1/(1+exp(-x)) rounds differently on ~2 % of inputs
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-40.0, 40.0, 10_001), [-700.0, 700.0]])
+        np.testing.assert_array_equal(map_derivative(ParamMap.SOFTPLUS, x), expit(x))
+
     def test_inverse_round_trip(self):
         for pmap in ParamMap:
             for sigma in (0.01, 0.2, 1.0, 4.0):

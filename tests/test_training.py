@@ -193,6 +193,16 @@ class TestTrain:
         for key, value in net.trainable_params().items():
             np.testing.assert_array_equal(value, before[key])
 
+    @pytest.mark.parametrize("size", [0, 1, 40, 200, 6000])
+    def test_step_seeds_in_one_draw_equal_the_scalar_draws(self, size):
+        # train draws every step seed in one call; the trajectories recorded
+        # with one scalar call per step must not move.
+        for seed in range(50):
+            noise_ss = np.random.SeedSequence(seed).spawn(2)[1]  # as train spawns it
+            scalar = np.random.default_rng(noise_ss)
+            expected = [int(scalar.integers(0, 2**63)) for _ in range(size)]
+            assert np.random.default_rng(noise_ss).integers(0, 2**63, size=size).tolist() == expected
+
     def test_backbone_frozen(self):
         config = TrainConfig(seed=1, steps=60)
         net = build_small_net(2, (8, 8), 2, 2, config)
