@@ -44,8 +44,8 @@ from .training import (
     build_small_net,
     elbo_minibatch,
     init_adapter,
-    kl_weight_at,
     kl_window,
+    kl_weights,
     predict,
     train,
 )
@@ -79,8 +79,8 @@ __all__ = [
     "build_small_net",
     "elbo_minibatch",
     "init_adapter",
-    "kl_weight_at",
     "kl_window",
+    "kl_weights",
     "predict",
     "train",
     "__version__",

@@ -2,10 +2,8 @@
 
 ``_LAYOUT`` maps every key to its configuration field; the example config
 written by ``write_example_config`` carries each key with its default, and
-CLI flags override file values.  The schedule's warm-up window
-``n_minibatches`` defaults to ``auto``, computed from the dataset length and
-batch size.  A value that does not convert or is out of range raises a
-``ValueError`` naming its ``section.key``.
+CLI flags override file values.  A value that does not convert or is out
+of range raises a ``ValueError`` naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -44,14 +42,18 @@ class SuiteConfig:
                 raise ValueError(f"{name} must list at least one value")
             if min(values) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {_text(values)}")
+        # A repeated grid entry only adds copies, and summary.csv would count them as seeds.
+        for name, values in (("methods", self.methods), ("seeds", self.seeds),
+                             ("n_samples", self.n_samples_list)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats an entry, got {_text(values)}")
 
     def net_shape(self) -> tuple[int, tuple[int, ...], int, int]:
         return (self.task.input_dim, self.hidden, self.task.n_classes, self.rank)
 
 
 # TrainConfig fields read from [schedule], with their key there.
-_SCHEDULE_FIELDS = {"kl_mode": "mode", "gamma": "gamma", "literal_ascending_weights": "literal_ascending",
-                    "kl_window": "n_minibatches"}
+_SCHEDULE_FIELDS = {"kl_mode": "mode", "gamma": "gamma"}
 
 # Every key of a config file, section by section, in file order, as
 # (key, owner, field): the value sets ``field`` of the SuiteConfig attribute
@@ -85,8 +87,6 @@ def _parse(key: str, raw: str, default):
     if isinstance(default, tuple):
         conv = _method if key == "methods" else int
         return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
-    if default is None:
-        return int(raw)
     return (_bool if isinstance(default, bool) else type(default))(raw)
 
 
@@ -117,8 +117,6 @@ def load_config(path: str) -> SuiteConfig:
 
 
 def _text(value) -> str:
-    if value is None:
-        return "auto"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, tuple):
@@ -131,7 +129,7 @@ def write_example_config(path: str) -> None:
     cfg = SuiteConfig()
     lines = [
         "# bayeslora benchmark configuration (flat key = value, INI sections).",
-        "# CLI flags override file values; 'auto' keeps the computed default.",
+        "# CLI flags override file values; 'auto' keeps the default.",
     ]
     for section, keys in _LAYOUT.items():
         lines += ["", f"[{section}]"]

@@ -389,15 +389,18 @@ def load_net(path: str) -> SmallNet:
         meta = json.loads(payload)
         if not isinstance(meta, dict) or sorted(meta) != list(_META_KEYS):
             raise ValueError(f"keys must be {list(_META_KEYS)}, got {sorted(meta)}")
-        n_layers = int(meta["n_layers"])
-        if n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-        options = dict(
-            param_map=ParamMap(meta["param_map"]),
-            dropout_p=float.fromhex(meta["dropout_p"]),
-            head_trainable=bool(meta["head_trainable"]),
-            b_std_scale=float.fromhex(meta["b_std_scale"]),
-        )
+        n_layers, head_trainable = meta["n_layers"], meta["head_trainable"]
+        if type(n_layers) is not int or n_layers < 1:
+            raise ValueError(f"n_layers must be an integer >= 1, got {n_layers!r}")
+        if type(head_trainable) is not int or head_trainable not in (0, 1):
+            raise ValueError(f"head_trainable must be 0 or 1, got {head_trainable!r}")
+        dropout_p, b_std_scale = float.fromhex(meta["dropout_p"]), float.fromhex(meta["b_std_scale"])
+        if not 0.0 <= dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
+        if not 0.0 < b_std_scale < math.inf:
+            raise ValueError(f"b_std_scale must be positive and finite, got {b_std_scale}")
+        options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p,
+                       head_trainable=bool(head_trainable), b_std_scale=b_std_scale)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"meta: {exc}") from None
 

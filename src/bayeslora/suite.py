@@ -344,10 +344,15 @@ def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
     cov_flip = _perturbation_cov(adapter, h, "flipout", n_draws, rng)
     corr_flip = mean_abs_corr(cov_flip)
     corr_shared = mean_abs_corr(_perturbation_cov(adapter, h, "shared", n_draws, rng))
+    # Flipout's examples are uncorrelated, so mean |corr| is sampling noise of
+    # about sqrt(2 / (pi (D - 1))); honest seeds read up to 1.83 times that
+    # (300 seeds at D = 10 to 100), and the limit allows 2.5 times, at least 0.05.
+    corr_limit = max(0.05, 2.5 * math.sqrt(2.0 / (math.pi * (n_draws - 1))))
     corr_check = TheoremCheck(
         name="flipout-decorrelation",
-        status="pass" if corr_flip <= 0.05 and corr_shared >= 0.5 else "fail",
-        margin=f"mean |corr|: flipout = {corr_flip:.4f} (<= 0.05), shared = {corr_shared:.4f} (>= 0.5)",
+        status="pass" if corr_flip <= corr_limit and corr_shared >= 0.5 else "fail",
+        margin=(f"mean |corr|: flipout = {corr_flip:.4f} (<= {corr_limit:.4g}), "
+                f"shared = {corr_shared:.4f} (>= 0.5)"),
     )
 
     # Naive sampling gives example i the perturbation covariance

@@ -13,11 +13,11 @@ deterministic and converges naturally under bare descent.  Both steps
 take whole vectors: AdamW the net's flat layout (``SmallNet.pack``),
 descent its KL span.
 
-The KL weight follows a per-minibatch schedule whose warm-up window is a
-pseudo-rescaled epoch: the dataset length L0 is replaced by
-L* = 100 * L0**(pi/gamma) so that small and large datasets share a
-comparable warm-up horizon, unless ``TrainConfig.kl_window`` fixes it.
-Weights sum to one over that window and then hold at their final value.
+The KL weight follows a per-minibatch schedule, ascending (blob) or
+uniform (bbb), whose warm-up window M is a pseudo-rescaled epoch: the
+dataset length L0 is replaced by L* = 100 * L0**(pi/gamma) so that small
+and large datasets share a comparable warm-up horizon.  Weights sum to one
+over that window and then hold at their final value.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ __all__ = [
     "StepRecord",
     "ElboResult",
     "TrainingDivergedError",
-    "rescaled_length",
     "kl_window",
-    "kl_weight_at",
+    "kl_weights",
     "init_adapter",
     "build_small_net",
     "elbo_minibatch",
@@ -61,7 +60,7 @@ __all__ = [
     "Sgd",
 ]
 
-KL_MODES = ("uniform", "blundell", "blob_ascending", "off")
+KL_MODES = ("uniform", "blob_ascending", "off")
 SAMPLING_MODES = ("flipout", "shared", "none")
 
 
@@ -89,10 +88,8 @@ class TrainConfig:
     dropout_p: float = 0.0
     param_map: ParamMap = ParamMap.SQUARE
     sampling: str = "flipout"          # flipout | shared | none
-    kl_mode: str = "blob_ascending"    # uniform | blundell | blob_ascending | off
+    kl_mode: str = "blob_ascending"    # uniform | blob_ascending | off
     gamma: float = 8.0
-    literal_ascending_weights: bool = False
-    kl_window: int | None = None       # warm-up window in minibatches; None or 0: from L*
     bayesianize_b: bool = False
     b_std_scale: float = 100.0
 
@@ -120,51 +117,37 @@ class TrainConfig:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         if self.kl_mode not in KL_MODES:
             raise ValueError(f"kl_mode must be one of {KL_MODES}")
-        if self.kl_window is not None and self.kl_window < 0:
-            raise ValueError(f"kl_window must be >= 0 (0 or None: from L*), got {self.kl_window}")
-
-
-def rescaled_length(n_examples: int, gamma: float = 8.0) -> float:
-    """Pseudo-rescaled dataset length L* = 100 * L0**(pi/gamma)."""
-    if n_examples < 1:
-        raise ValueError("dataset must be nonempty")
-    return 100.0 * float(n_examples) ** (math.pi / gamma)
 
 
 def kl_window(config: TrainConfig, n_examples: int) -> int:
-    """Warm-up window M in minibatches: ``config.kl_window`` when set and
-    non-zero, else ceil(L* / batch_size) for a dataset of n_examples."""
-    if config.kl_window:
-        return config.kl_window
+    """Warm-up window M = ceil(L* / batch_size) minibatches, where
+    L* = 100 * L0**(pi/gamma) is the pseudo-rescaled length of a dataset
+    of L0 = n_examples."""
+    if n_examples < 1:
+        raise ValueError("dataset must be nonempty")
     try:
-        l_star = rescaled_length(n_examples, config.gamma)
+        l_star = 100.0 * float(n_examples) ** (math.pi / config.gamma)
     except OverflowError:
         raise ValueError(f"gamma = {config.gamma} overflows L* = 100 * L0**(pi/gamma)") from None
     return max(1, math.ceil(l_star / config.batch_size))
 
 
-def kl_weight_at(config: TrainConfig, window: int, step: int) -> float:
-    """KL weight for a 1-based step; saturates after the warm-up window.
+def kl_weights(config: TrainConfig, n_examples: int) -> list[float]:
+    """KL weight of each of the ``config.steps`` steps, in step order.
 
-    In ascending mode the literal weights 2^i / (2^M - 1) sum to about 2,
-    so by default they are normalized to 2^i / (2^(M+1) - 2), which keeps
-    the stated sum-to-one constraint; ``literal_ascending_weights``
-    restores the unnormalized form.
+    Over the window M of ``kl_window`` the uniform weights are 1/M and the
+    ascending ones 2^i / (2^(M+1) - 2), so both sum to one; after it each
+    holds at its final value.  Mode "off" gives zeros and never computes L*,
+    which a tiny gamma overflows.
     """
-    if step < 1 or window < 1:
-        raise ValueError(f"step and window must be >= 1, got step={step}, window={window}")
     if config.kl_mode == "off":
-        return 0.0
-    i = min(step, window)
-    # Stable forms: exact powers of two, no overflow for a large window.
-    denom = 1.0 - 2.0 ** (-window)
+        return [0.0] * config.steps
+    window = kl_window(config, n_examples)
     if config.kl_mode == "uniform":
-        return 1.0 / window
-    if config.kl_mode == "blundell":
-        return 2.0 ** (-i) / denom
-    if config.literal_ascending_weights:
-        return 2.0 ** (i - window) / denom
-    return 2.0 ** (i - window - 1) / denom
+        return [1.0 / window] * config.steps
+    # Stable form: exact powers of two, no overflow for a large window.
+    denom = 1.0 - 2.0 ** (-window)
+    return [2.0 ** (min(step, window) - window - 1) / denom for step in range(1, config.steps + 1)]
 
 
 def init_adapter(m: int, n: int, r: int, config: TrainConfig, rng: np.random.Generator) -> VariationalAdapter:
@@ -262,10 +245,8 @@ def elbo_minibatch(
     """
     if x_batch.shape[0] < 1:
         raise ValueError("batch must be nonempty")
-    # Normalized schedules keep kl_weight in [0, 1]; the literal ascending
-    # form deliberately overshoots 1 at saturation, so only sanity-check it.
-    if not (kl_weight >= 0.0 and math.isfinite(kl_weight)):
-        raise ValueError("kl_weight must be finite and >= 0")
+    if not (0.0 <= kl_weight <= 1.0):
+        raise ValueError(f"kl_weight must be in [0, 1], got {kl_weight}")
     h0 = np.ascontiguousarray(x_batch.T)
     labels = np.asarray(y_batch, dtype=np.intp)
     batch = h0.shape[1]
@@ -396,7 +377,7 @@ def train(
 
     The batch order, the per-step sampling noise, and therefore the whole
     trajectory are functions of config.seed alone; each step's KL weight
-    is ``kl_weight_at`` over the window ``kl_window`` of the dataset.
+    comes from ``kl_weights`` for the dataset.
 
     On entry the trainable arrays are packed into one vector
     (``SmallNet.pack``), and on return every trainable array of the net is
@@ -409,8 +390,7 @@ def train(
     x, y = dataset
     if x.shape[0] < 1:
         raise ValueError("dataset must be nonempty")
-    # With the KL off every weight is 0, so L* (which a tiny gamma overflows) is never needed.
-    window = kl_window(config, x.shape[0]) if config.kl_mode != "off" else 1
+    weights = kl_weights(config, x.shape[0])
     root = np.random.SeedSequence(config.seed)
     batch_ss, noise_ss = root.spawn(2)
     batches = _batches(x.shape[0], config.batch_size, np.random.default_rng(batch_ss))
@@ -426,9 +406,8 @@ def train(
     sgd = Sgd(lr=config.lr_kl)
 
     log: list[StepRecord] = []
-    for step, step_seed in enumerate(step_seeds, start=1):
+    for step, (step_seed, weight) in enumerate(zip(step_seeds, weights, strict=True), start=1):
         idx = next(batches)
-        weight = kl_weight_at(config, window, step)
         try:
             result = elbo_minibatch(net, x[idx], y[idx], config, weight, step_seed)
         except NonFiniteLossError as err:

@@ -271,6 +271,20 @@ class TestModelSerialization:
                          id="missing-meta-key"),
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "n_layers", 0)] + ls[2:], "^meta:",
                          id="zero-layers"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "n_layers", 2.7)] + ls[2:],
+                         "^meta: n_layers", id="fractional-layers"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "head_trainable", "0")] + ls[2:],
+                         "^meta: head_trainable", id="string-head-flag"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "head_trainable", 2)] + ls[2:],
+                         "^meta: head_trainable", id="head-flag-2"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", (1.5).hex())] + ls[2:],
+                         "^meta: dropout_p", id="dropout-above-1"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", (-1.0).hex())] + ls[2:],
+                         "^meta: dropout_p", id="negative-dropout"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", (-0.0).hex())] + ls[2:],
+                         "^meta: b_std_scale", id="negative-zero-b-std-scale"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", "inf")] + ls[2:],
+                         "^meta: b_std_scale", id="infinite-b-std-scale"),
             pytest.param(lambda ls: _set_last_token(ls, "layer ", "2"), "^layer:", id="g_b-flag-2"),
             pytest.param(lambda ls: _set_last_token(ls, "head ", "9"), "^head:",
                          id="head-width-mismatch"),

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +15,10 @@ from bayeslora.training import (
     build_small_net,
     elbo_minibatch,
     init_adapter,
-    kl_weight_at,
+    kl_weights,
     kl_window,
     lr_factor,
     predict,
-    rescaled_length,
     train,
     write_trajectory_csv,
 )
@@ -29,63 +30,67 @@ def _small_task(seed=100, n_train=200, noise=0.5):
     return (train_ds.x, train_ds.y), (test_ds.x, test_ds.y)
 
 
-class TestRescaledLength:
+class TestKlWindow:
     def test_reference_value(self):
-        # 100 * 640**(pi/8), evaluated independently with the math module.
-        expected = 100.0 * math.exp((math.pi / 8.0) * math.log(640.0))
-        got = rescaled_length(640, gamma=8.0)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert int(got) == 1264
+        # ceil(100 * 640**(pi/8) / 16), L* evaluated independently with the math module.
+        l_star = 100.0 * math.exp((math.pi / 8.0) * math.log(640.0))
+        assert int(l_star) == 1264
+        assert kl_window(TrainConfig(batch_size=16), 640) == math.ceil(l_star / 16) == 80
 
-    def test_schedule_stores_floor(self):
-        assert kl_window(TrainConfig(batch_size=16), 640) == math.ceil(rescaled_length(640) / 16)
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            kl_window(TrainConfig(), 0)
 
 
 class TestKlWeights:
-    def test_uniform_constant(self):
-        config = TrainConfig(kl_mode="uniform")
-        for step in (1, 50, 100, 5000):
-            assert kl_weight_at(config, 100, step) == pytest.approx(0.01, rel=1e-12)
+    # On one example L* = 100 exactly, so batch size 1 sets the window M to 100.
+    def test_one_weight_per_step(self):
+        for mode in ("uniform", "blob_ascending", "off"):
+            assert len(kl_weights(TrainConfig(kl_mode=mode, steps=37), 500)) == 37
 
-    def test_all_modes_sum_to_one_over_epoch(self):
-        for mode in ("uniform", "blundell", "blob_ascending"):
-            for m in (3, 17, 64, 200):
-                config = TrainConfig(kl_mode=mode)
-                total = sum(kl_weight_at(config, m, i) for i in range(1, m + 1))
-                assert total == pytest.approx(1.0, abs=1e-12), (mode, m)
+    def test_uniform_constant(self):
+        weights = kl_weights(TrainConfig(kl_mode="uniform", batch_size=1, steps=5000), 1)
+        assert weights == [pytest.approx(0.01, rel=1e-12)] * 5000
+
+    def test_both_modes_sum_to_one_over_window(self):
+        for mode in ("uniform", "blob_ascending"):
+            for n, batch in itertools.product((1, 7, 500, 5000), (1, 8, 32)):
+                config = TrainConfig(kl_mode=mode, batch_size=batch)
+                m = kl_window(config, n)
+                total = math.fsum(kl_weights(replace(config, steps=m), n))
+                assert total == pytest.approx(1.0, abs=1e-12), (mode, n, batch)
 
     def test_ascending_normalization_reference(self):
-        # Literal 2^i / (2^M - 1) sums to ~2; the normalized form divides by
-        # 2^(M+1) - 2 instead so the epoch total is exactly one.
-        m = 3
-        weights = [kl_weight_at(TrainConfig(), m, i) for i in (1, 2, 3)]
+        # M = ceil(100 / 34) = 3.  The literal 2^i / (2^M - 1) sums to about 2;
+        # dividing by 2^(M+1) - 2 instead makes the window's total exactly one.
+        weights = kl_weights(TrainConfig(batch_size=34, steps=3), 1)
         np.testing.assert_allclose(weights, [2.0 / 14.0, 4.0 / 14.0, 8.0 / 14.0], rtol=1e-12)
-        literal = TrainConfig(literal_ascending_weights=True)
-        lit = [kl_weight_at(literal, m, i) for i in (1, 2, 3)]
-        np.testing.assert_allclose(lit, [2.0 / 7.0, 4.0 / 7.0, 8.0 / 7.0], rtol=1e-12)
 
     def test_ascending_strictly_increasing_then_saturates(self):
-        config = TrainConfig(kl_mode="blob_ascending")
-        weights = [kl_weight_at(config, 40, i) for i in range(1, 41)]
-        assert all(b > a for a, b in zip(weights, weights[1:]))
-        assert kl_weight_at(config, 40, 41) == weights[-1]
-        assert kl_weight_at(config, 40, 10_000) == weights[-1]
+        weights = kl_weights(TrainConfig(batch_size=1, steps=10_000), 1)
+        assert all(b > a for a, b in zip(weights[:100], weights[1:100]))
+        assert set(weights[100:]) == {weights[99]}
 
-    def test_blundell_descending(self):
-        weights = [kl_weight_at(TrainConfig(kl_mode="blundell"), 10, i) for i in range(1, 11)]
-        assert all(b < a for a, b in zip(weights, weights[1:]))
-
-    def test_off_mode(self):
-        assert kl_weight_at(TrainConfig(kl_mode="off"), 10, 5) == 0.0
+    def test_off_mode_is_zeros_without_computing_the_window(self):
+        # gamma = 0.01 overflows L*, which "off" must never compute.
+        assert kl_weights(TrainConfig(kl_mode="off", steps=5, gamma=0.01), 500) == [0.0] * 5
 
     def test_large_m_no_overflow(self):
-        config = TrainConfig(kl_mode="blob_ascending")
-        assert 0.0 <= kl_weight_at(config, 5000, 1) <= 1.0
-        assert kl_weight_at(config, 5000, 5000) == pytest.approx(0.5, rel=1e-6)
+        config = TrainConfig(batch_size=1, gamma=4.0)
+        m = kl_window(config, 200)
+        assert m >= 5000
+        weights = kl_weights(replace(config, steps=m + 10), 200)
+        assert all(0.0 <= w <= 1.0 for w in weights)
+        assert weights[m - 1] == pytest.approx(0.5, rel=1e-6)
+        assert weights[-1] == weights[m - 1]
 
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            kl_weight_at(TrainConfig(kl_mode="uniform"), 10, 0)
+    def test_fewer_steps_than_the_window(self):
+        """Training can stop inside the window: the first steps' weights,
+        summing to less than one."""
+        for mode in ("uniform", "blob_ascending"):
+            full = kl_weights(TrainConfig(kl_mode=mode, batch_size=1, steps=100), 1)
+            assert kl_weights(TrainConfig(kl_mode=mode, batch_size=1, steps=10), 1) == full[:10]
+            assert 0.0 < math.fsum(full[:10]) < 1.0
 
 
 class TestInitAdapter:
@@ -154,6 +159,14 @@ class TestElbo:
         (x, y), _ = _small_task()
         res = elbo_minibatch(net, x[:16], y[:16], config, kl_weight=0.0, seed=5)
         assert res.kl_value == 0.0 and res.kl_grad is None
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, math.inf, math.nan])
+    def test_kl_weight_outside_unit_interval_rejected(self, weight):
+        config = TrainConfig(seed=0)
+        net = build_small_net(2, (6,), 2, 1, config)
+        (x, y), _ = _small_task()
+        with pytest.raises(ValueError, match=r"^kl_weight must be in \[0, 1\]"):
+            elbo_minibatch(net, x[:16], y[:16], config, kl_weight=weight, seed=5)
 
     def test_deterministic_loss_is_plain_cross_entropy(self):
         from bayeslora.network import cross_entropy, net_forward, softmax_columns
@@ -251,23 +264,12 @@ class TestTrain:
 
     def test_trains_under_every_schedule_mode(self):
         (ds, _) = _small_task()
-        for mode in ("uniform", "blundell", "blob_ascending"):
+        for mode in ("uniform", "blob_ascending", "off"):
             config = TrainConfig(seed=5, steps=150, kl_mode=mode)
             net = build_small_net(2, (8,), 2, 1, config)
             net, log = train(net, ds, config)
             assert all(np.isfinite(r.likelihood_loss) for r in log), mode
-            assert log[-1].kl_weight == kl_weight_at(config, kl_window(config, len(ds[1])), 150)
-
-    def test_literal_ascending_flag_trains_past_saturation(self):
-        # The unnormalized weights exceed 1 at saturation; training must
-        # still run (the [0, 1] bound belongs to the normalized schedules).
-        (ds, _) = _small_task()
-        config = TrainConfig(seed=6, steps=60, literal_ascending_weights=True, kl_window=3)
-        net = build_small_net(2, (8,), 2, 1, config)
-        assert kl_weight_at(config, 3, 60) > 1.0
-        net, log = train(net, ds, config)
-        assert all(np.isfinite(r.likelihood_loss) for r in log)
-        assert log[-1].kl_weight == pytest.approx(8.0 / 7.0)
+            assert [r.kl_weight for r in log] == kl_weights(config, len(ds[1])), mode
 
     def test_bayesianized_b_variant_trains(self):
         """The non-asymmetric variant (std g_b^2/100 on b) stays finite and
