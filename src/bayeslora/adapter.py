@@ -58,13 +58,13 @@ class VariationalAdapter:
     g: np.ndarray       # (r, n) std parameter; omega = g * g
 
     def __post_init__(self) -> None:
-        m, n = self.w0.shape
-        r = self.b.shape[1]
-        if self.b.shape != (m, r):
+        *lead, m, n = self.w0.shape  # lead: the member axes of a stacked net, else none
+        r = self.b.shape[-1]
+        if self.b.shape != (*lead, m, r):
             raise ShapeError(f"b must be ({m}, r), got {self.b.shape}")
-        if self.mean_a.shape != (r, n):
+        if self.mean_a.shape != (*lead, r, n):
             raise ShapeError(f"mean_a must be ({r}, {n}), got {self.mean_a.shape}")
-        if self.g.shape != (r, n):
+        if self.g.shape != (*lead, r, n):
             raise ShapeError(f"g must be ({r}, {n}), got {self.g.shape}")
         if not (1 <= r < min(m, n)):
             raise ValueError(f"rank must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
@@ -74,15 +74,15 @@ class VariationalAdapter:
 
     @property
     def m(self) -> int:
-        return self.w0.shape[0]
+        return self.w0.shape[-2]
 
     @property
     def n(self) -> int:
-        return self.w0.shape[1]
+        return self.w0.shape[-1]
 
     @property
     def rank(self) -> int:
-        return self.b.shape[1]
+        return self.b.shape[-1]
 
     def omega(self) -> np.ndarray:
         """Element-wise posterior std under the square map, omega = g * g,
@@ -110,38 +110,41 @@ def branch_draws(mode: str, rng: np.random.Generator | None, n: int, batch: int,
     return ()
 
 
-def branch_forward(mode: str, mean_a: np.ndarray, omega: np.ndarray, hd: np.ndarray, draws: tuple) -> np.ndarray:
+def branch_forward(mode: str, mean_a: np.ndarray, omega: np.ndarray | None, hd: np.ndarray, draws: tuple) -> np.ndarray:
     """Adapter branch ``c`` of the branch input ``hd`` (n, batch).
 
     ``draws`` is what ``branch_draws`` returns for the mode: (s, t, e) for
-    flipout, (e,) for shared, () for mean.  Draws stacked along a leading
-    axis give the stacked branches, one per draw.
+    flipout, (e,) for shared, () for mean; omega is read only by the first
+    two.  Draws stacked along a leading axis give the stacked branches, one
+    per draw, and so do the stacked arrays of a net's members.
     """
     if mode == "flipout":
         s, t, e = draws
-        return mean_a @ hd + ((e * omega) @ (hd * s)) * np.swapaxes(t, -1, -2)
+        return mean_a @ hd + ((e * omega) @ (hd * s)) * t.swapaxes(-1, -2)
     if mode == "shared":
         return (mean_a + omega * draws[0]) @ hd
     return mean_a @ hd
 
 
 def branch_backward(
-    mode: str, mean_a: np.ndarray, omega: np.ndarray, hd: np.ndarray, draws: tuple, dc: np.ndarray
+    mode: str, mean_a: np.ndarray, omega: np.ndarray | None, hd: np.ndarray, draws: tuple, dc: np.ndarray
 ) -> tuple:
     """(d_mean_a, d_omega, d_hd) of a loss given dc, for the ``branch_forward``
-    call with the same arguments; ``d_omega`` is None in mean mode."""
-    d_mean_a = dc @ hd.T
+    call with the same arguments; ``d_omega`` is None in mean mode.  Like
+    ``branch_forward``, it takes leading axes: stacked draws, or a stacked
+    net's members."""
+    d_mean_a = dc @ hd.swapaxes(-1, -2)
     if mode == "flipout":
         s, t, e = draws
-        dqr = dc * t.T
-        d_omega = (dqr @ (hd * s).T) * e
-        d_hd = mean_a.T @ dc + ((e * omega).T @ dqr) * s
+        dqr = dc * t.swapaxes(-1, -2)
+        d_omega = (dqr @ (hd * s).swapaxes(-1, -2)) * e
+        d_hd = mean_a.swapaxes(-1, -2) @ dc + ((e * omega).swapaxes(-1, -2) @ dqr) * s
     elif mode == "shared":
         d_omega = d_mean_a * draws[0]
-        d_hd = (mean_a + omega * draws[0]).T @ dc
+        d_hd = (mean_a + omega * draws[0]).swapaxes(-1, -2) @ dc
     else:
         d_omega = None
-        d_hd = mean_a.T @ dc
+        d_hd = mean_a.swapaxes(-1, -2) @ dc
     return d_mean_a, d_omega, d_hd
 
 

@@ -8,8 +8,8 @@ Each method is one row of ``METHOD_TABLE``, under the name the CLI and
 * mcd  - deterministic training with dropout on the adapter-branch inputs,
   dropout kept active at evaluation, predictions averaged over N
   stochastic passes (one trained model, standard MC-dropout reading);
-* ens  - independently seeded mle members whose logits are averaged
-  before the softmax;
+* ens  - independently seeded mle members, trained together as one stacked
+  program, whose logits are averaged before the softmax;
 * bbb  - the variational loop with the softplus std map, uniform KL
   weighting, and shared-noise sampling instead of flipout, Bayesianizing
   the a-factor only;
@@ -25,6 +25,8 @@ kl_mode, sampling), which is what makes the ablation grid well defined.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -100,8 +102,8 @@ class BaselineSpec:
     def __post_init__(self) -> None:
         if self.kind not in METHOD_TABLE:
             raise ValueError(f"kind must be one of {METHODS}, got {self.kind!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
         if self.n_members < 1:
@@ -139,34 +141,34 @@ def train_baseline(
     dataset: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
 ) -> BaselineModel:
-    """Train the requested method; ``net_shape`` is (input_dim, hidden, n_classes, rank)."""
+    """Train the requested method; ``net_shape`` is (input_dim, hidden, n_classes, rank).
+    The ens members train in one ``train`` call, as one stacked program."""
     row = METHOD_TABLE[spec.kind]
     run_config = derive_config(spec, config)
-    models: list[SmallNet] = []
-    logs: list[list[StepRecord]] = []
+    members = []
     for member_seed in _member_seeds(run_config.seed, member_count(spec)):
         member_config = replace(run_config, seed=member_seed)
-        net = build_small_net(*net_shape, member_config, zero_g=row.zero_g)
-        net, log = train(net, dataset, member_config)
-        models.append(net)
-        logs.append(log)
-    return BaselineModel(spec=spec, models=models, logs=logs)
+        members.append((build_small_net(*net_shape, member_config, zero_g=row.zero_g), member_config))
+    logs = train(members, dataset)
+    return BaselineModel(spec=spec, models=[net for net, _ in members], logs=logs)
 
 
 def predict_baseline(
     model: BaselineModel,
     x: np.ndarray,
-    n_samples: int = 0,
+    n_samples_list: Sequence[int],
     seed: int = 0,
-) -> np.ndarray:
-    """Class probabilities, one row per example.
+) -> list[np.ndarray]:
+    """Class probabilities, one row per example, for each sample count N in
+    ``n_samples_list``.
 
-    mcd, bbb and blob average the softmax outputs of n_samples stochastic
-    passes.  Every other case takes one softmax of the member-averaged
-    posterior-mean logits: mle, map and the sampling methods at
-    n_samples = 0 have one member, ens has n_members.
+    mcd, bbb and blob predict through ``predict``: every N comes from one
+    stream of stochastic passes, and N = 0 from the posterior mean.  The
+    other methods take one softmax of the member-averaged posterior-mean
+    logits, whatever N: mle and map have one member, ens has n_members.
     """
-    if METHOD_TABLE[model.spec.kind].sampled and n_samples != 0:  # predict rejects n_samples < 0
-        return predict(model.models[0], x, n_samples=n_samples, seed=seed)
+    if METHOD_TABLE[model.spec.kind].sampled:
+        return predict(model.models[0], x, n_samples_list, seed)
     stacked = np.stack([logits_mean(net, x) for net in model.models])
-    return softmax_columns(stacked.mean(axis=0).T).T
+    probs = softmax_columns(stacked.mean(axis=0).T).T
+    return [probs] * len(n_samples_list)

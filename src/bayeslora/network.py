@@ -19,6 +19,12 @@ the layout's tail, ``kl_span``.
 
 Input batches are column-major inside this module: an (n, batch) array
 holds one example per column.
+
+A net whose every array carries a leading member axis, ``stack_nets``' view
+of several same-shaped nets, runs the same ops: the forward and backward
+passes, the softmax, the cross-entropy and ``kl_term`` work on each
+member's slice as on a single net, and the flat layout gains the member
+axis in front, (members, layout).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -38,9 +44,12 @@ from .textio import write_lines
 __all__ = [
     "AdapterLayer",
     "SmallNet",
+    "stack_nets",
     "NonFiniteLossError",
     "softmax_columns",
+    "label_index",
     "cross_entropy",
+    "all_finite",
     "net_forward",
     "net_backward",
     "kl_term",
@@ -70,7 +79,7 @@ class AdapterLayer:
     g_b: np.ndarray | None = None    # (m, r) std parameter for b, only when b is Bayesianized
 
     def __post_init__(self) -> None:
-        if self.bias.shape != (self.adapter.m,):
+        if self.bias.shape != (*self.adapter.w0.shape[:-2], self.adapter.m):
             raise ShapeError(f"bias must be ({self.adapter.m},), got {self.bias.shape}")
         if self.g_b is not None and self.g_b.shape != self.adapter.b.shape:
             raise ShapeError(f"g_b must match b shape {self.adapter.b.shape}")
@@ -92,7 +101,12 @@ class SmallNet:
 
     @property
     def n_classes(self) -> int:
-        return self.head_w.shape[0]
+        return self.head_w.shape[-2]
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The leading member axes of every array: () for a single net."""
+        return self.head_b.shape[:-1]
 
     def _param_slots(self) -> list[tuple[str, object, str]]:
         """(key, owner, attribute name) of every trainable array: the head,
@@ -114,10 +128,11 @@ class SmallNet:
 
     @cached_property
     def _layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-        """(key, start, stop, shape) of every trainable array in the flat layout."""
-        table, start = [], 0
+        """(key, start, stop, shape) of every trainable array in one member's
+        flat layout."""
+        table, start, lead = [], 0, len(self.members)
         for key, owner, attr in self._param_slots():
-            shape = getattr(owner, attr).shape
+            shape = getattr(owner, attr).shape[lead:]
             stop = start + math.prod(shape)
             table.append((key, start, stop, shape))
             start = stop
@@ -128,8 +143,10 @@ class SmallNet:
         return {key: getattr(owner, attr) for key, owner, attr in self._param_slots()}
 
     def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-key views of a vector in the flat layout."""
-        return {key: vec[start:stop].reshape(shape) for key, start, stop, shape in self._layout}
+        """Per-key views of a vector in the flat layout, or of a stack of
+        them along leading axes."""
+        lead = vec.shape[:-1]
+        return {key: vec[..., start:stop].reshape(lead + shape) for key, start, stop, shape in self._layout}
 
     @property
     def kl_span(self) -> slice:
@@ -153,39 +170,96 @@ class SmallNet:
                 (m0, m1), (s0, s1) = at[f"layers.{i}.{mean}"], at[f"layers.{i}.{std}"]
                 factors.append((i, slice(m0, m1), slice(s0 - g0, s1 - g0)))
         slots = [(owner, attr) for _, owner, attr in self._param_slots()[-n_kl:]]
-        return tail[0][1], slots, g0, sum(layer.adapter.g.size for layer in self.layers), factors
+        n_g = at[f"layers.{len(self.layers) - 1}.g"][1] - g0
+        return tail[0][1], slots, g0, n_g, factors
 
     def pack(self) -> np.ndarray:
-        """Copy the trainable arrays into one float64 vector and rebind each
-        to its view, so an in-place update of the vector updates the net."""
+        """Copy the trainable arrays into one float64 vector and ``bind`` the
+        net to it, so an in-place update of the vector updates the net."""
         vec = np.concatenate([p.ravel() for p in self.trainable_params().values()], dtype=np.float64)
+        self.bind(vec)
+        return vec
+
+    def bind(self, vec: np.ndarray) -> None:
+        """Rebind every trainable array to its view of ``vec``."""
         for (_, owner, attr), view in zip(self._param_slots(), self.views(vec).values()):
             setattr(owner, attr, view)
-        return vec
+
+
+def stack_nets(nets: list[SmallNet]) -> tuple[SmallNet, np.ndarray]:
+    """The same-shaped ``nets`` as one net with a leading member axis on
+    every array, and the (members, layout) stack of their flat layouts.
+
+    Each member is bound to its row of the stack and the stacked net to the
+    whole of it, so an in-place update of the stack updates every member.
+    """
+    first = nets[0]
+    if any(net._layout != first._layout for net in nets):
+        raise ShapeError("stacked nets must share one flat layout")
+    params = np.stack([net.pack() for net in nets])
+    for net, row in zip(nets, params):
+        net.bind(row)
+
+    def stack(get) -> np.ndarray:
+        return np.stack([get(net) for net in nets])
+
+    layers = []
+    for i, layer in enumerate(first.layers):
+        adapter = VariationalAdapter(**{
+            f.name: stack(lambda net: getattr(net.layers[i].adapter, f.name)) for f in fields(VariationalAdapter)
+        })
+        g_b = None if layer.g_b is None else stack(lambda net: net.layers[i].g_b)
+        layers.append(AdapterLayer(adapter, stack(lambda net: net.layers[i].bias), g_b))
+    stacked = SmallNet(
+        layers, stack(lambda net: net.head_w), stack(lambda net: net.head_b), first.param_map,
+        first.dropout_p, first.head_trainable, first.b_std_scale,
+    )
+    stacked.bind(params)
+    return stacked, params
 
 
 def softmax_columns(u: np.ndarray) -> np.ndarray:
-    e = np.exp(u - np.maximum.reduce(u, axis=0, keepdims=True))
-    e /= np.add.reduce(e, axis=0, keepdims=True)
+    e = np.exp(u - np.maximum.reduce(u, axis=-2, keepdims=True))
+    e /= np.add.reduce(e, axis=-2, keepdims=True)
     return e
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class (columns = examples)."""
-    picked = probs[labels, np.arange(probs.shape[1])]
+def label_index(labels: np.ndarray) -> tuple:
+    """Index of each example's true class in a (classes, batch) array, or in
+    a stacked (members, classes, batch) one given (members, batch) labels."""
+    columns = np.arange(labels.shape[-1])
+    if labels.ndim == 1:
+        return labels, columns
+    return np.arange(labels.shape[0])[:, None], labels, columns
+
+
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Mean negative log-probability of the true class (columns = examples);
+    one mean per member for stacked probs."""
+    picked = probs[label_index(labels)]
     if np.count_nonzero(picked) == picked.size:  # no zero: skip the costly errstate context
         logs = np.log(picked)
     else:
         with np.errstate(divide="ignore"):  # an exact zero gives inf without a warning
             logs = np.log(picked)
-    return float(-(np.add.reduce(logs) / picked.size))
+    return _scalar(-(np.add.reduce(logs, axis=-1) / picked.shape[-1]))
+
+
+def _scalar(value: np.ndarray) -> float | np.ndarray:
+    """A single net's reduction as a float; a stacked net's as its array."""
+    return float(value) if value.ndim == 0 else value
+
+
+def all_finite(value: float | np.ndarray) -> bool:
+    """Whether a single net's loss value, or every member's, is finite."""
+    return math.isfinite(value) if type(value) is float else bool(np.isfinite(value).all())
 
 
 @dataclass
 class _LayerCache:
     hd: np.ndarray
     drop_mask: np.ndarray | None
-    omega: np.ndarray
+    omega: np.ndarray | None         # None in mean mode, which does not read it
     mode: str
     draws: tuple                     # branch_draws(mode, ...)
     c: np.ndarray
@@ -212,13 +286,15 @@ def net_forward(
     mode is one of "mean", "flipout", "shared".  Per layer the draw order
     is: dropout mask, then ``branch_draws`` for the mode, then the b-noise
     when b is Bayesianized.  Dropout applies to the adapter-branch
-    input only; the frozen path always sees the raw activations.
+    input only; the frozen path always sees the raw activations.  A stacked
+    net takes a (members, n, batch) input, one batch per member.
     """
     if mode not in ("mean", "flipout", "shared"):
         raise ValueError(f"unknown forward mode {mode!r}")
-    if h0.ndim != 2 or h0.shape[0] != net.input_dim:
-        raise ShapeError(f"input must be ({net.input_dim}, batch), got {h0.shape}")
-    batch = h0.shape[1]
+    if h0.shape[:-1] != (*net.members, net.input_dim):
+        raise ShapeError(f"input must be ({', '.join(map(str, net.members + (net.input_dim,)))}, batch), "
+                         f"got {h0.shape}")
+    batch = h0.shape[-1]
     if batch < 1:
         raise ShapeError("batch size must be >= 1")
     if (mode != "mean" or (dropout_active and net.dropout_p > 0.0)) and rng is None:
@@ -228,7 +304,7 @@ def net_forward(
     caches: list[_LayerCache] = []
     for layer in net.layers:
         ad = layer.adapter
-        omega = apply_map(net.param_map, ad.g)
+        omega = None if mode == "mean" else apply_map(net.param_map, ad.g)
 
         drop_mask, hd = None, h
         if dropout_active and net.dropout_p > 0.0:
@@ -247,31 +323,32 @@ def net_forward(
 
         z = ad.w0 @ h
         z += b_used @ c
-        z += layer.bias[:, None]
+        z += layer.bias[..., None]
         h = np.tanh(z, out=z)
         caches.append(_LayerCache(hd, drop_mask, omega, mode, draws, c, b_used, e_b, h))
 
-    logits = net.head_w @ h + net.head_b[:, None]
+    logits = net.head_w @ h + net.head_b[..., None]
     return ForwardCache(layer_caches=caches, logits=logits)
 
 
 def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of a scalar loss given d(loss)/d(logits), as
-    one vector in the net's flat layout (zero for g_b in mean mode)."""
+    one vector in the net's flat layout (zero for g_b in mean mode); for a
+    stacked net, one row per member."""
     n_layers = len(net.layers)
     d_b, d_mean_a, d_g, d_g_b = ([None] * n_layers for _ in range(4))
-    dh = net.head_w.T @ d_logits
+    dh = net.head_w.swapaxes(-1, -2) @ d_logits
     for i in reversed(range(n_layers)):
         layer, cache = net.layers[i], fwd.layer_caches[i]
         ad = layer.adapter
         dz = dh * (1.0 - cache.h_out * cache.h_out)
 
-        d_b[i] = dz @ cache.c.T
+        d_b[i] = dz @ cache.c.swapaxes(-1, -2)
         if layer.g_b is not None:  # zero in mean mode, which draws no b noise
             d_g_b[i] = np.zeros(layer.g_b.shape) if cache.e_b is None else (
                 d_b[i] * cache.e_b * (2.0 * layer.g_b / net.b_std_scale))
 
-        dc = cache.b_used.T @ dz
+        dc = cache.b_used.swapaxes(-1, -2) @ dz
         d_mean_a[i], d_omega, dhd = branch_backward(cache.mode, ad.mean_a, cache.omega, cache.hd, cache.draws, dc)
         # mean mode: an explicit zero, not 0 * map', which can be -0.0
         d_g[i] = np.zeros(ad.g.shape) if d_omega is None else d_omega * map_derivative(net.param_map, ad.g)
@@ -279,10 +356,14 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
         if i > 0:  # the gradient of the network input is not needed
             if cache.drop_mask is not None:
                 dhd = dhd * cache.drop_mask
-            dh = ad.w0.T @ dz + dhd
-    head = [d_logits @ fwd.layer_caches[-1].h_out.T, np.add.reduce(d_logits, axis=1)] if net.head_trainable else []
+            dh = ad.w0.swapaxes(-1, -2) @ dz + dhd
+    h_out = fwd.layer_caches[-1].h_out
+    head = [d_logits @ h_out.swapaxes(-1, -2), np.add.reduce(d_logits, axis=-1)] if net.head_trainable else []
     d_b = [d_b[i] for i in net._b_order]
-    return np.concatenate(head + d_b + d_mean_a + d_g + [d for d in d_g_b if d is not None], axis=None)
+    parts = head + d_b + d_mean_a + d_g + [d for d in d_g_b if d is not None]
+    if not net.members:
+        return np.concatenate(parts, axis=None)
+    return np.concatenate([d.reshape(*net.members, -1) for d in parts], axis=-1)
 
 
 def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, np.ndarray]:
@@ -290,28 +371,31 @@ def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, np.ndarray]:
     omega = map(g)) per adapter and (b, omega_b = g_b^2 / b_std_scale) per
     Bayesianized b, with its gradient over the net's ``kl_span``.  One pass
     over the span: the gradient is elementwise, and the value sums each
-    factor's reductions in layer order, bit for bit a per-factor loop."""
+    factor's reductions in layer order, bit for bit a per-factor loop.  A
+    stacked net gets one value and one gradient row per member."""
     _, slots, g_start, n_g, factors = net._kl_layout
-    span = np.concatenate([getattr(owner, attr) for owner, attr in slots], axis=None)
-    means, g, g_b = span[:g_start], span[g_start : g_start + n_g], span[g_start + n_g :]
+    lead = net.members
+    span = np.concatenate([getattr(owner, attr).reshape(*lead, -1) for owner, attr in slots], axis=-1)
+    means, g, g_b = span[..., :g_start], span[..., g_start : g_start + n_g], span[..., g_start + n_g :]
     omega, d_map = apply_map(net.param_map, g), map_derivative(net.param_map, g)
     if g_b.size:
-        omega = np.concatenate((omega, (g_b * g_b) / net.b_std_scale))
-        d_map = np.concatenate((d_map, 2.0 * g_b / net.b_std_scale))
+        omega = np.concatenate((omega, (g_b * g_b) / net.b_std_scale), axis=-1)
+        d_map = np.concatenate((d_map, 2.0 * g_b / net.b_std_scale), axis=-1)
     if (omega <= 0.0).any():
-        layer = next(i for i, _, std in factors if (omega[std] <= 0.0).any())
+        layer = next(i for i, _, std in factors if (omega[..., std] <= 0.0).any())
         raise NonFiniteLossError("kl") from ValueError(f"layer {layer}: some omega entry is <= 0")
     sp2 = sigma_p * sigma_p
-    grad = np.concatenate((means / sp2, (omega / sp2 - 1.0 / omega) * d_map))
+    grad = np.concatenate((means / sp2, (omega / sp2 - 1.0 / omega) * d_map), axis=-1)
     sq_means, sq_omega, log_omega, offset = means * means, omega * omega, np.log(omega), np.log(sigma_p) - 0.5
     value = 0.0
     for _, mean, std in factors:
-        value += float(
-            (np.add.reduce(sq_means[mean]) + np.add.reduce(sq_omega[std])) / (2.0 * sp2)
-            - np.add.reduce(log_omega[std])
+        value += (
+            (np.add.reduce(sq_means[..., mean], axis=-1) + np.add.reduce(sq_omega[..., std], axis=-1)) / (2.0 * sp2)
+            - np.add.reduce(log_omega[..., std], axis=-1)
             + (std.stop - std.start) * offset
         )
-    if not math.isfinite(value):
+    value = _scalar(value)
+    if not all_finite(value):
         raise NonFiniteLossError("kl")
     return value, grad
 

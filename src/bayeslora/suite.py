@@ -1,8 +1,8 @@
 """Experiment orchestration and numeric verification of the core identities.
 
 ``run_suite`` expands a configuration into (method, seed, n_samples)
-cells, trains each (method, seed) model once, evaluates it at every
-requested sample count; the ``write_*`` functions turn its rows into
+cells, trains each (method, seed) model once and predicts every requested
+sample count of it in one call; the ``write_*`` functions turn its rows into
 deterministic CSV/JSON tables, the aggregate one holding the mean and
 sample standard deviation across seeds.
 
@@ -80,14 +80,16 @@ def predict_method(
     n_samples: int,
     seed: int,
 ) -> np.ndarray:
-    return predict_baseline(trained, x, n_samples, seed)
+    """Class probabilities of one trained method at one sample count."""
+    return predict_baseline(trained, x, (n_samples,), seed)[0]
 
 
 def run_suite(cfg: SuiteConfig) -> list[RunResult]:
     """All cells of the configured grid; failures are recorded, not raised.
 
-    N-sample counts only vary for the sampling methods (mcd, bbb, blob);
-    the deterministic methods emit a single row per seed.
+    N-sample counts only vary for the sampling methods (mcd, bbb, blob),
+    whose counts are snapshots of one stream of passes; the deterministic
+    methods emit a single row per seed.
     """
     results: list[RunResult] = []
     task = f"{cfg.task.generator}/{cfg.task.shift}"
@@ -98,13 +100,13 @@ def run_suite(cfg: SuiteConfig) -> list[RunResult]:
             n_values = cfg.n_samples_list if method in SAMPLING_METHODS else (0,)
             try:
                 trained = train_method(method, cfg, dataset, seed)
+                predictions = predict_baseline(trained, test_ds.x, n_values, seed)
             except Exception as exc:  # per-cell failure, suite continues
                 for n in n_values:
                     results.append(RunResult(method, seed, n, task, f"error: {exc}", None))
                 continue
-            for n in n_values:
+            for n, probs in zip(n_values, predictions):
                 try:
-                    probs = predict_method(trained, test_ds.x, n, seed)
                     report = ece(probs, test_ds.y)
                     status = "ok"
                 except Exception as exc:

@@ -58,8 +58,8 @@ class TaskSpec:
                 raise ValueError("gauss_blobs needs n_classes >= 2")
         elif self.n_classes != 2:
             raise ValueError(f"{self.generator} is a 2-class generator")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
+        if not 0.0 < self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be positive and finite, got {self.noise_scale}")
 
 
 @dataclass

@@ -11,7 +11,10 @@ of the variational parameters.  The split mirrors the two cost characters:
 the likelihood term is noisy and benefits from adaptivity, the KL term is
 deterministic and converges naturally under bare descent.  Both steps
 take whole vectors: AdamW the net's flat layout (``SmallNet.pack``),
-descent its KL span.
+descent its KL span.  The members of one method, nets whose configs differ
+only in seed, train as one stacked program (``network.stack_nets``) when
+they draw no noise: each keeps its own batch stream, and the optimizers
+step the (members, layout) stack at once.
 
 The KL weight follows a per-minibatch schedule, ascending (blob) or
 uniform (bbb), whose warm-up window M is a pseudo-rescaled epoch: the
@@ -23,7 +26,8 @@ over that window and then hold at their final value.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,11 +36,14 @@ from .network import (
     AdapterLayer,
     NonFiniteLossError,
     SmallNet,
+    all_finite,
     cross_entropy,
     kl_term,
+    label_index,
     net_backward,
     net_forward,
     softmax_columns,
+    stack_nets,
 )
 from .parammaps import ParamMap, inverse_map
 from .textio import write_csv
@@ -102,11 +109,11 @@ class TrainConfig:
             "b_std_scale": self.b_std_scale,
         }
         for name, value in positive.items():
-            if not (value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("steps", "weight_decay"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative 64-bit integer")
         if not (0.0 <= self.dropout_p < 1.0):
@@ -241,28 +248,29 @@ def elbo_minibatch(
     Runs K stochastic passes for the likelihood term; the KL term is
     evaluated in closed form whenever the KL path is active.  Gradients
     come back split by path, as flat-layout vectors, so the two optimizers
-    can consume them separately.
+    can consume them separately.  A stacked net takes one (batch, features)
+    minibatch per member and returns every value and gradient per member.
     """
-    if x_batch.shape[0] < 1:
+    if x_batch.shape[-2] < 1:
         raise ValueError("batch must be nonempty")
     if not (0.0 <= kl_weight <= 1.0):
         raise ValueError(f"kl_weight must be in [0, 1], got {kl_weight}")
-    h0 = np.ascontiguousarray(x_batch.T)
+    h0 = np.ascontiguousarray(x_batch.swapaxes(-1, -2))
     labels = np.asarray(y_batch, dtype=np.intp)
-    batch = h0.shape[1]
+    batch = h0.shape[-1]
     k = config.k_train_samples
     mode = {"flipout": "flipout", "shared": "shared", "none": "mean"}[config.sampling]
     dropout_active = net.dropout_p > 0.0
     rng = np.random.default_rng(seed) if mode != "mean" or dropout_active else None  # else nothing is drawn
 
     likelihood = 0.0
-    columns = np.arange(batch)
+    picked = label_index(labels)
     for i in range(k):
         fwd = net_forward(net, h0, mode=mode, rng=rng, dropout_active=dropout_active)
         probs = softmax_columns(fwd.logits)
         likelihood += cross_entropy(probs, labels) / k
         d_logits = probs.copy()
-        d_logits[labels, columns] -= 1.0
+        d_logits[picked] -= 1.0
         d_logits /= batch
         grad = net_backward(net, fwd, d_logits)
         if i == 0:
@@ -271,7 +279,7 @@ def elbo_minibatch(
         else:
             probs_mean += probs / k
             lik_grad += (1.0 / k) * grad
-    if not math.isfinite(likelihood):
+    if not all_finite(likelihood):
         raise NonFiniteLossError("likelihood")
 
     if kl_weight > 0.0:
@@ -280,7 +288,11 @@ def elbo_minibatch(
         kl_value, kl_grad = 0.0, None
 
     loss = likelihood + kl_weight * kl_value
-    train_acc = int(np.count_nonzero(np.argmax(probs_mean, axis=0) == labels)) / batch
+    correct = np.argmax(probs_mean, axis=-2) == labels
+    if correct.ndim == 1:
+        train_acc = int(np.count_nonzero(correct)) / batch
+    else:  # one accuracy per member
+        train_acc = np.count_nonzero(correct, axis=-1) / batch
     return ElboResult(
         loss=loss,
         likelihood=likelihood,
@@ -369,76 +381,105 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train(
-    net: SmallNet,
+    members: Sequence[tuple[SmallNet, TrainConfig]],
     dataset: tuple[np.ndarray, np.ndarray],
-    config: TrainConfig,
-) -> tuple[SmallNet, list[StepRecord]]:
-    """Run the full minibatch loop; the net is updated in place.
+) -> list[list[StepRecord]]:
+    """Run the full minibatch loop for the (net, config) members of one
+    method, whose configs differ only in seed; the nets are updated in
+    place, and one log per member comes back.
 
-    The batch order, the per-step sampling noise, and therefore the whole
-    trajectory are functions of config.seed alone; each step's KL weight
+    A member's batch order, per-step sampling noise, and therefore whole
+    trajectory are functions of its seed alone; each step's KL weight
     comes from ``kl_weights`` for the dataset.
 
-    On entry the trainable arrays are packed into one vector
-    (``SmallNet.pack``), and on return every trainable array of the net is
-    a view into it.  AdamW steps the vector at once.  An array without a
-    likelihood gradient (only ``g_b`` under sampling "none") sits at the
-    end of the layout, outside the span AdamW steps, so it and its moments
-    stay untouched.  Plain descent steps only the layout's tail
-    ``SmallNet.kl_span``, which holds exactly the arrays with a KL gradient.
+    One member trains on its own flat layout: on entry its trainable arrays
+    are packed into one vector (``SmallNet.pack``), and on return every
+    trainable array of the net is a view into it.  Several members train as
+    one stacked net on the (members, layout) stack of ``stack_nets``, each
+    member's arrays views of its row, so each step runs every member's math
+    in one pass, bit for bit its own step.  Only members that draw no noise
+    (sampling "none", no dropout) stack; others raise a ValueError.
+
+    AdamW steps the layout at once.  An array without a likelihood gradient
+    (only ``g_b`` under sampling "none") sits at the end of the layout,
+    outside the span AdamW steps, so it and its moments stay untouched.
+    Plain descent steps only the layout's tail ``SmallNet.kl_span``, which
+    holds exactly the arrays with a KL gradient.
     """
     x, y = dataset
     if x.shape[0] < 1:
         raise ValueError("dataset must be nonempty")
+    if not members:
+        raise ValueError("train needs at least one member")
+    nets = [net for net, _ in members]
+    config = members[0][1]
+    if any(replace(c, seed=config.seed) != config for _, c in members):
+        raise ValueError("the members' configs must differ only in seed")
+    if len(members) > 1 and (config.sampling != "none" or config.dropout_p > 0.0):
+        raise ValueError("only members that draw no noise (sampling 'none', no dropout) train together")
     weights = kl_weights(config, x.shape[0])
-    root = np.random.SeedSequence(config.seed)
-    batch_ss, noise_ss = root.spawn(2)
-    batches = _batches(x.shape[0], config.batch_size, np.random.default_rng(batch_ss))
-    # One vector draw yields the same seeds as one scalar integers() call per step.
-    step_seeds = np.random.default_rng(noise_ss).integers(0, 2**63, size=config.steps).tolist()
+    streams = [np.random.SeedSequence(c.seed).spawn(2) for _, c in members]  # (batch, noise) per member
+    batches = [_batches(x.shape[0], config.batch_size, np.random.default_rng(batch_ss)) for batch_ss, _ in streams]
+    # One vector draw yields the same seeds as one scalar integers() call per
+    # step.  Members that train together draw no noise, so one list serves.
+    step_seeds = np.random.default_rng(streams[0][1]).integers(0, 2**63, size=config.steps).tolist()
 
-    params = net.pack()
-    span = params.size
+    net, params = (nets[0], nets[0].pack()) if len(nets) == 1 else stack_nets(nets)
+    span = params.shape[-1]
     if config.sampling == "none":
-        span -= sum(layer.g_b.size for layer in net.layers if layer.g_b is not None)
-    kl_params = params[net.kl_span]
+        span -= sum(layer.g_b.size for layer in nets[0].layers if layer.g_b is not None)
+    kl_params = params[..., net.kl_span]
     adam = AdamW(lr=config.lr_likelihood, weight_decay=config.weight_decay)
     sgd = Sgd(lr=config.lr_kl)
 
-    log: list[StepRecord] = []
+    logs: list[list[StepRecord]] = [[] for _ in members]
     for step, (step_seed, weight) in enumerate(zip(step_seeds, weights, strict=True), start=1):
-        idx = next(batches)
+        idx = next(batches[0]) if len(batches) == 1 else np.array([next(b) for b in batches])
         try:
             result = elbo_minibatch(net, x[idx], y[idx], config, weight, step_seed)
         except NonFiniteLossError as err:
             raise TrainingDivergedError(step, err.component) from err
         factor = lr_factor(step, config.steps, config.warmup_ratio)
-        adam.step(params[:span], result.likelihood_grad[:span], factor)
+        adam.step(params[..., :span], result.likelihood_grad[..., :span], factor)
         if result.kl_grad is not None:
             sgd.step(kl_params, weight * result.kl_grad, factor)
-        log.append(StepRecord(step, result.likelihood, result.kl_value, result.kl_weight, result.train_acc))
-    return net, log
+        if len(logs) == 1:
+            rows = [(result.likelihood, result.kl_value, result.train_acc)]
+        else:  # one value per member, but a KL left out at weight 0 is a plain 0.0
+            kl_values = np.broadcast_to(result.kl_value, len(logs))
+            rows = zip(result.likelihood.tolist(), kl_values.tolist(), result.train_acc.tolist())
+        for log, (likelihood, kl_value, train_acc) in zip(logs, rows):
+            log.append(StepRecord(step, likelihood, kl_value, weight, train_acc))
+    return logs
 
 
-def predict(net: SmallNet, x: np.ndarray, n_samples: int, seed: int = 0) -> np.ndarray:
-    """Class probabilities, one row per example.
+def predict(net: SmallNet, x: np.ndarray, n_samples_list: Sequence[int], seed: int = 0) -> list[np.ndarray]:
+    """Class probabilities, one row per example, for each sample count N in
+    ``n_samples_list``, in its order.
 
-    n_samples = 0 uses the posterior-mean weights (and disables dropout);
-    n_samples >= 1 averages the softmax outputs of that many stochastic
-    passes (weight noise shared across the batch within a pass, dropout
-    active if the net carries it).
+    N = 0 uses the posterior-mean weights (and disables dropout); N >= 1
+    averages the softmax outputs of N stochastic passes (weight noise
+    shared across the batch within a pass, dropout active if the net
+    carries it).  The counts share one stream of max(N) passes drawn from
+    ``seed``: the prediction at N is its running mean after pass N, bit for
+    bit a separate N-pass call.
     """
-    if n_samples < 0:
+    if any(n < 0 for n in n_samples_list):
         raise ValueError("n_samples must be >= 0")
-    if n_samples == 0:
-        return softmax_columns(logits_mean(net, x).T).T
     h0 = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
-    rng = np.random.default_rng(seed)
-    acc = np.zeros((net.n_classes, h0.shape[1]))
-    for _ in range(n_samples):
-        fwd = net_forward(net, h0, mode="shared", rng=rng, dropout_active=net.dropout_p > 0.0)
-        acc += softmax_columns(fwd.logits)
-    return (acc / n_samples).T
+    wanted, probs = set(n_samples_list), {}
+    if 0 in wanted:
+        probs[0] = softmax_columns(net_forward(net, h0, mode="mean").logits).T
+    top = max(wanted, default=0)
+    if top:
+        rng = np.random.default_rng(seed)
+        acc = np.zeros((net.n_classes, h0.shape[1]))
+        for n in range(1, top + 1):
+            fwd = net_forward(net, h0, mode="shared", rng=rng, dropout_active=net.dropout_p > 0.0)
+            acc += softmax_columns(fwd.logits)
+            if n in wanted:
+                probs[n] = (acc / n).T
+    return [probs[n] for n in n_samples_list]
 
 
 def logits_mean(net: SmallNet, x: np.ndarray) -> np.ndarray:

@@ -178,12 +178,12 @@ def calibration_runs():
         config = TrainConfig(seed=seed, steps=6000, batch_size=32, lr_likelihood=2e-2)
 
         mle = train_baseline(BaselineSpec("mle"), _CAL_SHAPE, (train_ds.x, train_ds.y), config)
-        rows["mle"].append(ece(predict_baseline(mle, test_ds.x), test_ds.y))
-        rows["mle_shift"].append(ece(predict_baseline(mle, test_shift.x), test_shift.y))
+        rows["mle"].append(ece(predict_baseline(mle, test_ds.x, [0])[0], test_ds.y))
+        rows["mle_shift"].append(ece(predict_baseline(mle, test_shift.x, [0])[0], test_shift.y))
 
         blob = train_baseline(BaselineSpec("blob"), _CAL_SHAPE, (train_ds.x, train_ds.y), config)
-        rows["blob"].append(ece(predict_baseline(blob, test_ds.x, 10, seed), test_ds.y))
-        rows["blob_shift"].append(ece(predict_baseline(blob, test_shift.x, 10, seed), test_shift.y))
+        rows["blob"].append(ece(predict_baseline(blob, test_ds.x, [10], seed)[0], test_ds.y))
+        rows["blob_shift"].append(ece(predict_baseline(blob, test_shift.x, [10], seed)[0], test_shift.y))
     rows["elapsed"] = time.perf_counter() - t0
     return rows
 

@@ -4,6 +4,7 @@ import pytest
 from bayeslora.adapter import (
     ShapeError,
     VariationalAdapter,
+    branch_backward,
     branch_draws,
     branch_forward,
     forward_flipout,
@@ -200,6 +201,22 @@ class TestStackedBranch:
         out = branch_forward(mode, ad.mean_a, ad.omega(), h, stacked)
         for d, one in enumerate(draws):
             np.testing.assert_array_equal(out[d], branch_forward(mode, ad.mean_a, ad.omega(), h, one))
+
+    @pytest.mark.parametrize("mode", ["flipout", "shared"])
+    def test_stacked_backward_gives_the_per_draw_gradients_bit_for_bit(self, mode):
+        """branch_backward on stacked draws and a stacked dc gives, slice by
+        slice, the bytes of each draw's own call, for all three gradients."""
+        ad = _random_adapter(m=8, n=8, r=2, seed=37)
+        batch = 16
+        h = np.random.default_rng(38).normal(size=(ad.n, batch))
+        rng = np.random.default_rng(39)
+        draws = [branch_draws(mode, rng, ad.n, batch, ad.rank) for _ in range(5)]
+        dc = rng.normal(size=(5, ad.rank, batch))
+        stacked = tuple(np.stack(part) for part in zip(*draws))
+        out = branch_backward(mode, ad.mean_a, ad.omega(), h, stacked, dc)
+        for d, one in enumerate(draws):
+            alone = branch_backward(mode, ad.mean_a, ad.omega(), h, one, dc[d])
+            assert [grad[d].tobytes() for grad in out] == [grad.tobytes() for grad in alone]
 
 
 class TestNaiveShared:

@@ -69,7 +69,7 @@ class TestReductions:
 
         det_config = derive_config(BaselineSpec("mle"), config)
         net = build_small_net(*SHAPE, det_config, zero_g=True)
-        net, _ = train(net, ds, det_config)
+        train([(net, det_config)], ds)
 
         for key, value in net.trainable_params().items():
             np.testing.assert_array_equal(value, model.models[0].trainable_params()[key])
@@ -101,7 +101,7 @@ class TestReductions:
         for key, value in mle.models[0].trainable_params().items():
             np.testing.assert_array_equal(value, ens1.models[0].trainable_params()[key])
         np.testing.assert_allclose(
-            predict_baseline(ens1, te.x), predict_baseline(mle, te.x), rtol=1e-12, atol=1e-14
+            predict_baseline(ens1, te.x, [0])[0], predict_baseline(mle, te.x, [0])[0], rtol=1e-12, atol=1e-14
         )
 
     def test_dropout_zero_mcd_equals_mle_prediction(self):
@@ -109,8 +109,8 @@ class TestReductions:
         config = TrainConfig(seed=8, steps=80)
         mle = train_baseline(BaselineSpec("mle"), SHAPE, ds, config)
         mcd0 = train_baseline(BaselineSpec("mcd", dropout_p=0.0), SHAPE, ds, config)
-        p_mle = predict_baseline(mle, te.x)
-        p_mcd = predict_baseline(mcd0, te.x, n_samples=10, seed=1)
+        p_mle = predict_baseline(mle, te.x, [0])[0]
+        p_mcd = predict_baseline(mcd0, te.x, [10], seed=1)[0]
         np.testing.assert_allclose(p_mcd, p_mle, rtol=1e-12, atol=1e-14)
 
 
@@ -136,7 +136,7 @@ class TestEnsemble:
             logs=[[]] * 3,
         )
         np.testing.assert_allclose(
-            predict_baseline(cloned, te.x), predict_baseline(single, te.x), rtol=1e-12
+            predict_baseline(cloned, te.x, [0])[0], predict_baseline(single, te.x, [0])[0], rtol=1e-12
         )
 
     def test_zero_variance_across_equal_seeds(self):
@@ -144,7 +144,7 @@ class TestEnsemble:
         config = TrainConfig(seed=11, steps=60)
         a = train_baseline(BaselineSpec("ens", n_members=2), SHAPE, ds, config)
         b = train_baseline(BaselineSpec("ens", n_members=2), SHAPE, ds, config)
-        np.testing.assert_array_equal(predict_baseline(a, te.x), predict_baseline(b, te.x))
+        np.testing.assert_array_equal(predict_baseline(a, te.x, [0])[0], predict_baseline(b, te.x, [0])[0])
 
 
 class TestPredictions:
@@ -153,7 +153,7 @@ class TestPredictions:
         config = TrainConfig(seed=12, steps=60)
         for kind in METHODS:
             model = train_baseline(BaselineSpec(kind, n_members=2), SHAPE, ds, config)
-            probs = predict_baseline(model, te.x, n_samples=4, seed=0)
+            probs = predict_baseline(model, te.x, [4], seed=0)[0]
             assert probs.shape == (len(te.y), 2)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert probs.min() >= 0.0
@@ -162,9 +162,9 @@ class TestPredictions:
         ds, te = _task()
         config = TrainConfig(seed=13, steps=60)
         mcd = train_baseline(BaselineSpec("mcd"), SHAPE, ds, config)
-        a = predict_baseline(mcd, te.x, n_samples=10, seed=3)
-        b = predict_baseline(mcd, te.x, n_samples=10, seed=3)
-        c = predict_baseline(mcd, te.x, n_samples=10, seed=4)
+        a = predict_baseline(mcd, te.x, [10], seed=3)[0]
+        b = predict_baseline(mcd, te.x, [10], seed=3)[0]
+        c = predict_baseline(mcd, te.x, [10], seed=4)[0]
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -174,6 +174,6 @@ class TestPredictions:
         bbb = train_baseline(BaselineSpec("bbb"), SHAPE, ds, config)
         net = bbb.models[0]
         assert net.param_map is ParamMap.SOFTPLUS
-        probs = predict_baseline(bbb, te.x, n_samples=5, seed=0)
+        probs = predict_baseline(bbb, te.x, [5], seed=0)[0]
         acc = float(np.mean(np.argmax(probs, axis=1) == te.y))
         assert acc > 0.7

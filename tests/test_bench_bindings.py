@@ -5,9 +5,10 @@ and cuts ops at ``suite.train_method`` and the oracle groups of
 ``Verify.GROUPS``; renaming or deleting any of them, or changing the call
 shape a span's name function expects, breaks ``--trace 1`` or the op cuts.
 The probe installs the harness's tracer and calls through it: a few blob
-training steps, one sampled prediction and a small oracle battery.  It runs
-in a subprocess because importing the harness pins BLAS threads and edits
-the environment.
+training steps, the stacked training of the ens members, one sampled
+prediction, a small suite whose sampled cell predicts several counts in one
+call, and a small oracle battery.  It runs in a subprocess because importing
+the harness pins BLAS threads and edits the environment.
 """
 
 import pathlib
@@ -27,6 +28,7 @@ run.register_spans(tracer, lib)
 for name in ("train_method",) + run.Verify.GROUPS:
     getattr(lib.suite, name)
 
+from dataclasses import replace
 from bayeslora.configio import SuiteConfig
 from bayeslora.tasks import TaskSpec
 from bayeslora.training import TrainConfig
@@ -37,12 +39,21 @@ tracer.install()
 train_ds, test_ds = lib.suite.generate_task(cfg.task, seed=1)
 trained = lib.suite.train_method("blob", cfg, (train_ds.x, train_ds.y), 0)
 lib.suite.predict_method(trained, test_ds.x, 2, 0)
+ens = lib.suite.train_method("ens", cfg, (train_ds.x, train_ds.y), 0)
+assert len(ens.models) == 3
+results = lib.cli.run_suite(replace(cfg, methods=("ens", "mcd"), seeds=(0,), n_samples_list=(3, 0, 2)))
+assert [(r.method, r.n_samples, r.status) for r in results] == [
+    ("ens", 0, "ok"), ("mcd", 3, "ok"), ("mcd", 0, "ok"), ("mcd", 2, "ok")], results
 lib.cli.verify_theorems(n_draws=2000, flipout_draws=50)
 tracer.uninstall()
 
 spans = tracer.aggregate(0, tracer.mark())
+# The stacked ens forward takes a (members, input_dim, batch) input, so the
+# width label reads the input dimension: b2.
 expected = ("network.backward.flipout", "network.kl_term", "training.elbo",
-            "suite.train_method.blob", "suite.predict_method.n2", "suite.verify_theorems")
+            "suite.train_method.blob", "suite.predict_method.n2", "suite.train_method.ens",
+            "network.forward.mean.b2", "suite.run_suite", "baselines.predict_baseline",
+            "suite.verify_theorems")
 missing = [name for name in expected if name not in spans]
 assert not missing, f"spans not recorded: {missing}; recorded: {sorted(spans)}"
 """

@@ -56,35 +56,46 @@ GOLDEN_FILES_SHA256 = {
     "theorems/theorems.json": "e129a900c53e6153b669db5bf353ea8fc780f94c082b2ccdbef23694f9e538ec",
 }
 
-# sha256 of train's model-0.txt and trajectory-0.csv on TINY_INI for the
+# sha256 of train's model-k.txt and trajectory-k.csv on TINY_INI for the
 # training paths the goldens above miss: (method, extra [train] lines,
-# model hash, trajectory hash).  Recorded with per-layer KL calls and
-# dict-built gradients, before the KL became one pass over a contiguous span.
+# model hashes, trajectory hashes), one hash per member.  Recorded with
+# per-layer KL calls and dict-built gradients, before the KL became one pass
+# over a contiguous span; the ens row, with its three members trained one
+# after another, before they trained as one stacked program.
 GOLDEN_TRAIN_PATHS = {
     "k_train_samples_2": (
         "blob", "k_train_samples = 2",
-        "e7c25d34355866375270f518a63dd5bd3b17e4cbd034b578bac2ce7742f069cb",
-        "28539054b39a6df07298604a4c6268459fead783fecab3774b6aaf3b44fff282",
+        ("e7c25d34355866375270f518a63dd5bd3b17e4cbd034b578bac2ce7742f069cb",),
+        ("28539054b39a6df07298604a4c6268459fead783fecab3774b6aaf3b44fff282",),
     ),
     "bayesianize_b_flipout": (
         "blob", "bayesianize_b = true",
-        "0983ade105dddb9b5a6518442271ba3c2fa54c3ad8529802a9e501e48c5217c2",
-        "af7fbb53d6fafd1bb47ec8b86510295575f8af8b5b26adc6db76d44e9bb9eaf2",
+        ("0983ade105dddb9b5a6518442271ba3c2fa54c3ad8529802a9e501e48c5217c2",),
+        ("af7fbb53d6fafd1bb47ec8b86510295575f8af8b5b26adc6db76d44e9bb9eaf2",),
     ),
     "bayesianize_b_shared": (
         "blob", "bayesianize_b = true\nsampling = shared",
-        "af69f6e663c167f204899762f39d74826e2e00b8e63267889234ff67a8cc8824",
-        "3c8148ce39b48303a768ee250197ff8c0c5b0a37dda021d3c13a6e1b1f9f4f6d",
+        ("af69f6e663c167f204899762f39d74826e2e00b8e63267889234ff67a8cc8824",),
+        ("3c8148ce39b48303a768ee250197ff8c0c5b0a37dda021d3c13a6e1b1f9f4f6d",),
     ),
     "dropout_flipout": (
         "blob", "dropout_p = 0.1",
-        "662f0e81179e9b278cd9aae2efc9860b9f205234f9c6197ea93c18cc4f7d7afd",
-        "ab08a8dd601f2e1f6cb34153871355b246577715daf30b5348dbcb6bd97c3d8c",
+        ("662f0e81179e9b278cd9aae2efc9860b9f205234f9c6197ea93c18cc4f7d7afd",),
+        ("ab08a8dd601f2e1f6cb34153871355b246577715daf30b5348dbcb6bd97c3d8c",),
     ),
     "bbb": (
         "bbb", "",
-        "34ff08f4d32dbce380a13c74907a2ab3050d84a503f8373edcf1a0b2dc6a4720",
-        "6c4c31fa3466e3d025a699c2358ec7ccb602231508a5c28f00b7a46c33e3d399",
+        ("34ff08f4d32dbce380a13c74907a2ab3050d84a503f8373edcf1a0b2dc6a4720",),
+        ("6c4c31fa3466e3d025a699c2358ec7ccb602231508a5c28f00b7a46c33e3d399",),
+    ),
+    "ens": (
+        "ens", "",
+        ("1dcc56a97f45d36b772b3c51dd498ee450406bf16d9db5e4a0767cb504677ddf",
+         "916aef62cd15b022bd2a5025128ab64d359dc05b3d0d410dabdb6848fe33072b",
+         "6c0f09521d86039ab06ad091248cfb062e6c3c8715bfae1ed8bcb5c06c1d9947"),
+        ("30e10e386f78932e97bf85bdf1fa82120a9fde76a3fc6ebebbf931592331b629",
+         "5deab0c33a94a0703ecda51547ea6f2422c352102f866d5e6be294dc6c36b4bb",
+         "0d251fe3e85f0c254536f2b2682d68b96a0ff75b72592b0006edf007f21b8b28"),
     ),
 }
 
@@ -228,6 +239,32 @@ class TestConfigIo:
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ValueError, match=f"^{field}: "):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("owner, section, key, name", [
+        (TrainConfig, "train", "sigma_p", "sigma_p"),
+        (TrainConfig, "train", "epsilon", "epsilon"),
+        (TrainConfig, "train", "lr_likelihood", "lr_likelihood"),
+        (TrainConfig, "train", "lr_kl", "lr_kl"),
+        (TrainConfig, "train", "weight_decay", "weight_decay"),
+        (TrainConfig, "train", "b_std_scale", "b_std_scale"),
+        (TrainConfig, "schedule", "gamma", "gamma"),
+        (TrainConfig, "train", "k_train_samples", "k_train_samples"),
+        (TrainConfig, "train", "batch_size", "batch_size"),
+        (TrainConfig, "train", "steps", "steps"),
+        (BaselineSpec, "baselines", "weight_decay", "weight_decay"),
+        (TaskSpec, "task", "noise_scale", "noise_scale"),
+    ])
+    def test_non_finite_value_names_its_field(self, tmp_path, owner, section, key, name, value):
+        """An infinite or NaN float is refused where the config is built, by
+        field name, and through a config file by section.key."""
+        kwargs = {"kind": "map"} if owner is BaselineSpec else {}
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            owner(**kwargs, **{name: float(value)})
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{section}.{key}: "):
             load_config(str(path))
 
     def test_repeated_hidden_width_is_legal(self, tmp_path):
@@ -677,11 +714,14 @@ class TestCliCommands:
     @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_PATHS))
     def test_train_paths_match_golden(self, case, tmp_path, capsys):
         """K > 1, a Bayesianized b under flipout and shared, dropout under
-        flipout, and bbb: each trained model and trajectory, byte for byte."""
-        method, extra, model_sha, trajectory_sha = GOLDEN_TRAIN_PATHS[case]
+        flipout, bbb and the ens members: each trained model and trajectory,
+        byte for byte."""
+        method, extra, model_shas, trajectory_shas = GOLDEN_TRAIN_PATHS[case]
         ini = tmp_path / "tiny.ini"
         ini.write_text(TINY_INI.replace("[train]\n", f"[train]\n{extra}\n"))
         out = tmp_path / "model"
         assert main(["train", "--config", str(ini), "--method", method, "--out-dir", str(out)]) == 0
-        hashes = [hashlib.sha256(_read(out / name)).hexdigest() for name in ("model-0.txt", "trajectory-0.csv")]
-        assert hashes == [model_sha, trajectory_sha]
+        assert len(list(out.glob("model-*.txt"))) == len(model_shas)
+        hashes = [[hashlib.sha256(_read(out / f"{stem}-{k}.{ext}")).hexdigest() for k in range(len(model_shas))]
+                  for stem, ext in (("model", "txt"), ("trajectory", "csv"))]
+        assert hashes == [list(model_shas), list(trajectory_shas)]

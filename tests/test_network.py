@@ -258,7 +258,7 @@ class TestModelSerialization:
         save_net(net, str(path))
         back = load_net(str(path))
         x = np.random.default_rng(14).normal(size=(10, net.input_dim))
-        np.testing.assert_array_equal(predict(net, x, 5, seed=2), predict(back, x, 5, seed=2))
+        np.testing.assert_array_equal(predict(net, x, [5], seed=2), predict(back, x, [5], seed=2))
 
     @pytest.mark.parametrize(
         "mutate, field",

@@ -104,7 +104,7 @@ class TestGenerators:
         model = train_baseline(
             BaselineSpec("mle"), (2, (16, 16), 2, 2), (train.x, train.y), config
         )
-        probs = predict_baseline(model, test.x)
+        probs = predict_baseline(model, test.x, [0])[0]
         assert ece(probs, test.y).acc >= 0.99
 
 

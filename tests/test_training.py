@@ -201,7 +201,7 @@ class TestTrain:
         net = build_small_net(2, (6,), 2, 1, config)
         before = {k: v.copy() for k, v in net.trainable_params().items()}
         (ds, _) = _small_task()
-        net, log = train(net, ds, config)
+        [log] = train([(net, config)], ds)
         assert log == []
         for key, value in net.trainable_params().items():
             np.testing.assert_array_equal(value, before[key])
@@ -221,7 +221,7 @@ class TestTrain:
         net = build_small_net(2, (8, 8), 2, 2, config)
         frozen = [(l.adapter.w0.copy(), l.bias.copy()) for l in net.layers]
         (ds, _) = _small_task()
-        train(net, ds, config)
+        train([(net, config)], ds)
         for layer, (w0, bias) in zip(net.layers, frozen):
             np.testing.assert_array_equal(layer.adapter.w0, w0)
             np.testing.assert_array_equal(layer.bias, bias)
@@ -232,7 +232,7 @@ class TestTrain:
         head_before = net.head_w.copy()
         assert "head.w" not in net.trainable_params()
         (ds, _) = _small_task()
-        train(net, ds, config)
+        train([(net, config)], ds)
         np.testing.assert_array_equal(net.head_w, head_before)
 
     def test_same_seed_bit_identical_trajectory(self):
@@ -242,7 +242,7 @@ class TestTrain:
         for _ in range(2):
             config = TrainConfig(seed=7, steps=50)
             net = build_small_net(2, (8,), 2, 1, config)
-            net, log = train(net, ds, config)
+            [log] = train([(net, config)], ds)
             logs.append(log)
             nets.append(net)
         assert logs[0] == logs[1]
@@ -256,10 +256,10 @@ class TestTrain:
         tr, te = generate_task(spec, seed=42)
         config = TrainConfig(seed=0, steps=2000, batch_size=32)
         net = build_small_net(2, (16, 16), 2, 2, config)
-        net, log = train(net, (tr.x, tr.y), config)
-        train_probs = predict(net, tr.x, n_samples=0)
+        [log] = train([(net, config)], (tr.x, tr.y))
+        train_probs = predict(net, tr.x, [0])[0]
         assert float(np.mean(np.argmax(train_probs, axis=1) == tr.y)) >= 0.95
-        test_probs = predict(net, te.x, n_samples=0)
+        test_probs = predict(net, te.x, [0])[0]
         assert float(np.mean(np.argmax(test_probs, axis=1) == te.y)) >= 0.95
 
     def test_trains_under_every_schedule_mode(self):
@@ -267,7 +267,7 @@ class TestTrain:
         for mode in ("uniform", "blob_ascending", "off"):
             config = TrainConfig(seed=5, steps=150, kl_mode=mode)
             net = build_small_net(2, (8,), 2, 1, config)
-            net, log = train(net, ds, config)
+            [log] = train([(net, config)], ds)
             assert all(np.isfinite(r.likelihood_loss) for r in log), mode
             assert [r.kl_weight for r in log] == kl_weights(config, len(ds[1])), mode
 
@@ -278,7 +278,7 @@ class TestTrain:
         config = TrainConfig(seed=4, steps=400, bayesianize_b=True)
         net = build_small_net(2, (8,), 2, 1, config)
         assert net.layers[0].g_b is not None
-        net, log = train(net, ds, config)
+        [log] = train([(net, config)], ds)
         assert all(np.isfinite(r.likelihood_loss) for r in log)
         assert log[-1].train_acc >= 0.7
 
@@ -287,14 +287,14 @@ class TestTrain:
         config = TrainConfig(seed=2, steps=50, lr_likelihood=1e9, lr_kl=1e9)
         net = build_small_net(2, (8,), 2, 1, config)
         with pytest.raises(TrainingDivergedError) as err:
-            train(net, ds, config)
+            train([(net, config)], ds)
         assert err.value.step >= 1
 
     def test_trajectory_csv_round_trip(self, tmp_path):
         (ds, _) = _small_task()
         config = TrainConfig(seed=3, steps=10)
         net = build_small_net(2, (8,), 2, 1, config)
-        net, log = train(net, ds, config)
+        [log] = train([(net, config)], ds)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(log, str(path))
         lines = path.read_text().splitlines()
@@ -375,19 +375,93 @@ class TestFlatOptimizers:
         )
         net = build_small_net(2, (8, 8), 2, 2, config)
         before = {k: v.copy() for k, v in net.trainable_params().items()}
-        net, _ = train(net, ds, config)
+        train([(net, config)], ds)
         for i, layer in enumerate(net.layers):
             np.testing.assert_array_equal(layer.g_b, before[f"layers.{i}.g_b"])
         assert not np.array_equal(net.layers[0].adapter.b, before["layers.0.b"])
 
 
+def _layout_bytes(net):
+    return b"".join(value.tobytes() for value in net.trainable_params().values())
+
+
+_POPULATION_VARIANTS = {
+    "ens": dict(sampling="none", kl_mode="off"),
+    "kl_and_bayesianized_b": dict(sampling="none", kl_mode="blob_ascending", bayesianize_b=True,
+                                  weight_decay=1e-3),
+    "batch_above_n_train": dict(sampling="none", kl_mode="off", batch_size=64),
+}
+
+
+class TestPopulation:
+    @pytest.mark.parametrize("variant", sorted(_POPULATION_VARIANTS))
+    @pytest.mark.parametrize("hidden", [(4,), (32, 32)])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_equals_member_by_member(self, size, hidden, variant):
+        """Members trained together as one stacked program end with the
+        bytes of each member trained alone, and log the same steps."""
+        (ds, _) = _small_task(n_train=40)
+        options = {"steps": 30, "batch_size": 8, **_POPULATION_VARIANTS[variant]}
+        configs = [TrainConfig(seed=seed, **options) for seed in (3, 17, 2**40 + 1, 5)[:size]]
+        zero_g = variant != "kl_and_bayesianized_b"
+
+        def members():
+            return [(build_small_net(2, hidden, 2, 2, c, zero_g=zero_g), c) for c in configs]
+
+        alone = members()
+        alone_logs = [train([member], ds)[0] for member in alone]
+        together = members()
+        together_logs = train(together, ds)
+        assert [list(map(repr, log)) for log in together_logs] == [list(map(repr, log)) for log in alone_logs]
+        assert [_layout_bytes(net) for net, _ in together] == [_layout_bytes(net) for net, _ in alone]
+
+    @pytest.mark.parametrize("options", [
+        dict(sampling="flipout"), dict(sampling="shared"), dict(sampling="none", dropout_p=0.1),
+    ])
+    def test_population_that_draws_noise_rejected(self, options):
+        (ds, _) = _small_task(n_train=40)
+        configs = [TrainConfig(seed=seed, steps=3, kl_mode="off", **options) for seed in (0, 1)]
+        members = [(build_small_net(2, (4,), 2, 1, c), c) for c in configs]
+        with pytest.raises(ValueError, match="draw no noise"):
+            train(members, ds)
+
+    def test_members_differing_beyond_seed_rejected(self):
+        (ds, _) = _small_task(n_train=40)
+        configs = [TrainConfig(seed=0, steps=3, sampling="none"),
+                   TrainConfig(seed=1, steps=3, sampling="none", lr_likelihood=0.5)]
+        members = [(build_small_net(2, (4,), 2, 1, c), c) for c in configs]
+        with pytest.raises(ValueError, match="differ only in seed"):
+            train(members, ds)
+
+    def test_members_of_different_shapes_rejected(self):
+        (ds, _) = _small_task(n_train=40)
+        configs = [TrainConfig(seed=seed, steps=3, sampling="none") for seed in (0, 1)]
+        members = [(build_small_net(2, hidden, 2, 1, c), c) for hidden, c in zip(((4,), (5,)), configs)]
+        with pytest.raises(ValueError, match="one flat layout"):
+            train(members, ds)
+
+
 class TestPredict:
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.2])
+    def test_counts_are_snapshots_of_one_stream(self, dropout_p):
+        """Every count of one call, in any order, has the bytes of its own call."""
+        config = TrainConfig(seed=4, dropout_p=dropout_p)
+        net = build_small_net(2, (8, 8), 2, 2, config)
+        for layer in net.layers:
+            layer.adapter.b = np.random.default_rng(5).normal(size=layer.adapter.b.shape)
+        x = np.random.default_rng(6).normal(size=(30, 2))
+        counts = [10, 0, 5, 1]
+        together = predict(net, x, counts, seed=7)
+        alone = [predict(net, x, [n], seed=7)[0] for n in counts]
+        assert [p.tobytes() for p in together] == [p.tobytes() for p in alone]
+        assert not np.array_equal(together[1], together[2])  # the sampled passes differ from the mean
+
     def test_rows_sum_to_one(self):
         config = TrainConfig(seed=0)
         net = build_small_net(2, (8,), 3, 1, config)
         x = np.random.default_rng(0).normal(size=(20, 2))
         for n in (0, 7):
-            probs = predict(net, x, n_samples=n, seed=3)
+            probs = predict(net, x, [n], seed=3)[0]
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_seed_reproducible(self):
@@ -395,7 +469,7 @@ class TestPredict:
         net = build_small_net(2, (8,), 2, 1, config)
         x = np.random.default_rng(1).normal(size=(10, 2))
         np.testing.assert_array_equal(
-            predict(net, x, n_samples=10, seed=5), predict(net, x, n_samples=10, seed=5)
+            predict(net, x, [10], seed=5), predict(net, x, [10], seed=5)
         )
 
     def test_degenerate_posterior_matches_mean(self):
@@ -404,7 +478,7 @@ class TestPredict:
         net = build_small_net(2, (8,), 2, 1, config, zero_g=True)
         x = np.random.default_rng(2).normal(size=(10, 2))
         np.testing.assert_allclose(
-            predict(net, x, n_samples=25, seed=6), predict(net, x, n_samples=0), rtol=1e-12
+            predict(net, x, [25], seed=6)[0], predict(net, x, [0])[0], rtol=1e-12
         )
 
 
@@ -422,11 +496,11 @@ class TestMleReduction:
 
         config_det = TrainConfig(seed=11, steps=steps, sampling="none", kl_mode="off")
         net_det = build_small_net(2, (8,), 2, 1, config_det, zero_g=True)
-        net_det, _ = train(net_det, ds, config_det)
+        train([(net_det, config_det)], ds)
 
         config_blob = TrainConfig(seed=11, steps=steps, sampling="flipout", kl_mode="off")
         net_blob = build_small_net(2, (8,), 2, 1, config_blob, zero_g=True)
-        net_blob, _ = train(net_blob, ds, config_blob)
+        train([(net_blob, config_blob)], ds)
 
         np.testing.assert_array_equal(net_blob.layers[0].adapter.g, 0.0)
         for key in ("layers.0.mean_a", "layers.0.b", "head.w"):
