@@ -28,6 +28,7 @@ trains through these ops unchecked; ``forward_mean``,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,23 +91,70 @@ class VariationalAdapter:
         return self.g * self.g
 
 
-def branch_draws(mode: str, rng: np.random.Generator | None, n: int, batch: int, r: int) -> tuple:
+def _raw_signs_exact(rng: np.random.Generator, k: int) -> bool:
+    """Whether k signs from raw words equal ``rng.integers(0, 2, size=k)``.
+
+    That draw keeps the top bit of one 32-bit word per sign, and PCG64 cuts
+    each 64-bit raw word into two of them, low half first; an odd k leaves
+    its last high half buffered (``has_uint32``) for the next 32-bit draw,
+    and a buffered half would be the first word.  So the raw words stand in
+    for ``integers`` exactly when the generator is PCG64, the host is
+    little-endian, k is even and no half is buffered.
+    """
+    bit_generator = rng.bit_generator
+    return (sys.byteorder == "little" and type(bit_generator) is np.random.PCG64 and k % 2 == 0
+            and bit_generator.state["has_uint32"] == 0)
+
+
+def _signs_then_normals(rng: np.random.Generator, k: int, shape: tuple, count: int | None) -> tuple:
+    """(signs, e): the +/-1 signs of ``rng.integers(0, 2, size=k)``, then
+    ``rng.standard_normal(size=shape)``; with a count, that many such pairs
+    drawn in turn and stacked along a leading axis."""
+    # An even k leaves the buffered half word as it found it, so the one
+    # check holds for every draw of a stack.
+    raw = _raw_signs_exact(rng, k)
+    if count is None:
+        bits = rng.bit_generator.random_raw(k // 2).view(np.uint32) >> 31 if raw else rng.integers(0, 2, size=k)
+        e = rng.standard_normal(size=shape)
+    else:
+        words = np.empty((count, k // 2), np.uint64) if raw else np.empty((count, k), np.int64)
+        e = np.empty((count, *shape))
+        for i in range(count):
+            words[i] = rng.bit_generator.random_raw(k // 2) if raw else rng.integers(0, 2, size=k)
+            rng.standard_normal(out=e[i])
+        bits = words.view(np.uint32) >> 31 if raw else words
+    return 2.0 * bits - 1.0, e
+
+
+def branch_draws(
+    mode: str, rng: np.random.Generator | None, n: int, batch: int, r: int, count: int | None = None
+) -> tuple:
     """Fresh draws for one ``branch_forward`` call on an (n, batch) input at rank r.
 
     Flipout draws signs s (n, batch), then signs t (batch, r), then
     standard-normal e (r, n); shared draws e alone; mean draws nothing and
     leaves ``rng`` untouched.
+
+    With a ``count``, every array gains a leading axis of that length: bit
+    for bit the stack of ``count`` consecutive single calls, with ``rng``
+    left where they would leave it.  The signs are the top bits of raw
+    PCG64 words when ``_raw_signs_exact`` holds (checked once per call:
+    PCG64, a little-endian host, an even number of signs and no buffered
+    half word); otherwise they come from ``rng.integers(0, 2)``.
     """
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if mode == "flipout":
-        # One call draws the same signs as two consecutive calls for s and t.
-        signs = 2.0 * rng.integers(0, 2, size=n * batch + batch * r) - 1.0
+        # One draw of all the signs gives the same signs as two draws for s and t.
+        signs, e = _signs_then_normals(rng, n * batch + batch * r, (r, n), count)
+        lead = signs.shape[:-1]
         return (
-            signs[: n * batch].reshape(n, batch),
-            signs[n * batch :].reshape(batch, r),
-            rng.standard_normal(size=(r, n)),
+            signs[..., : n * batch].reshape(*lead, n, batch),
+            signs[..., n * batch :].reshape(*lead, batch, r),
+            e,
         )
     if mode == "shared":
-        return (rng.standard_normal(size=(r, n)),)
+        return (rng.standard_normal(size=(r, n) if count is None else (count, r, n)),)
     return ()
 
 

@@ -167,6 +167,8 @@ def predict_baseline(
     other methods take one softmax of the member-averaged posterior-mean
     logits, whatever N: mle and map have one member, ens has n_members.
     """
+    if any(n < 0 for n in n_samples_list):
+        raise ValueError("n_samples must be >= 0")
     if METHOD_TABLE[model.spec.kind].sampled:
         return predict(model.models[0], x, n_samples_list, seed)
     stacked = np.stack([logits_mean(net, x) for net in model.models])

@@ -213,8 +213,15 @@ def sample_full_weights(
     """(n_draws, m*n) draws of vec(w0 + b a) with a ~ q, column-stacked."""
     eps = rng.standard_normal(size=(n_draws,) + adapter.mean_a.shape)
     a = adapter.mean_a + adapter.omega() * eps
-    w = adapter.w0[None, :, :] + np.einsum("ij,njk->nik", adapter.b, a)
-    return w.transpose(0, 2, 1).reshape(n_draws, -1)
+    # vec(b a) as a sum over j of outer products, added in j order: bit for
+    # bit what einsum("ij,njk->nik") sums (b @ a rounds differently), laid
+    # out as the transpose so that the column stack is a free reshape.
+    b = adapter.b
+    wt = a[:, 0, :, None] * b[:, 0]
+    for j in range(1, adapter.rank):
+        wt += a[:, j, :, None] * b[:, j]
+    wt += adapter.w0.T
+    return wt.reshape(n_draws, -1)
 
 
 def _posterior_moment_check(
@@ -308,19 +315,18 @@ def _perturbation_cov(
     """(m, batch, batch) sample covariance over n_draws of the layer
     perturbation b @ (c - c_mean), one batch x batch matrix per output.
 
-    Draws are taken one at a time by ``branch_draws``, in training's order,
-    and pushed through ``branch_forward`` in stacks of ``_FLIPOUT_CHUNK``;
-    only the sum and the cross-product sum of the perturbation are kept.
+    ``branch_draws`` takes the draws in stacks of ``_FLIPOUT_CHUNK``, the
+    same stream as single calls in training's order, and ``branch_forward``
+    pushes each stack through at once; only the sum and the cross-product
+    sum of the perturbation are kept.
     """
     omega = adapter.omega()
     c_mean = branch_forward("mean", adapter.mean_a, omega, h, ())
     m, batch = adapter.m, h.shape[1]
     total, cross = np.zeros((m, batch)), np.zeros((m, batch, batch))
     for start in range(0, n_draws, _FLIPOUT_CHUNK):
-        draws = [branch_draws(mode, rng, adapter.n, batch, adapter.rank)
-                 for _ in range(min(_FLIPOUT_CHUNK, n_draws - start))]
-        stacked = tuple(np.stack(part) for part in zip(*draws))
-        pert = adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, stacked) - c_mean)
+        draws = branch_draws(mode, rng, adapter.n, batch, adapter.rank, min(_FLIPOUT_CHUNK, n_draws - start))
+        pert = adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, draws) - c_mean)
         total += pert.sum(axis=0)
         per_output = pert.transpose(1, 2, 0)  # (m, batch, draws)
         cross += per_output @ per_output.transpose(0, 2, 1)
@@ -399,6 +405,8 @@ def verify_theorems(
     """Run the full oracle battery and report per-check margins."""
     if not sigma_p > 0.0:
         raise ValueError(f"sigma_p must be positive, got {sigma_p}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= r < min(m, n):
         raise ValueError(f"r must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
     for name, value in (("n_draws", n_draws), ("flipout_draws", flipout_draws)):

@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from bayeslora.adapter import (
     ShapeError,
     VariationalAdapter,
+    _raw_signs_exact,
+    _signs_then_normals,
     branch_backward,
     branch_draws,
     branch_forward,
@@ -217,6 +221,53 @@ class TestStackedBranch:
         for d, one in enumerate(draws):
             alone = branch_backward(mode, ad.mean_a, ad.omega(), h, one, dc[d])
             assert [grad[d].tobytes() for grad in out] == [grad.tobytes() for grad in alone]
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("k", [1, 2, 3, 128, 640, 1088, 1089, 4160])
+    @pytest.mark.parametrize("after_odd", [False, True])
+    def test_signs_equal_integers_and_leave_the_stream_in_place(self, k, after_odd):
+        """The signs are those of rng.integers(0, 2, size=k), from raw words
+        or not, and the next 32-bit and 64-bit draws match too: a NumPy
+        release that changes integers fails here, not in a golden."""
+        for seed in range(200):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if after_odd:  # leaves a half word buffered
+                rng.integers(0, 2, size=3), ref.integers(0, 2, size=3)
+            assert _raw_signs_exact(rng, k) == (not after_odd and k % 2 == 0 and sys.byteorder == "little")
+            signs, e = _signs_then_normals(rng, k, (5,), None)
+            np.testing.assert_array_equal(signs, 2.0 * ref.integers(0, 2, size=k) - 1.0)
+            np.testing.assert_array_equal(e, ref.standard_normal(5))
+            np.testing.assert_array_equal(rng.integers(0, 2, 7), ref.integers(0, 2, 7))
+            np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+    def test_other_bit_generators_draw_through_integers(self):
+        rng = np.random.Generator(np.random.MT19937(5))
+        assert not _raw_signs_exact(rng, 128)
+        signs, _ = _signs_then_normals(rng, 128, (2,), None)
+        np.testing.assert_array_equal(signs, 2.0 * np.random.Generator(np.random.MT19937(5)).integers(0, 2, 128) - 1.0)
+
+    @pytest.mark.parametrize("mode", ["flipout", "shared", "mean"])
+    @pytest.mark.parametrize("count", [1, 7, 1000])
+    @pytest.mark.parametrize("n, batch, r", [(8, 64, 2), (3, 3, 2)])  # 640 and 15 signs
+    @pytest.mark.parametrize("after_odd", [False, True])
+    def test_count_stacks_consecutive_single_calls(self, mode, count, n, batch, r, after_odd):
+        """branch_draws(..., count=c) is c single calls stacked, bit for bit,
+        and leaves the generator where they leave it."""
+        rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+        if after_odd:
+            rng.integers(0, 2, size=3), ref.integers(0, 2, size=3)
+        stacked = branch_draws(mode, rng, n, batch, r, count)
+        singles = [branch_draws(mode, ref, n, batch, r) for _ in range(count)]
+        assert len(stacked) == len(singles[0])
+        for got, parts in zip(stacked, zip(*singles)):
+            np.testing.assert_array_equal(got, np.stack(parts))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="^count must be >= 1"):
+            branch_draws("flipout", np.random.default_rng(0), 8, 64, 2, count)
 
 
 class TestNaiveShared:

@@ -158,6 +158,13 @@ class TestPredictions:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert probs.min() >= 0.0
 
+    @pytest.mark.parametrize("kind", METHODS)
+    def test_negative_sample_count_rejected_for_every_method(self, kind):
+        ds, te = _task()
+        model = train_baseline(BaselineSpec(kind, n_members=2), SHAPE, ds, TrainConfig(seed=12, steps=5))
+        with pytest.raises(ValueError, match="^n_samples must be >= 0$"):
+            predict_baseline(model, te.x, [5, -1], seed=0)
+
     def test_mcd_eval_is_stochastic_but_seeded(self):
         ds, te = _task()
         config = TrainConfig(seed=13, steps=60)

@@ -395,6 +395,7 @@ class TestTheoremBattery:
             (dict(r=3), r"^r must satisfy 1 <= r < min\(m, n\); got r=3, m=4, n=3"),
             (dict(r=0), r"^r must satisfy"),
             (dict(m=2, n=8, r=2), r"^r must satisfy"),
+            (dict(seed=-1), "^seed must be >= 0, got -1"),
         ],
     )
     def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, kwargs, message):
@@ -470,19 +471,42 @@ class TestTheoremBattery:
         """Flipout with no sign masks, or with one sign pattern for the whole
         batch, is shared sampling: every example sees the same perturbation.
         (Either mask alone decorrelates identical inputs: E[s_i s_j] = 0.)"""
-        def masked(mode, rng, n, batch, r):
-            draws = branch_draws(mode, rng, n, batch, r)
+        def masked(mode, rng, n, batch, r, count=None):
+            draws = branch_draws(mode, rng, n, batch, r, count)
             if mode != "flipout":
                 return draws
             s, t, e = draws
             if drop == "both":
                 return np.ones_like(s), np.ones_like(t), e
-            return np.repeat(s[:, :1], batch, axis=1), np.repeat(t[:1], batch, axis=0), e
+            return np.repeat(s[..., :1], batch, axis=-1), np.repeat(t[..., :1, :], batch, axis=-2), e
 
         monkeypatch.setattr(suite, "branch_draws", masked)
         corr, _ = suite._flipout_checks(10_000, 1)
         assert corr.name == "flipout-decorrelation"
         assert corr.status == "fail", corr.margin
+
+    def test_flipout_checks_draw_in_stacks(self, monkeypatch):
+        """The oracle asks branch_draws for one stack per chunk and mode, not
+        for one draw at a time."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return branch_draws(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "branch_draws", counted)
+        suite._flipout_checks(10_000, 1)
+        assert 0 < len(calls) <= 2 * math.ceil(10_000 / suite._FLIPOUT_CHUNK)
+
+    @pytest.mark.parametrize("m, n, r", [(4, 3, 2), (5, 4, 3), (12, 10, 7), (3, 3, 1), (40, 30, 17)])
+    def test_full_weight_draws_match_the_einsum_reference(self, m, n, r):
+        """The ordered outer-product sum gives the bytes of the einsum it replaced."""
+        adapter = suite._random_adapter(m, n, r, np.random.default_rng(m * 100 + n * 10 + r))
+        flat = suite.sample_full_weights(adapter, 500, np.random.default_rng(r))
+        eps = np.random.default_rng(r).standard_normal(size=(500, r, n))
+        a = adapter.mean_a + adapter.omega() * eps
+        w = adapter.w0[None, :, :] + np.einsum("ij,njk->nik", adapter.b, a)
+        np.testing.assert_array_equal(flat, w.transpose(0, 2, 1).reshape(500, -1))
 
     def test_race_ordering_reported(self):
         report = verify_theorems(n_draws=2_000, flipout_draws=500, seed=1)
