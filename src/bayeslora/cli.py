@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -243,7 +244,15 @@ def _bounded(floor: int | float):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Each subcommand's ``func`` default binds its ``_cmd_*`` function at that
+    first build, so rebinding a ``_cmd_*`` name afterwards does not reach
+    ``main``.  ``parse_args`` keeps no state between calls: every call fills a
+    fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="bayeslora",
         description="Bayesian low-rank adapter benchmark harness.",

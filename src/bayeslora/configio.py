@@ -2,8 +2,10 @@
 
 ``_LAYOUT`` maps every key to its configuration field; the example config
 written by ``write_example_config`` carries each key with its default, and
-CLI flags override file values.  A value that does not convert or is out
-of range raises a ``ValueError`` naming its ``section.key``.
+CLI flags override file values.  Values are read raw, so a ``%`` is a
+literal character.  A value that does not convert or is out of range raises
+a ``ValueError`` naming its ``section.key``; a file that is not INI raises
+one naming the file and the line.
 """
 
 from __future__ import annotations
@@ -90,30 +92,51 @@ def _parse(key: str, raw: str, default):
     return (_bool if isinstance(default, bool) else type(default))(raw)
 
 
+def _syntax_error(path: str, exc: configparser.Error) -> ValueError:
+    """``exc``, raised while reading the INI syntax of ``path``, as a
+    ValueError naming the file and the line."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        line, reason = exc.lineno, f"key {exc.option!r} repeats in section [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        line, reason = exc.lineno, f"section [{exc.section}] repeats"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        line, reason = exc.lineno, f"{exc.line.strip()!r} comes before any [section] header"
+    elif isinstance(exc, configparser.ParsingError):
+        line, reason = exc.errors[0][0], "not a [section] header, a key = value line or a continuation"
+    else:
+        return ValueError(f"{path}: {exc}")
+    return ValueError(f"{path}, line {line}: {reason}")
+
+
 def load_config(path: str) -> SuiteConfig:
     """Config from an INI file; absent, empty and 'auto' values keep their default.
 
-    Keys apply one at a time, in file order, so a value that fails a range
+    Keys apply one at a time, in file order, each by one validated
+    ``replace`` of the object that owns it, so a value that fails a range
     check raises a ValueError naming its ``section.key``.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    default = cfg = SuiteConfig()
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise _syntax_error(path, exc) from None
+    default = SuiteConfig()
+    # Owner "" is the SuiteConfig itself; the nested owners join it once, at the end.
+    owners = {"": default, "task": default.task, "train": default.train, "baseline": default.baseline}
     for section, keys in _LAYOUT.items():
+        values = dict(parser.items(section)) if parser.has_section(section) else {}
         for key, owner, name in keys:
-            raw = parser.get(section, key, fallback="").strip()
+            raw = values.get(key, "").strip()
             if raw in ("", "auto"):
                 continue
             try:
                 value = _parse(key, raw, getattr(getattr(default, owner, default), name))
-                if owner:
-                    cfg = replace(cfg, **{owner: replace(getattr(cfg, owner), **{name: value})})
-                else:
-                    cfg = replace(cfg, **{name: value})
+                owners[owner] = replace(owners[owner], **{name: value})
             except ValueError as exc:
                 raise ValueError(f"{section}.{key}: {exc}") from None
-    return cfg
+    cfg = owners.pop("")
+    return replace(cfg, **owners)
 
 
 def _text(value) -> str:

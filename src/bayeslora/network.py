@@ -407,14 +407,14 @@ def _fmt(a: np.ndarray) -> str:
 def _parse(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Hex-float payload of field ``name`` as a finite array of ``shape``."""
     try:
-        values = [float.fromhex(tok) for tok in text.split()]
+        values = list(map(float.fromhex, text.split()))
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
-    expected = int(np.prod(shape))
+    expected = math.prod(shape)
     if len(values) != expected:
         raise ValueError(f"{name}: expected {expected} entries, got {len(values)}")
     out = np.array(values, dtype=np.float64).reshape(shape)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name}: non-finite entry")
     return out
 

@@ -3,13 +3,14 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bayeslora.baselines import SAMPLING_METHODS, BaselineSpec, derive_config
-from bayeslora.cli import _load_trained, main
+from bayeslora.cli import _load_trained, build_parser, main
 from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
 from bayeslora.adapter import branch_draws, branch_forward
@@ -277,6 +278,25 @@ class TestConfigIo:
         for raw, value in (("1", True), ("Yes", True), ("on", True), ("0", False), ("OFF", False)):
             path.write_text(f"[train]\nbayesianize_b = {raw}\n")
             assert load_config(str(path)).train.bayesianize_b is value
+
+    def test_percent_is_a_literal_character(self, tmp_path):
+        """Values are read raw: a % is no interpolation, just a bad number."""
+        path = tmp_path / "pct.ini"
+        path.write_text("[task]\nnoise_scale = 1.25%\n")
+        with pytest.raises(ValueError, match="^task.noise_scale: .*'1.25%'"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("[task]\nn_train = 50\n\n[task]\nn_test = 40\n", 4, "section \\[task\\] repeats"),
+        ("[task]\nn_train = 50\nn_train = 60\n", 3, "key 'n_train' repeats in section \\[task\\]"),
+        ("n_train = 50\n[task]\n", 1, "'n_train = 50' comes before any \\[section\\] header"),
+        ("[task]\nn_train = 50\n= 60\n", 3, "not a \\[section\\] header"),
+    ], ids=["repeated-section", "repeated-key", "no-section-header", "no-key"])
+    def test_ini_syntax_error_names_the_file_and_line(self, tmp_path, text, line, reason):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: {reason}"):
+            load_config(str(path))
 
 
 class TestSuite:
@@ -574,6 +594,28 @@ class TestCliCommands:
         rows = [line.split(",") for line in results]
         row = next(r for r in rows if r[:3] == ["blob", "3", "5"])
         assert [float(v) for v in row[5:8]] == [report["acc"], report["ece"], report["nll"]]
+
+    def test_reused_parser_leaks_no_flags_between_calls(self, tiny_config, tmp_path):
+        """An eval after one with --seed, --shift and --n-samples writes what
+        the same eval writes as the process's first call."""
+        model = str(tmp_path / "model")
+        main(["train", "--config", tiny_config, "--method", "blob", "--out-dir", model])
+        plain = ["eval", "--config", tiny_config, "--model-dir", model, "--out-dir", str(tmp_path / "eval")]
+        build_parser.cache_clear()
+        main(plain)
+        first = _read(tmp_path / "eval" / "report.json")
+        main(plain + ["--seed", "3", "--shift", "large", "--n-samples", "5"])
+        assert _read(tmp_path / "eval" / "report.json") != first
+        main(plain)
+        assert _read(tmp_path / "eval" / "report.json") == first
+
+    def test_reused_parser_still_exits_2_on_a_usage_error(self, tmp_path, capsys):
+        assert main(["write-config", "--out-dir", str(tmp_path)]) == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-theorems", "--r", "9"])
+            assert exc.value.code == 2
+            assert "argument --r: r must satisfy" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "mutate, field",

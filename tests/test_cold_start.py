@@ -5,7 +5,8 @@ import time of ``bayeslora.cli``.  Only the dense oracle (``kl.solve_psd``,
 ``scipy.linalg``) and the softplus derivative (``parammaps.map_derivative``,
 ``scipy.special``) need it, and each imports its submodule on first use.
 The probes run in fresh interpreters, because the test process has long
-since loaded SciPy.
+since loaded SciPy.  The import builds no argparse parser either: ``main``
+builds it on its first call.
 """
 
 import os
@@ -41,6 +42,7 @@ def loaded():
 
 import bayeslora.cli
 assert loaded() == [], f"import bayeslora.cli loaded {loaded()}"
+assert bayeslora.cli.build_parser.cache_info().currsize == 0, "import bayeslora.cli built the parser"
 
 work = Path(sys.argv[1])
 config = str(work / "tiny.ini")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -152,9 +153,32 @@ class TestEce:
         occupied = [b for b in report.bins if b.count]
         assert occupied[0].upper == pytest.approx(9.0 / 15.0)
 
-    def test_row_sums_validated(self):
-        with pytest.raises(ValueError):
-            ece(np.array([[0.7, 0.2]]), np.array([0]))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bins_match_the_masked_reference(self, seed):
+        """Each bin holds the examples whose confidence lies in (lower, upper]
+        (the first bin takes 0 too) and the means of exactly those, bit for bit."""
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(3), size=500)
+        probs[::7] = [0.2, 0.4, 0.4]  # a tie, on the edge of a bin
+        labels = rng.integers(0, 3, size=500)
+        report = ece(probs, labels)
+        confidence = probs.max(axis=1)
+        correct = (probs.argmax(axis=1) == labels).astype(np.float64)
+        for b in report.bins:
+            mask = (confidence <= b.upper) & ((confidence > b.lower) | (b.lower == 0.0))
+            assert b.count == mask.sum()
+            if b.count:
+                assert (b.mean_conf, b.mean_acc) == (confidence[mask].mean(), correct[mask].mean())
+
+    @pytest.mark.parametrize("row", [[0.7, 0.2], [0.5, 0.5 + 5e-6], [np.nan, 1.0]],
+                             ids=["short", "off-by-5e-6", "nan"])
+    def test_row_sums_validated(self, row):
+        """Rows must sum to 1 within an absolute 1e-9, with no relative slack."""
+        with pytest.raises(ValueError, match="sum to 1 within 1e-9"):
+            ece(np.array([row]), np.array([0]))
+
+    def test_row_sum_within_tolerance_accepted(self):
+        assert ece(np.array([[0.5, 0.5 + 5e-10]]), np.array([0])).n == 1
 
     def test_labels_validated(self):
         with pytest.raises(ValueError):
@@ -170,6 +194,16 @@ class TestSerialization:
         assert payload["ece"] == report.ece
         assert payload["nll"] == report.nll
         assert len(payload["bins"]) == 15
+
+    def test_encoders_match_the_dataclass_reference(self, tmp_path):
+        """report.json and bins.csv hold exactly what asdict and astuple give."""
+        rng = np.random.default_rng(0)
+        report = ece(rng.dirichlet(np.ones(3), size=200), rng.integers(0, 3, size=200))
+        assert report_to_json(report) == json.dumps(asdict(report), sort_keys=True, indent=2)
+        path = tmp_path / "bins.csv"
+        write_bins_csv(report, str(path))
+        rows = [",".join(map(repr, astuple(b))) for b in report.bins]
+        assert path.read_text().splitlines()[1:] == rows
 
     def test_bins_csv(self, tmp_path):
         probs = np.array([[0.6, 0.4], [0.2, 0.8]])
