@@ -24,6 +24,8 @@ A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
 ``branch_draws`` is the one rule for what each mode draws.  The network
 trains through these ops unchecked; ``forward_mean``,
 ``forward_naive_shared`` and ``forward_flipout`` are checked one-layer passes.
+``forward_naive_shared`` at input I_n on a stack of noise also gives the
+oracle battery its draws of the full weight w0 + b a.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def _check_input(adapter: VariationalAdapter, h: np.ndarray) -> None:
 
 
 def _check_noise(adapter: VariationalAdapter, noise: np.ndarray) -> None:
-    if noise.shape != adapter.mean_a.shape:
+    if noise.shape[-2:] != adapter.mean_a.shape:
         raise ShapeError(f"noise must be {adapter.mean_a.shape}, got {noise.shape}")
 
 
@@ -234,7 +236,8 @@ def forward_flipout(adapter: VariationalAdapter, h: np.ndarray, draws: tuple) ->
 
 
 def forward_naive_shared(adapter: VariationalAdapter, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Stochastic pass where one sampled ``a`` is shared by the whole batch."""
+    """Stochastic pass where one sampled ``a`` is shared by the whole batch;
+    noise stacked along leading axes gives one pass per noise."""
     _check_input(adapter, h)
     _check_noise(adapter, noise)
     c = branch_forward("shared", adapter.mean_a, adapter.omega(), h, (noise,))

@@ -106,8 +106,8 @@ class BaselineSpec:
             raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
-        if self.n_members < 1:
-            raise ValueError("n_members must be >= 1")
+        if type(self.n_members) is not int or self.n_members < 1:
+            raise ValueError(f"n_members must be an integer >= 1, got {self.n_members!r}")
 
 
 @dataclass

@@ -133,11 +133,14 @@ def _load_trained(model_dir: str) -> tuple[BaselineModel, int]:
         and all(isinstance(f, str) and f not in ("", ".", "..") and os.path.basename(f) == f for f in files)
     ):
         raise ValueError("model.json model_files: must be a non-empty list of plain file names")
-    if not (_is_number(manifest["n_members"]) and manifest["n_members"] == len(files)):
-        raise ValueError(f"model.json n_members: must equal the {len(files)} model_files")
+    if not (type(manifest["n_members"]) is int and manifest["n_members"] == len(files)):
+        raise ValueError(f"model.json n_members: must be the integer {len(files)}, the number of model_files")
     if not (isinstance(params, dict) and sorted(params) == _SPEC_KEYS and all(map(_is_number, params.values()))):
         raise ValueError(f"model.json baseline: must map exactly {_SPEC_KEYS} to numbers")
-    spec = BaselineSpec(kind=method, **params)
+    try:
+        spec = BaselineSpec(kind=method, **params)
+    except ValueError as exc:
+        raise ValueError(f"model.json baseline: {exc}") from None
     if member_count(spec) != len(files):
         raise ValueError(
             f"model.json n_members: {method} trains {member_count(spec)} member(s), not {len(files)}"

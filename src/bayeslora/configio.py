@@ -109,7 +109,7 @@ def _syntax_error(path: str, exc: configparser.Error) -> ValueError:
 
 
 def load_config(path: str) -> SuiteConfig:
-    """Config from an INI file; absent, empty and 'auto' values keep their default.
+    """Config from an INI file; absent and empty values keep their default.
 
     Keys apply one at a time, in file order, each by one validated
     ``replace`` of the object that owns it, so a value that fails a range
@@ -128,7 +128,7 @@ def load_config(path: str) -> SuiteConfig:
         values = dict(parser.items(section)) if parser.has_section(section) else {}
         for key, owner, name in keys:
             raw = values.get(key, "").strip()
-            if raw in ("", "auto"):
+            if not raw:
                 continue
             try:
                 value = _parse(key, raw, getattr(getattr(default, owner, default), name))
@@ -152,7 +152,7 @@ def write_example_config(path: str) -> None:
     cfg = SuiteConfig()
     lines = [
         "# bayeslora benchmark configuration (flat key = value, INI sections).",
-        "# CLI flags override file values; 'auto' keeps the default.",
+        "# CLI flags override file values.",
     ]
     for section, keys in _LAYOUT.items():
         lines += ["", f"[{section}]"]

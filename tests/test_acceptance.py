@@ -42,7 +42,7 @@ def test_criterion_01_full_weight_kl_equivalence():
         r = int(rng.integers(1, min(m, n)))
         sigma_p = 0.2 if trial % 2 == 0 else 1.0
         adapter = _random_adapter(m, n, r, rng)
-        checks = _kl_equivalence_check(adapter, sigma_p, degenerate_b=False)
+        checks = _kl_equivalence_check(adapter, sigma_p)
         names = [check.name for check in checks]
         assert names == ["full-weight-kl-equivalence", "prior-factor-choice-invariance"], names
         for check in checks:

@@ -278,6 +278,24 @@ class TestNaiveShared:
             forward_naive_shared(ad, h, np.zeros((ad.rank, ad.n))), forward_mean(ad, h)
         )
 
+    @pytest.mark.parametrize("m, n, r", [(4, 3, 2), (12, 10, 7)])
+    def test_stacked_noise_gives_the_per_draw_passes_bit_for_bit(self, m, n, r):
+        """A (d, r, n) noise stack gives, slice by slice, the bytes of each
+        noise's own pass (the posterior-moment oracle draws through it)."""
+        ad = _random_adapter(m=m, n=n, r=r, seed=m + n + r)
+        for h in (np.random.default_rng(31).normal(size=(n, 5)), np.eye(n)):
+            noise = np.random.default_rng(32).standard_normal(size=(6, r, n))
+            out = forward_naive_shared(ad, h, noise)
+            assert out.shape == (6, m, h.shape[1])
+            for d in range(6):
+                assert out[d].tobytes() == forward_naive_shared(ad, h, noise[d]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 2), (6, 4, 2), (6, 2, 5), (4,), (2, 4, 1)])
+    def test_wrong_trailing_noise_shape_rejected(self, shape):
+        ad = _random_adapter()  # noise must end in (2, 4)
+        with pytest.raises(ShapeError, match=r"^noise must be \(2, 4\)"):
+            forward_naive_shared(ad, np.ones((ad.n, 3)), np.zeros(shape))
+
     def test_decorrelation_at_full_draw_count(self):
         """At 1e5 draws with identical inputs, cross-example perturbation
         correlation is <= 0.05 under flipout and >= 0.5 under shared noise."""

@@ -34,6 +34,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BaselineSpec("laplace")
 
+    @pytest.mark.parametrize("n_members", [2.5, 3.0, True, 0, -1])
+    def test_member_count_is_an_integer_of_at_least_one(self, n_members):
+        with pytest.raises(ValueError, match=r"^n_members must be an integer >= 1, got "):
+            BaselineSpec("ens", n_members=n_members)
+
 
 class TestConfigDerivation:
     def test_bbb_differs_in_exactly_three_fields(self):

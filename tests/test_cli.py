@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from bayeslora.baselines import SAMPLING_METHODS, BaselineSpec, derive_config
-from bayeslora.cli import _load_trained, build_parser, main
+from bayeslora.cli import ENV_OUT_DIR, _load_trained, build_parser, main
 from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
-from bayeslora.adapter import branch_draws, branch_forward
+from bayeslora.adapter import branch_draws, branch_forward, forward_naive_shared
 from bayeslora.kl import build_full_posterior
 from bayeslora.suite import (
     run_suite,
@@ -56,6 +56,9 @@ GOLDEN_FILES_SHA256 = {
     "race/race_square.csv": "dc205eea0e24d0fd5138ef1e516fcb344d218557ff79c489a46231305c55479f",
     "theorems/theorems.json": "e129a900c53e6153b669db5bf353ea8fc780f94c082b2ccdbef23694f9e538ec",
 }
+
+# sha256 of the stdout of `verify-theorems` at its CLI defaults.
+VERIFY_DEFAULTS_STDOUT_SHA256 = "2656cb2fb60bc0a3f7dd52c4ae2df2be9dcd336f78259807b5e0dc5e3f8ae777"
 
 # sha256 of train's model-k.txt and trajectory-k.csv on TINY_INI for the
 # training paths the goldens above miss: (method, extra [train] lines,
@@ -204,6 +207,12 @@ class TestConfigIo:
             ("schedule.gamma", "wide"),
             ("suite.seeds", "0,x"),
             ("suite.methods", "mle,blub"),
+            # No key has a computed default: 'auto' is one more bad value.
+            ("train.steps", "auto"),
+            ("train.sigma_p", "auto"),
+            ("schedule.mode", "auto"),
+            ("suite.seeds", "auto"),
+            ("baselines.n_members", "auto"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, field, value):
@@ -435,10 +444,11 @@ class TestTheoremBattery:
 
     def test_dense_oracle_guard(self, monkeypatch):
         """The full-weight guard of build_full_posterior stops the battery before any draw."""
-        def no_draws(*args):
+        def no_draws(*args, **kwargs):
             raise AssertionError("weights were drawn before the guard ran")
 
         monkeypatch.setattr(suite, "sample_full_weights", no_draws)
+        monkeypatch.setattr(suite, "branch_draws", no_draws)
         with pytest.raises(ValueError, match="exceeds guard 4096"):
             verify_theorems(m=70, n=70)
 
@@ -520,13 +530,36 @@ class TestTheoremBattery:
 
     @pytest.mark.parametrize("m, n, r", [(4, 3, 2), (5, 4, 3), (12, 10, 7), (3, 3, 1), (40, 30, 17)])
     def test_full_weight_draws_match_the_einsum_reference(self, m, n, r):
-        """The ordered outer-product sum gives the bytes of the einsum it replaced."""
+        """The draws through the shared-mode op are vec(w0 + b a) of the same
+        noise, up to the rounding of b @ a."""
         adapter = suite._random_adapter(m, n, r, np.random.default_rng(m * 100 + n * 10 + r))
         flat = suite.sample_full_weights(adapter, 500, np.random.default_rng(r))
         eps = np.random.default_rng(r).standard_normal(size=(500, r, n))
         a = adapter.mean_a + adapter.omega() * eps
         w = adapter.w0[None, :, :] + np.einsum("ij,njk->nik", adapter.b, a)
-        np.testing.assert_array_equal(flat, w.transpose(0, 2, 1).reshape(500, -1))
+        reference = w.transpose(0, 2, 1).reshape(500, -1)
+        np.testing.assert_allclose(flat, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_moment_check_draws_the_training_stream(self, seed):
+        """The moment check takes one stacked shared-mode draw of training's
+        branch_draws from the generator, and nothing more."""
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        adapter = suite._random_adapter(4, 3, 2, rng)
+        suite._random_adapter(4, 3, 2, twin)
+        suite._posterior_moment_check(adapter, 2_000, rng)
+        branch_draws("shared", twin, adapter.n, adapter.n, adapter.rank, count=2_000)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_covariance_check_reads_the_training_op(self, monkeypatch):
+        """Noise scaled by 1.01 inside the shared-mode op puts every draw's
+        covariance about 2 % off the closed form: the check sees the op."""
+        monkeypatch.setattr(
+            suite, "forward_naive_shared", lambda ad, h, noise: forward_naive_shared(ad, h, 1.01 * noise)
+        )
+        report = verify_theorems(seed=0)
+        cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
+        assert cov.status == "fail", cov.margin
 
     def test_race_ordering_reported(self):
         report = verify_theorems(n_draws=2_000, flipout_draws=500, seed=1)
@@ -631,6 +664,14 @@ class TestCliCommands:
             pytest.param(lambda m: m.update(model_files=["../model-0.txt"]), "model.json model_files",
                          id="file-outside-dir"),
             pytest.param(lambda m: m.update(n_members=5), "model.json n_members", id="count-vs-files"),
+            pytest.param(lambda m: m.update(n_members=1.0), "model.json n_members", id="float-count"),
+            pytest.param(lambda m: m.update(n_members=True), "model.json n_members", id="bool-count"),
+            pytest.param(lambda m: m["baseline"].update(n_members=2.5), "model.json baseline: n_members",
+                         id="fractional-spec-count"),
+            pytest.param(lambda m: m["baseline"].update(n_members=0), "model.json baseline: n_members",
+                         id="zero-spec-count"),
+            pytest.param(lambda m: m["baseline"].update(dropout_p=1.5), "model.json baseline: dropout_p",
+                         id="spec-out-of-range"),
             pytest.param(lambda m: m.update(baseline={}), "model.json baseline", id="empty-baseline"),
             pytest.param(lambda m: m.update(method="ens"), "model.json n_members", id="count-vs-method"),
         ],
@@ -680,6 +721,17 @@ class TestCliCommands:
         # Every check scales its limit with the draw count, so honest draws
         # pass at reduced counts too (the old 5 % variance rule read 0.076 here).
         assert code == 0, captured.out
+
+    def test_verify_theorems_cli_defaults_pass_with_recorded_bytes(self, monkeypatch, capsys):
+        """The bench's verify workload runs the battery at the CLI defaults and
+        wants 7 lines that all read PASS; its stdout is pinned as recorded, so
+        a check added, renamed or moved shows here first."""
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        assert main(["verify-theorems"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert len(lines) == 7 and all(line.startswith("PASS") for line in lines), lines
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DEFAULTS_STDOUT_SHA256
 
     def test_verify_theorems_degenerate_b_no_crash(self, capsys):
         # The degenerate b must be reported, not crash.
