@@ -73,7 +73,6 @@ _DETERMINISTIC = dict(
     param_map=ParamMap.SQUARE,
     weight_decay=0.0,
     dropout_p=0.0,
-    bayesianize_b=False,
 )
 
 METHOD_TABLE: dict[str, Method] = {

@@ -3,9 +3,9 @@
 ``_LAYOUT`` maps every key to its configuration field; the example config
 written by ``write_example_config`` carries each key with its default, and
 CLI flags override file values.  Values are read raw, so a ``%`` is a
-literal character.  A value that does not convert or is out of range raises
-a ``ValueError`` naming its ``section.key``; a file that is not INI raises
-one naming the file and the line.
+literal character.  A value that is empty, does not convert or is out of
+range raises a ``ValueError`` naming its ``section.key``; a file that is not
+INI raises one naming the file and the line.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ _LAYOUT = {
 }
 
 
-def _bool(raw: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if raw.lower() not in states:
-        raise ValueError(f"expected one of {'/'.join(states)}, got {raw!r}")
-    return states[raw.lower()]
-
-
 def _method(name: str) -> str:
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}, expected one of {METHODS}")
@@ -89,7 +82,7 @@ def _parse(key: str, raw: str, default):
     if isinstance(default, tuple):
         conv = _method if key == "methods" else int
         return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
-    return (_bool if isinstance(default, bool) else type(default))(raw)
+    return type(default)(raw)
 
 
 def _syntax_error(path: str, exc: configparser.Error) -> ValueError:
@@ -109,7 +102,8 @@ def _syntax_error(path: str, exc: configparser.Error) -> ValueError:
 
 
 def load_config(path: str) -> SuiteConfig:
-    """Config from an INI file; absent and empty values keep their default.
+    """Config from an INI file; absent keys keep their default, and an empty
+    value is a bad value like any other.
 
     Keys apply one at a time, in file order, each by one validated
     ``replace`` of the object that owns it, so a value that fails a range
@@ -127,11 +121,10 @@ def load_config(path: str) -> SuiteConfig:
     for section, keys in _LAYOUT.items():
         values = dict(parser.items(section)) if parser.has_section(section) else {}
         for key, owner, name in keys:
-            raw = values.get(key, "").strip()
-            if not raw:
+            if key not in values:
                 continue
             try:
-                value = _parse(key, raw, getattr(getattr(default, owner, default), name))
+                value = _parse(key, values[key].strip(), getattr(getattr(default, owner, default), name))
                 owners[owner] = replace(owners[owner], **{name: value})
             except ValueError as exc:
                 raise ValueError(f"{section}.{key}: {exc}") from None
@@ -140,8 +133,6 @@ def load_config(path: str) -> SuiteConfig:
 
 
 def _text(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(getattr(value, "value", value))

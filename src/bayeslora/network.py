@@ -3,14 +3,15 @@
 The network is a desk-scale stand-in for a large pre-trained model: a few
 dense tanh layers whose weights are randomly initialized and then frozen,
 each carrying a low-rank adapter, followed by a softmax classification
-head.  Only the adapter parameters (b, mean_a, g), optionally a
-Bayesianized b, and the head receive gradients.
+head.  Only the adapter parameters (b, mean_a, g) and the head receive
+gradients.  Each adapter carries one Gaussian factor, over its a-factor:
+mean mean_a and std omega = map(g); b stays deterministic.
 
 Gradients are reverse-mode and written out explicitly: each layer's
 adapter branch runs ``adapter.branch_forward``/``branch_backward`` and
 the KL is ``kl.gaussian_kl``'s closed form, while this module chains them
-through dropout, the Bayesianized b, tanh and omega = map(g); the test
-suite pins every path against central finite differences.
+through dropout, tanh and omega = map(g); the test suite pins every path
+against central finite differences.
 
 ``SmallNet`` owns the flat layout of its trainable arrays: ``pack`` moves
 them into one vector, ``net_backward`` returns a vector in that layout,
@@ -60,6 +61,10 @@ __all__ = [
 _MODEL_MAGIC = "bayeslora-model"
 _MODEL_VERSION = 1
 _META_KEYS = ("b_std_scale", "dropout_p", "head_trainable", "n_layers", "param_map")
+# The file format keeps two fields of a retired variant that also gave b a
+# Gaussian factor: the meta b_std_scale, always this value, and a per-layer
+# g_b flag, always 0.
+_B_STD_SCALE = (100.0).hex()
 
 
 class NonFiniteLossError(ValueError):
@@ -76,13 +81,10 @@ class AdapterLayer:
 
     adapter: VariationalAdapter
     bias: np.ndarray                 # (m,) frozen
-    g_b: np.ndarray | None = None    # (m, r) std parameter for b, only when b is Bayesianized
 
     def __post_init__(self) -> None:
         if self.bias.shape != (*self.adapter.w0.shape[:-2], self.adapter.m):
             raise ShapeError(f"bias must be ({self.adapter.m},), got {self.bias.shape}")
-        if self.g_b is not None and self.g_b.shape != self.adapter.b.shape:
-            raise ShapeError(f"g_b must match b shape {self.adapter.b.shape}")
 
 
 @dataclass
@@ -93,7 +95,6 @@ class SmallNet:
     param_map: ParamMap = ParamMap.SQUARE
     dropout_p: float = 0.0
     head_trainable: bool = True
-    b_std_scale: float = 100.0       # omega_b = g_b^2 / b_std_scale in the no-AB variant
 
     @property
     def input_dim(self) -> int:
@@ -110,21 +111,12 @@ class SmallNet:
 
     def _param_slots(self) -> list[tuple[str, object, str]]:
         """(key, owner, attribute name) of every trainable array: the head,
-        every b (Bayesianized last), every mean_a, every g, every g_b.  So the
-        KL means and then the KL stds form one run that ends the layout,
-        ``kl_span``, and under mean-mode sampling, where the g_b are the only
-        arrays without a likelihood gradient, the arrays with one lead."""
+        every b, every mean_a, every g.  So the KL means and then the KL stds
+        form one run that ends the layout, ``kl_span``."""
         slots = [("head.w", self, "head_w"), ("head.b", self, "head_b")] if self.head_trainable else []
-        slots += [(f"layers.{i}.b", self.layers[i].adapter, "b") for i in self._b_order]
-        for name in ("mean_a", "g"):
+        for name in ("b", "mean_a", "g"):
             slots += [(f"layers.{i}.{name}", layer.adapter, name) for i, layer in enumerate(self.layers)]
-        bayesianized = [(i, layer) for i, layer in enumerate(self.layers) if layer.g_b is not None]
-        return slots + [(f"layers.{i}.g_b", layer, "g_b") for i, layer in bayesianized]
-
-    @cached_property
-    def _b_order(self) -> list[int]:
-        """Layer indices in the layout order of the b arrays."""
-        return sorted(range(len(self.layers)), key=lambda i: self.layers[i].g_b is not None)
+        return slots
 
     @cached_property
     def _layout(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
@@ -155,23 +147,16 @@ class SmallNet:
 
     @cached_property
     def _kl_layout(self) -> tuple:
-        """(start, slots, g_start, n_g, factors): the KL span's offset in the
-        layout, its arrays' (owner, attribute), its stds' offset in it and how
-        many of those are g; per Gaussian factor in layer order (mean_a, then
-        a Bayesianized b), the layer, the mean slice in the span and the std
-        slice in the stds."""
-        n_kl = 2 * (len(self.layers) + sum(layer.g_b is not None for layer in self.layers))
+        """(start, slots, factors): the KL span's offset in the layout, its
+        arrays' (owner, attribute), and per layer the columns of its mean_a
+        in the span's first half, every mean_a.  Its g has the same shape,
+        so the same columns of the second half, every g, hold it."""
+        n_kl = 2 * len(self.layers)
         tail = self._layout[-n_kl:]
-        at = {key: (a - tail[0][1], b - tail[0][1]) for key, a, b, _ in tail}
-        g0 = at["layers.0.g"][0]
-        factors = []
-        for i, layer in enumerate(self.layers):
-            for mean, std in (("mean_a", "g"), ("b", "g_b"))[: 1 + (layer.g_b is not None)]:
-                (m0, m1), (s0, s1) = at[f"layers.{i}.{mean}"], at[f"layers.{i}.{std}"]
-                factors.append((i, slice(m0, m1), slice(s0 - g0, s1 - g0)))
+        start = tail[0][1]
+        factors = [slice(a - start, b - start) for _, a, b, _ in tail[: len(self.layers)]]
         slots = [(owner, attr) for _, owner, attr in self._param_slots()[-n_kl:]]
-        n_g = at[f"layers.{len(self.layers) - 1}.g"][1] - g0
-        return tail[0][1], slots, g0, n_g, factors
+        return start, slots, factors
 
     def pack(self) -> np.ndarray:
         """Copy the trainable arrays into one float64 vector and ``bind`` the
@@ -204,15 +189,14 @@ def stack_nets(nets: list[SmallNet]) -> tuple[SmallNet, np.ndarray]:
         return np.stack([get(net) for net in nets])
 
     layers = []
-    for i, layer in enumerate(first.layers):
+    for i in range(len(first.layers)):
         adapter = VariationalAdapter(**{
             f.name: stack(lambda net: getattr(net.layers[i].adapter, f.name)) for f in fields(VariationalAdapter)
         })
-        g_b = None if layer.g_b is None else stack(lambda net: net.layers[i].g_b)
-        layers.append(AdapterLayer(adapter, stack(lambda net: net.layers[i].bias), g_b))
+        layers.append(AdapterLayer(adapter, stack(lambda net: net.layers[i].bias)))
     stacked = SmallNet(
         layers, stack(lambda net: net.head_w), stack(lambda net: net.head_b), first.param_map,
-        first.dropout_p, first.head_trainable, first.b_std_scale,
+        first.dropout_p, first.head_trainable,
     )
     stacked.bind(params)
     return stacked, params
@@ -263,8 +247,6 @@ class _LayerCache:
     mode: str
     draws: tuple                     # branch_draws(mode, ...)
     c: np.ndarray
-    b_used: np.ndarray
-    e_b: np.ndarray | None
     h_out: np.ndarray
 
 
@@ -284,10 +266,10 @@ def net_forward(
     """One pass through the network; draws fresh noise/masks per call.
 
     mode is one of "mean", "flipout", "shared".  Per layer the draw order
-    is: dropout mask, then ``branch_draws`` for the mode, then the b-noise
-    when b is Bayesianized.  Dropout applies to the adapter-branch
-    input only; the frozen path always sees the raw activations.  A stacked
-    net takes a (members, n, batch) input, one batch per member.
+    is: dropout mask, then ``branch_draws`` for the mode.  Dropout applies
+    to the adapter-branch input only; the frozen path always sees the raw
+    activations.  A stacked net takes a (members, n, batch) input, one
+    batch per member.
     """
     if mode not in ("mean", "flipout", "shared"):
         raise ValueError(f"unknown forward mode {mode!r}")
@@ -315,17 +297,11 @@ def net_forward(
         draws = branch_draws(mode, rng, ad.n, batch, ad.rank)
         c = branch_forward(mode, ad.mean_a, omega, hd, draws)
 
-        e_b, b_used = None, ad.b
-        if layer.g_b is not None and mode != "mean":
-            omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
-            e_b = rng.standard_normal(size=ad.b.shape)
-            b_used = ad.b + omega_b * e_b
-
         z = ad.w0 @ h
-        z += b_used @ c
+        z += ad.b @ c
         z += layer.bias[..., None]
         h = np.tanh(z, out=z)
-        caches.append(_LayerCache(hd, drop_mask, omega, mode, draws, c, b_used, e_b, h))
+        caches.append(_LayerCache(hd, drop_mask, omega, mode, draws, c, h))
 
     logits = net.head_w @ h + net.head_b[..., None]
     return ForwardCache(layer_caches=caches, logits=logits)
@@ -333,10 +309,10 @@ def net_forward(
 
 def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of a scalar loss given d(loss)/d(logits), as
-    one vector in the net's flat layout (zero for g_b in mean mode); for a
-    stacked net, one row per member."""
+    one vector in the net's flat layout; for a stacked net, one row per
+    member."""
     n_layers = len(net.layers)
-    d_b, d_mean_a, d_g, d_g_b = ([None] * n_layers for _ in range(4))
+    d_b, d_mean_a, d_g = ([None] * n_layers for _ in range(3))
     dh = net.head_w.swapaxes(-1, -2) @ d_logits
     for i in reversed(range(n_layers)):
         layer, cache = net.layers[i], fwd.layer_caches[i]
@@ -344,11 +320,7 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
         dz = dh * (1.0 - cache.h_out * cache.h_out)
 
         d_b[i] = dz @ cache.c.swapaxes(-1, -2)
-        if layer.g_b is not None:  # zero in mean mode, which draws no b noise
-            d_g_b[i] = np.zeros(layer.g_b.shape) if cache.e_b is None else (
-                d_b[i] * cache.e_b * (2.0 * layer.g_b / net.b_std_scale))
-
-        dc = cache.b_used.swapaxes(-1, -2) @ dz
+        dc = ad.b.swapaxes(-1, -2) @ dz
         d_mean_a[i], d_omega, dhd = branch_backward(cache.mode, ad.mean_a, cache.omega, cache.hd, cache.draws, dc)
         # mean mode: an explicit zero, not 0 * map', which can be -0.0
         d_g[i] = np.zeros(ad.g.shape) if d_omega is None else d_omega * map_derivative(net.param_map, ad.g)
@@ -359,40 +331,36 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
             dh = ad.w0.swapaxes(-1, -2) @ dz + dhd
     h_out = fwd.layer_caches[-1].h_out
     head = [d_logits @ h_out.swapaxes(-1, -2), np.add.reduce(d_logits, axis=-1)] if net.head_trainable else []
-    d_b = [d_b[i] for i in net._b_order]
-    parts = head + d_b + d_mean_a + d_g + [d for d in d_g_b if d is not None]
+    parts = head + d_b + d_mean_a + d_g
     if not net.members:
         return np.concatenate(parts, axis=None)
     return np.concatenate([d.reshape(*net.members, -1) for d in parts], axis=-1)
 
 
 def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, np.ndarray]:
-    """Summed ``kl.gaussian_kl`` over every Bayesianized factor, (mean_a,
-    omega = map(g)) per adapter and (b, omega_b = g_b^2 / b_std_scale) per
-    Bayesianized b, with its gradient over the net's ``kl_span``.  One pass
-    over the span: the gradient is elementwise, and the value sums each
-    factor's reductions in layer order, bit for bit a per-factor loop.  A
-    stacked net gets one value and one gradient row per member."""
-    _, slots, g_start, n_g, factors = net._kl_layout
+    """Summed ``kl.gaussian_kl`` over every adapter's Gaussian factor,
+    (mean_a, omega = map(g)), with its gradient over the net's ``kl_span``.
+    One pass over the span: the gradient is elementwise, and the value sums
+    each factor's reductions in layer order, bit for bit a per-factor loop.
+    A stacked net gets one value and one gradient row per member."""
+    _, slots, factors = net._kl_layout
     lead = net.members
     span = np.concatenate([getattr(owner, attr).reshape(*lead, -1) for owner, attr in slots], axis=-1)
-    means, g, g_b = span[..., :g_start], span[..., g_start : g_start + n_g], span[..., g_start + n_g :]
+    half = span.shape[-1] // 2
+    means, g = span[..., :half], span[..., half:]
     omega, d_map = apply_map(net.param_map, g), map_derivative(net.param_map, g)
-    if g_b.size:
-        omega = np.concatenate((omega, (g_b * g_b) / net.b_std_scale), axis=-1)
-        d_map = np.concatenate((d_map, 2.0 * g_b / net.b_std_scale), axis=-1)
     if (omega <= 0.0).any():
-        layer = next(i for i, _, std in factors if (omega[..., std] <= 0.0).any())
+        layer = next(i for i, cols in enumerate(factors) if (omega[..., cols] <= 0.0).any())
         raise NonFiniteLossError("kl") from ValueError(f"layer {layer}: some omega entry is <= 0")
     sp2 = sigma_p * sigma_p
     grad = np.concatenate((means / sp2, (omega / sp2 - 1.0 / omega) * d_map), axis=-1)
     sq_means, sq_omega, log_omega, offset = means * means, omega * omega, np.log(omega), np.log(sigma_p) - 0.5
     value = 0.0
-    for _, mean, std in factors:
+    for cols in factors:
         value += (
-            (np.add.reduce(sq_means[..., mean], axis=-1) + np.add.reduce(sq_omega[..., std], axis=-1)) / (2.0 * sp2)
-            - np.add.reduce(log_omega[..., std], axis=-1)
-            + (std.stop - std.start) * offset
+            (np.add.reduce(sq_means[..., cols], axis=-1) + np.add.reduce(sq_omega[..., cols], axis=-1)) / (2.0 * sp2)
+            - np.add.reduce(log_omega[..., cols], axis=-1)
+            + (cols.stop - cols.start) * offset
         )
     value = _scalar(value)
     if not all_finite(value):
@@ -425,18 +393,15 @@ def save_net(net: SmallNet, path: str) -> None:
         "param_map": net.param_map.value,
         "dropout_p": float(net.dropout_p).hex(),
         "head_trainable": int(net.head_trainable),
-        "b_std_scale": float(net.b_std_scale).hex(),
+        "b_std_scale": _B_STD_SCALE,
         "n_layers": len(net.layers),
     }
     lines = [f"{_MODEL_MAGIC} {_MODEL_VERSION}", "meta " + json.dumps(meta, sort_keys=True)]
     for layer in net.layers:
         ad = layer.adapter
-        has_gb = int(layer.g_b is not None)
-        lines.append(f"layer {ad.m} {ad.n} {ad.rank} {has_gb}")
+        lines.append(f"layer {ad.m} {ad.n} {ad.rank} 0")
         lines += [f"{name} " + _fmt(getattr(ad, name)) for name in ("w0", "b", "mean_a", "g")]
         lines.append("bias " + _fmt(layer.bias))
-        if layer.g_b is not None:
-            lines.append("g_b " + _fmt(layer.g_b))
     c, h = net.head_w.shape
     lines.append(f"head {c} {h}")
     lines.append("w " + _fmt(net.head_w))
@@ -478,22 +443,22 @@ def load_net(path: str) -> SmallNet:
             raise ValueError(f"n_layers must be an integer >= 1, got {n_layers!r}")
         if type(head_trainable) is not int or head_trainable not in (0, 1):
             raise ValueError(f"head_trainable must be 0 or 1, got {head_trainable!r}")
-        dropout_p, b_std_scale = float.fromhex(meta["dropout_p"]), float.fromhex(meta["b_std_scale"])
+        dropout_p = float.fromhex(meta["dropout_p"])
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
-        if not 0.0 < b_std_scale < math.inf:
-            raise ValueError(f"b_std_scale must be positive and finite, got {b_std_scale}")
+        if meta["b_std_scale"] != _B_STD_SCALE:
+            raise ValueError(f"b_std_scale must be {_B_STD_SCALE!r}, got {meta['b_std_scale']!r}")
         options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p,
-                       head_trainable=bool(head_trainable), b_std_scale=b_std_scale)
+                       head_trainable=bool(head_trainable))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"meta: {exc}") from None
 
     layers: list[AdapterLayer] = []
     width = None
     for _ in range(n_layers):
-        m, n, r, has_gb = _dims(_next_field(lines, "layer"), 4, "layer")
-        if has_gb > 1:
-            raise ValueError(f"layer: the g_b flag must be 0 or 1, got {has_gb}")
+        m, n, r, g_b_flag = _dims(_next_field(lines, "layer"), 4, "layer")
+        if g_b_flag != 0:
+            raise ValueError(f"layer: the g_b flag must be 0, got {g_b_flag}")
         if width is not None and n != width:
             raise ValueError(f"layer: input width {n} does not match the previous layer's {width}")
         fields = {
@@ -501,8 +466,7 @@ def load_net(path: str) -> SmallNet:
             for name, shape in (("w0", (m, n)), ("b", (m, r)), ("mean_a", (r, n)), ("g", (r, n)))
         }
         bias = _parse(_next_field(lines, "bias"), (m,), "bias")
-        g_b = _parse(_next_field(lines, "g_b"), (m, r), "g_b") if has_gb else None
-        layers.append(AdapterLayer(adapter=VariationalAdapter(**fields), bias=bias, g_b=g_b))
+        layers.append(AdapterLayer(adapter=VariationalAdapter(**fields), bias=bias))
         width = m
     c, h = _dims(_next_field(lines, "head"), 2, "head")
     if h != width:

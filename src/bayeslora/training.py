@@ -7,14 +7,15 @@ One step draws a minibatch, runs K stochastic forward passes, assembles
 and applies two optimizers: an adaptive moment-based optimizer (AdamW
 style, linear warmup then linear decay) for the likelihood gradients of
 every trainable tensor, and plain gradient descent for the KL gradients
-of the variational parameters.  The split mirrors the two cost characters:
-the likelihood term is noisy and benefits from adaptivity, the KL term is
-deterministic and converges naturally under bare descent.  Both steps
-take whole vectors: AdamW the net's flat layout (``SmallNet.pack``),
-descent its KL span.  The members of one method, nets whose configs differ
-only in seed, train as one stacked program (``network.stack_nets``) when
-they draw no noise: each keeps its own batch stream, and the optimizers
-step the (members, layout) stack at once.
+of the variational parameters, each adapter's mean_a and g (its one
+Gaussian factor; b stays deterministic).  The split mirrors the two cost
+characters: the likelihood term is noisy and benefits from adaptivity,
+the KL term is deterministic and converges naturally under bare descent.
+Both steps take whole vectors: AdamW the net's whole flat layout
+(``SmallNet.pack``), descent its KL span.  The members of one method,
+nets whose configs differ only in seed, train as one stacked program
+(``network.stack_nets``) when they draw no noise: each keeps its own batch
+stream, and the optimizers step the (members, layout) stack at once.
 
 The KL weight follows a per-minibatch schedule, ascending (blob) or
 uniform (bbb), whose warm-up window M is a pseudo-rescaled epoch: the
@@ -97,8 +98,6 @@ class TrainConfig:
     sampling: str = "flipout"          # flipout | shared | none
     kl_mode: str = "blob_ascending"    # uniform | blob_ascending | off
     gamma: float = 8.0
-    bayesianize_b: bool = False
-    b_std_scale: float = 100.0
 
     def __post_init__(self) -> None:
         positive = {
@@ -106,7 +105,6 @@ class TrainConfig:
             "k_train_samples": self.k_train_samples,
             "lr_likelihood": self.lr_likelihood, "lr_kl": self.lr_kl,
             "batch_size": self.batch_size, "gamma": self.gamma,
-            "b_std_scale": self.b_std_scale,
         }
         for name, value in positive.items():
             if not 0 < value < math.inf:
@@ -207,10 +205,7 @@ def build_small_net(
         adapter.w0 = w0
         if zero_g:
             adapter.g = np.zeros_like(adapter.g)
-        g_b = None
-        if config.bayesianize_b:
-            g_b = rng.uniform(config.epsilon / math.sqrt(2.0), config.epsilon, size=(n_out, r_eff))
-        layers.append(AdapterLayer(adapter=adapter, bias=bias, g_b=g_b))
+        layers.append(AdapterLayer(adapter=adapter, bias=bias))
     head_w = rng.normal(0.0, 0.5 / math.sqrt(hidden[-1]), size=(n_classes, hidden[-1]))
     head_b = np.zeros(n_classes)
     return SmallNet(
@@ -220,7 +215,6 @@ def build_small_net(
         param_map=config.param_map,
         dropout_p=config.dropout_p,
         head_trainable=head_trainable,
-        b_std_scale=config.b_std_scale,
     )
 
 
@@ -400,11 +394,9 @@ def train(
     in one pass, bit for bit its own step.  Only members that draw no noise
     (sampling "none", no dropout) stack; others raise a ValueError.
 
-    AdamW steps the layout at once.  An array without a likelihood gradient
-    (only ``g_b`` under sampling "none") sits at the end of the layout,
-    outside the span AdamW steps, so it and its moments stay untouched.
-    Plain descent steps only the layout's tail ``SmallNet.kl_span``, which
-    holds exactly the arrays with a KL gradient.
+    AdamW steps the whole layout at once.  Plain descent steps only the
+    layout's tail ``SmallNet.kl_span``, which holds exactly the arrays with
+    a KL gradient.
     """
     x, y = dataset
     if x.shape[0] < 1:
@@ -425,9 +417,6 @@ def train(
     step_seeds = np.random.default_rng(streams[0][1]).integers(0, 2**63, size=config.steps).tolist()
 
     net, params = (nets[0], nets[0].pack()) if len(nets) == 1 else stack_nets(nets)
-    span = params.shape[-1]
-    if config.sampling == "none":
-        span -= sum(layer.g_b.size for layer in nets[0].layers if layer.g_b is not None)
     kl_params = params[..., net.kl_span]
     adam = AdamW(lr=config.lr_likelihood, weight_decay=config.weight_decay)
     sgd = Sgd(lr=config.lr_kl)
@@ -440,7 +429,7 @@ def train(
         except NonFiniteLossError as err:
             raise TrainingDivergedError(step, err.component) from err
         factor = lr_factor(step, config.steps, config.warmup_ratio)
-        adam.step(params[..., :span], result.likelihood_grad[..., :span], factor)
+        adam.step(params, result.likelihood_grad, factor)
         if result.kl_grad is not None:
             sgd.step(kl_params, weight * result.kl_grad, factor)
         if len(logs) == 1:

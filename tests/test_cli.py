@@ -72,16 +72,6 @@ GOLDEN_TRAIN_PATHS = {
         ("e7c25d34355866375270f518a63dd5bd3b17e4cbd034b578bac2ce7742f069cb",),
         ("28539054b39a6df07298604a4c6268459fead783fecab3774b6aaf3b44fff282",),
     ),
-    "bayesianize_b_flipout": (
-        "blob", "bayesianize_b = true",
-        ("0983ade105dddb9b5a6518442271ba3c2fa54c3ad8529802a9e501e48c5217c2",),
-        ("af7fbb53d6fafd1bb47ec8b86510295575f8af8b5b26adc6db76d44e9bb9eaf2",),
-    ),
-    "bayesianize_b_shared": (
-        "blob", "bayesianize_b = true\nsampling = shared",
-        ("af69f6e663c167f204899762f39d74826e2e00b8e63267889234ff67a8cc8824",),
-        ("3c8148ce39b48303a768ee250197ff8c0c5b0a37dda021d3c13a6e1b1f9f4f6d",),
-    ),
     "dropout_flipout": (
         "blob", "dropout_p = 0.1",
         ("662f0e81179e9b278cd9aae2efc9860b9f205234f9c6197ea93c18cc4f7d7afd",),
@@ -200,7 +190,6 @@ class TestConfigIo:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("train.bayesianize_b", "ture"),
             ("train.steps", "1e3"),
             ("train.sigma_p", "small"),
             ("train.param_map", "cube"),
@@ -213,6 +202,9 @@ class TestConfigIo:
             ("schedule.mode", "auto"),
             ("suite.seeds", "auto"),
             ("baselines.n_members", "auto"),
+            # An empty value is a bad value, not the default.
+            ("train.steps", ""),
+            ("suite.seeds", ""),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, field, value):
@@ -258,7 +250,6 @@ class TestConfigIo:
         (TrainConfig, "train", "lr_likelihood", "lr_likelihood"),
         (TrainConfig, "train", "lr_kl", "lr_kl"),
         (TrainConfig, "train", "weight_decay", "weight_decay"),
-        (TrainConfig, "train", "b_std_scale", "b_std_scale"),
         (TrainConfig, "schedule", "gamma", "gamma"),
         (TrainConfig, "train", "k_train_samples", "k_train_samples"),
         (TrainConfig, "train", "batch_size", "batch_size"),
@@ -281,12 +272,6 @@ class TestConfigIo:
         path = tmp_path / "net.ini"
         path.write_text("[net]\nhidden = 32,32\n")
         assert load_config(str(path)).hidden == (32, 32)
-
-    def test_boolean_spellings(self, tmp_path):
-        path = tmp_path / "bool.ini"
-        for raw, value in (("1", True), ("Yes", True), ("on", True), ("0", False), ("OFF", False)):
-            path.write_text(f"[train]\nbayesianize_b = {raw}\n")
-            assert load_config(str(path)).train.bayesianize_b is value
 
     def test_percent_is_a_literal_character(self, tmp_path):
         """Values are read raw: a % is no interpolation, just a bad number."""
@@ -831,9 +816,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_PATHS))
     def test_train_paths_match_golden(self, case, tmp_path, capsys):
-        """K > 1, a Bayesianized b under flipout and shared, dropout under
-        flipout, bbb and the ens members: each trained model and trajectory,
-        byte for byte."""
+        """K > 1, dropout under flipout, bbb and the ens members: each
+        trained model and trajectory, byte for byte."""
         method, extra, model_shas, trajectory_shas = GOLDEN_TRAIN_PATHS[case]
         ini = tmp_path / "tiny.ini"
         ini.write_text(TINY_INI.replace("[train]\n", f"[train]\n{extra}\n"))

@@ -27,8 +27,6 @@ def _randomized_net(config, hidden=(4,), input_dim=6, n_classes=3, rank=2, seed=
         layer.adapter.b[...] = rng.normal(0, 0.5, layer.adapter.b.shape)
         layer.adapter.mean_a[...] = rng.normal(0, 0.5, layer.adapter.mean_a.shape)
         layer.adapter.g[...] = rng.uniform(0.2, 0.8, layer.adapter.g.shape)
-        if layer.g_b is not None:
-            layer.g_b[...] = rng.uniform(0.2, 0.8, layer.g_b.shape)
     return net
 
 
@@ -155,9 +153,6 @@ class TestGradients:
     def test_with_dropout(self):
         _finite_difference_check(TrainConfig(seed=3, dropout_p=0.25), tol=5e-5)
 
-    def test_with_bayesianized_b(self):
-        _finite_difference_check(TrainConfig(seed=3, bayesianize_b=True))
-
     def test_two_hidden_layers(self):
         _finite_difference_check(TrainConfig(seed=3, k_train_samples=2), hidden=(5, 4))
 
@@ -184,7 +179,7 @@ class TestKlTerm:
 
     def test_gradient_covers_the_kl_span(self):
         """The gradient covers the layout's tail from the first mean_a; the
-        head and a non-Bayesianized b lie before it."""
+        head and every b lie before it."""
         config = TrainConfig(seed=6)
         net = _randomized_net(config, seed=6)
         value, grad = kl_term(net, config.sigma_p)
@@ -194,27 +189,14 @@ class TestKlTerm:
         assert grad.shape == (offsets["layers.0.g"].size * 2,)
         assert np.all(net.views(np.pad(grad, (net.kl_span.start, 0)))["layers.0.g"] != 0.0)
 
-    @pytest.mark.parametrize(
-        "with_g_b, keys",
-        [
-            ((False, False), ["head.w", "head.b", "layers.0.b", "layers.1.b", "layers.0.mean_a",
-                              "layers.1.mean_a", "layers.0.g", "layers.1.g"]),
-            ((True, True), ["head.w", "head.b", "layers.0.b", "layers.1.b", "layers.0.mean_a",
-                            "layers.1.mean_a", "layers.0.g", "layers.1.g", "layers.0.g_b", "layers.1.g_b"]),
-            ((True, False), ["head.w", "head.b", "layers.1.b", "layers.0.b", "layers.0.mean_a",
-                             "layers.1.mean_a", "layers.0.g", "layers.1.g", "layers.0.g_b"]),
-        ],
-    )
-    def test_layout_key_order(self, with_g_b, keys):
-        """Head, every b (Bayesianized last), every mean_a, every g, every
-        g_b: the KL span starts at the first KL mean and ends the layout."""
-        net = build_small_net(2, (5, 4), 2, 2, TrainConfig(seed=7, bayesianize_b=True))
-        for layer, keep in zip(net.layers, with_g_b):
-            layer.g_b = layer.g_b if keep else None
-        assert list(net.trainable_params()) == keys
-        first = "layers.0.b" if with_g_b[0] else "layers.1.b" if with_g_b[1] else "layers.0.mean_a"
+    def test_layout_key_order(self):
+        """Head, every b, every mean_a, every g: the KL span starts at the
+        first mean_a and ends the layout."""
+        net = build_small_net(2, (5, 4), 2, 2, TrainConfig(seed=7))
+        assert list(net.trainable_params()) == ["head.w", "head.b", "layers.0.b", "layers.1.b", "layers.0.mean_a",
+                                                "layers.1.mean_a", "layers.0.g", "layers.1.g"]
         offsets = net.views(np.arange(sum(p.size for p in net.trainable_params().values())))
-        assert net.kl_span.start == offsets[first].flat[0]
+        assert net.kl_span.start == offsets["layers.0.mean_a"].flat[0]
 
     def test_matches_closed_form_sum(self):
         from bayeslora.kl import PriorSpec, kl_closed_form
@@ -231,21 +213,19 @@ class TestKlTerm:
 
 class TestModelSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        config = TrainConfig(seed=12, dropout_p=0.1, bayesianize_b=True)
+        config = TrainConfig(seed=12, dropout_p=0.1)
         net = _randomized_net(config, hidden=(5, 4), seed=12)
         path = tmp_path / "model.txt"
         save_net(net, str(path))
         back = load_net(str(path))
         assert back.param_map is net.param_map
         assert back.dropout_p == net.dropout_p
-        assert back.b_std_scale == net.b_std_scale
         for a, b in zip(net.layers, back.layers):
             np.testing.assert_array_equal(a.adapter.w0, b.adapter.w0)
             np.testing.assert_array_equal(a.adapter.b, b.adapter.b)
             np.testing.assert_array_equal(a.adapter.mean_a, b.adapter.mean_a)
             np.testing.assert_array_equal(a.adapter.g, b.adapter.g)
             np.testing.assert_array_equal(a.bias, b.bias)
-            np.testing.assert_array_equal(a.g_b, b.g_b)
         np.testing.assert_array_equal(net.head_w, back.head_w)
         np.testing.assert_array_equal(net.head_b, back.head_b)
 
@@ -285,6 +265,9 @@ class TestModelSerialization:
                          "^meta: b_std_scale", id="negative-zero-b-std-scale"),
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", "inf")] + ls[2:],
                          "^meta: b_std_scale", id="infinite-b-std-scale"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", (50.0).hex())] + ls[2:],
+                         "^meta: b_std_scale", id="other-b-std-scale"),
+            pytest.param(lambda ls: _set_last_token(ls, "layer ", "1"), "^layer:", id="g_b-flag-1"),
             pytest.param(lambda ls: _set_last_token(ls, "layer ", "2"), "^layer:", id="g_b-flag-2"),
             pytest.param(lambda ls: _set_last_token(ls, "head ", "9"), "^head:",
                          id="head-width-mismatch"),
@@ -298,7 +281,7 @@ class TestModelSerialization:
         ],
     )
     def test_malformed_file_rejected_with_field_named(self, tmp_path, mutate, field):
-        net = _randomized_net(TrainConfig(seed=15, bayesianize_b=True), hidden=(5, 4), seed=15)
+        net = _randomized_net(TrainConfig(seed=15), hidden=(5, 4), seed=15)
         path = tmp_path / "model.txt"
         save_net(net, str(path))
         lines = path.read_text().splitlines()
@@ -312,7 +295,6 @@ class TestModelSerialization:
         naming the field the reader expected there: that line's tag, or for
         a duplicate the next line's."""
         net = build_small_net(input_dim=3, hidden=(4, 4), n_classes=2, rank=2, config=TrainConfig(seed=16))
-        net.layers[1] = replace(net.layers[1], g_b=np.full(net.layers[1].adapter.b.shape, 0.5))
         path = tmp_path / "model.txt"
         save_net(net, str(path))
         lines = path.read_text().splitlines()

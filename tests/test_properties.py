@@ -1,6 +1,7 @@
 """Property tests of the shared ops: the adapter branch op, the Gaussian KL
 and the network's one-pass KL, the KL weight schedule and the model file."""
 
+import functools
 import math
 import tempfile
 from dataclasses import replace
@@ -16,7 +17,7 @@ from bayeslora.adapter import VariationalAdapter, branch_backward, branch_forwar
 from bayeslora.kl import gaussian_kl
 from bayeslora.network import AdapterLayer, SmallNet, kl_term, load_net, save_net
 from bayeslora.parammaps import ParamMap, apply_map, map_derivative
-from bayeslora.training import TrainConfig, kl_weights, kl_window
+from bayeslora.training import TrainConfig, build_small_net, kl_weights, kl_window
 
 # Derandomized, so tier-1 runs the same examples every time.
 _settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -51,9 +52,9 @@ def _gaussians(draw):
 
 @st.composite
 def _nets(draw):
-    """A net of random widths and ranks, a g_b flag per layer, either std map,
-    any dropout and head flag, and entries anywhere in the finite float64
-    range (signed zeros and subnormals included)."""
+    """A net of random widths and ranks, either std map, any dropout and head
+    flag, and entries anywhere in the finite float64 range (signed zeros and
+    subnormals included)."""
     any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
     def array(*shape):
@@ -64,8 +65,7 @@ def _nets(draw):
     for n, m in zip(widths[:-1], widths[1:]):
         r = draw(st.integers(1, min(m, n) - 1))
         adapter = VariationalAdapter(w0=array(m, n), b=array(m, r), mean_a=array(r, n), g=array(r, n))
-        g_b = array(m, r) if draw(st.booleans()) else None
-        layers.append(AdapterLayer(adapter, bias=array(m), g_b=g_b))
+        layers.append(AdapterLayer(adapter, bias=array(m)))
     n_classes = draw(st.integers(2, 4))
     return SmallNet(
         layers=layers,
@@ -74,22 +74,21 @@ def _nets(draw):
         param_map=draw(st.sampled_from(ParamMap)),
         dropout_p=draw(st.floats(0.0, 0.99)),
         head_trainable=draw(st.booleans()),
-        b_std_scale=draw(st.floats(1e-3, 1e3)),
     )
 
 
 def _arrays(net):
-    """Every array of a net, by name; an absent g_b is None."""
+    """Every array of a net, by name."""
     out = {"head_w": net.head_w, "head_b": net.head_b}
     for i, layer in enumerate(net.layers):
         for name in ("w0", "b", "mean_a", "g"):
             out[f"{i}.{name}"] = getattr(layer.adapter, name)
-        out[f"{i}.bias"], out[f"{i}.g_b"] = layer.bias, layer.g_b
+        out[f"{i}.bias"] = layer.bias
     return out
 
 
 def _bits(a):
-    return None if a is None else (a.dtype, a.shape, a.tobytes())
+    return a.dtype, a.shape, a.tobytes()
 
 
 @_settings
@@ -102,11 +101,42 @@ def test_model_file_round_trips_bit_exactly(net):
     assert back.param_map is net.param_map
     assert back.head_trainable is net.head_trainable
     assert back.dropout_p.hex() == net.dropout_p.hex()
-    assert back.b_std_scale.hex() == net.b_std_scale.hex()
     before, after = _arrays(net), _arrays(back)
     assert list(after) == list(before)
     for name, array in before.items():
         assert _bits(after[name]) == _bits(array), name
+
+
+@functools.cache
+def _model_file() -> tuple[str, ...]:
+    """The lines of a small saved model: two layers, dropout on."""
+    net = build_small_net(2, (4, 3), 2, 2, TrainConfig(seed=5, dropout_p=0.1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_net(net, str(path))
+        return tuple(path.read_text().splitlines())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(["nan", "inf", "1e400", "-1", "", "0xzz"]))
+def test_model_file_with_one_token_replaced_loads_as_spelled_or_fails(data, token):
+    """Any one space-separated token of a model file replaced: the loader
+    raises a ValueError or returns the net the edited file spells, bit for
+    bit (an entry "-1" or "1e400" is a valid hex float)."""
+    lines = [line.split(" ") for line in _model_file()]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    j = data.draw(st.integers(0, len(lines[i]) - 1))
+    lines[i][j] = token
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+        try:
+            net = load_net(str(path))
+        except ValueError:
+            return
+        save_net(net, str(path))
+        lines[i][j] = float.fromhex(token).hex()
+        assert path.read_text().splitlines() == [" ".join(tokens) for tokens in lines]
 
 
 @_settings
@@ -164,40 +194,31 @@ def test_kl_gradient_matches_central_differences(q):
 @st.composite
 def _kl_nets(draw, param_map):
     """A net of random widths (up to 40, so the reductions run past their
-    unrolled blocks) and ranks, with a Bayesianized b on all, some or no
-    layers; entries come from a drawn seed."""
+    unrolled blocks) and ranks; entries come from a drawn seed."""
     widths = draw(st.lists(st.integers(2, 40), min_size=2, max_size=4))
-    pattern = draw(st.sampled_from(["all", "some", "none"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layers = []
-    for i, (n, m) in enumerate(zip(widths[:-1], widths[1:])):
+    for n, m in zip(widths[:-1], widths[1:]):
         r = draw(st.integers(1, min(m, n, 6) - 1))
-        std = lambda *shape: rng.uniform(0.05, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        g = rng.uniform(0.05, 2.0, (r, n)) * rng.choice([-1.0, 1.0], (r, n))
         adapter = VariationalAdapter(
-            w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, r)), mean_a=rng.normal(size=(r, n)), g=std(r, n)
+            w0=rng.normal(size=(m, n)), b=rng.normal(size=(m, r)), mean_a=rng.normal(size=(r, n)), g=g
         )
-        bayesianized = pattern == "all" or (pattern == "some" and i % 2 == 0)
-        layers.append(AdapterLayer(adapter, bias=np.zeros(m), g_b=std(m, r) if bayesianized else None))
+        layers.append(AdapterLayer(adapter, bias=np.zeros(m)))
     return SmallNet(
-        layers=layers, head_w=rng.normal(size=(2, widths[-1])), head_b=np.zeros(2),
-        param_map=param_map, b_std_scale=draw(st.floats(1e-2, 1e2)),
+        layers=layers, head_w=rng.normal(size=(2, widths[-1])), head_b=np.zeros(2), param_map=param_map,
     )
 
 
 def _per_layer_kl(net, sigma_p):
-    """The KL as a loop of ``gaussian_kl`` calls, one per factor in layer
-    order, with each array's gradient by key."""
+    """The KL as a loop of ``gaussian_kl`` calls, one per layer in order,
+    with each array's gradient by key."""
     value, grads = 0.0, {}
     for i, layer in enumerate(net.layers):
         ad = layer.adapter
         kl_a, grads[f"layers.{i}.mean_a"], d_omega = gaussian_kl(ad.mean_a, apply_map(net.param_map, ad.g), sigma_p)
         value += kl_a
         grads[f"layers.{i}.g"] = d_omega * map_derivative(net.param_map, ad.g)
-        if layer.g_b is not None:
-            omega_b = (layer.g_b * layer.g_b) / net.b_std_scale
-            kl_b, grads[f"layers.{i}.b"], d_omega_b = gaussian_kl(ad.b, omega_b, sigma_p)
-            value += kl_b
-            grads[f"layers.{i}.g_b"] = d_omega_b * (2.0 * layer.g_b / net.b_std_scale)
     return value, grads
 
 
