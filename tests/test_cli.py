@@ -214,6 +214,27 @@ class TestConfigIo:
         with pytest.raises(ValueError, match=f"^{field}: "):
             load_config(str(path))
 
+    @pytest.mark.parametrize("field", [
+        f"{section}.{key}" for section, keys in _config_keys(CONFIGS / "example.ini").items() for key in keys
+    ])
+    def test_empty_value_names_its_key(self, tmp_path, field):
+        """No key keeps its default when present but empty: `key =` is
+        refused under its section.key, for every key the config carries."""
+        section, key = field.split(".")
+        path = tmp_path / "empty.ini"
+        path.write_text(f"[{section}]\n{key} =\n")
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            load_config(str(path))
+
+    def test_retired_variant_keys_are_ignored(self, tmp_path):
+        """bayesianize_b and b_std_scale no longer change a config: a file
+        setting them loads as the same file without them."""
+        plain = tmp_path / "plain.ini"
+        plain.write_text("[train]\nsteps = 7\n")
+        retired = tmp_path / "retired.ini"
+        retired.write_text("[train]\nsteps = 7\nbayesianize_b = true\nb_std_scale = 5.0\n")
+        assert load_config(str(retired)) == load_config(str(plain))
+
     @pytest.mark.parametrize(
         "field, value",
         [
