@@ -3,9 +3,10 @@
 ``_LAYOUT`` maps every key to its configuration field; the example config
 written by ``write_example_config`` carries each key with its default, and
 CLI flags override file values.  Values are read raw, so a ``%`` is a
-literal character.  A value that is empty, does not convert or is out of
-range raises a ``ValueError`` naming its ``section.key``; a file that is not
-INI raises one naming the file and the line.
+literal character.  A value that is empty, holds an empty list entry, does
+not convert or is out of range raises a ``ValueError`` naming its
+``section.key``; a file that is not INI raises one naming the file and the
+line.
 """
 
 from __future__ import annotations
@@ -81,7 +82,10 @@ def _parse(key: str, raw: str, default):
     """``raw`` converted to the type of the key's default value."""
     if isinstance(default, tuple):
         conv = _method if key == "methods" else int
-        return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
+        tokens = [tok.strip() for tok in raw.split(",")]
+        if "" in tokens:
+            raise ValueError(f"empty list entry in {raw!r}")
+        return tuple(map(conv, tokens))
     return type(default)(raw)
 
 

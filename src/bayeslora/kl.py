@@ -5,8 +5,8 @@ Three routes to the same quantity live here, deliberately redundant:
 1. ``kl_closed_form`` - the analytical KL between the factorized posterior
    q(a) = prod N(mean_a_ij, omega_ij^2) and the isotropic prior
    prod N(0, sigma_p^2), evaluated in the low-rank space by
-   ``gaussian_kl``, which also gives its gradients; training runs the same
-   closed form over all factors at once (``network.kl_term``).
+   ``gaussian_kl``, the one closed form with its gradients, which training's
+   ``network.kl_term`` calls too, over every adapter's factor at once.
 2. ``kl_monte_carlo`` - an unbiased sample estimate of E_q[log q - log p],
    used to cross-check the closed form.
 3. The full-weight route: ``build_full_posterior`` / ``build_full_prior``
@@ -134,8 +134,7 @@ class FullWeightGaussian:
         d = self.mu.shape[0]
         if self.mu.shape != (d, 1) or self.cov.shape != (d, d):
             raise ShapeError(f"inconsistent shapes: mu {self.mu.shape}, cov {self.cov.shape}")
-        if not np.allclose(self.cov, self.cov.T, rtol=1e-10, atol=1e-12):
-            raise ValueError("covariance is not symmetric")
+        _check_symmetric(self.cov)
         eigmin = float(np.linalg.eigvalsh(self.cov)[0])
         scale = max(1.0, float(np.abs(self.cov).max()))
         if eigmin < -1e-10 * scale:
@@ -147,24 +146,35 @@ class FullWeightGaussian:
 
 
 def gaussian_kl(
-    mean: np.ndarray, omega: np.ndarray, sigma_p: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+    mean: np.ndarray, omega: np.ndarray, sigma_p: float, factors: list[slice] | None = None
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """KL[prod N(mean_ij, omega_ij^2) || prod N(0, sigma_p^2)] and its gradients.
 
     Returns (value, d value / d mean, d value / d omega) with
     value = (||mean||^2 + ||omega||^2) / (2 sigma_p^2) - sum log omega
     + count * (log sigma_p - 1/2): nonnegative, zero iff mean = 0 and
     omega = sigma_p everywhere.  Raises ValueError if some omega <= 0.
+
+    ``factors``, column slices of the last axis, makes each slice one
+    factor: the value sums each factor's reductions in order, bit for bit
+    a loop of one call per factor, and keeps any leading (member) axes.
+    Without it the whole array is one factor and the value a float.
     """
-    if np.any(omega <= 0.0):
+    if (omega <= 0.0).any():
         raise ValueError("some omega entry is <= 0: log omega undefined (infinite KL)")
     sp2 = sigma_p * sigma_p
-    value = float(
-        (np.sum(mean**2) + np.sum(omega**2)) / (2.0 * sp2)
-        - np.sum(np.log(omega))
-        + omega.size * (np.log(sigma_p) - 0.5)
-    )
-    return value, mean / sp2, omega / sp2 - 1.0 / omega
+    d_mean, d_omega = mean / sp2, omega / sp2 - 1.0 / omega
+    if factors is None:
+        mean, omega, factors = mean.reshape(-1), omega.reshape(-1), [slice(0, omega.size)]
+    sq_mean, sq_omega, log_omega, offset = mean * mean, omega * omega, np.log(omega), np.log(sigma_p) - 0.5
+    value = 0.0
+    for cols in factors:
+        value += (
+            (np.add.reduce(sq_mean[..., cols], axis=-1) + np.add.reduce(sq_omega[..., cols], axis=-1)) / (2.0 * sp2)
+            - np.add.reduce(log_omega[..., cols], axis=-1)
+            + (cols.stop - cols.start) * offset
+        )
+    return (float(value) if np.ndim(value) == 0 else value), d_mean, d_omega
 
 
 def kl_closed_form(mean_a: np.ndarray, g: np.ndarray, prior: PriorSpec) -> float:

@@ -8,10 +8,10 @@ gradients.  Each adapter carries one Gaussian factor, over its a-factor:
 mean mean_a and std omega = map(g); b stays deterministic.
 
 Gradients are reverse-mode and written out explicitly: each layer's
-adapter branch runs ``adapter.branch_forward``/``branch_backward`` and
-the KL is ``kl.gaussian_kl``'s closed form, while this module chains them
-through dropout, tanh and omega = map(g); the test suite pins every path
-against central finite differences.
+adapter branch runs ``adapter.branch_forward``/``branch_backward``, and
+``kl_term`` calls ``kl.gaussian_kl``, the one closed-form KL, while this
+module chains them through dropout, tanh and omega = map(g); the test
+suite pins every path against central finite differences.
 
 ``SmallNet`` owns the flat layout of its trainable arrays: ``pack`` moves
 them into one vector, ``net_backward`` returns a vector in that layout,
@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .adapter import ShapeError, VariationalAdapter, branch_backward, branch_draws, branch_forward
+from .kl import gaussian_kl
 from .parammaps import ParamMap, apply_map, map_derivative
 from .textio import write_lines
 
@@ -337,35 +338,24 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
     return np.concatenate([d.reshape(*net.members, -1) for d in parts], axis=-1)
 
 
-def kl_term(net: SmallNet, sigma_p: float) -> tuple[float, np.ndarray]:
-    """Summed ``kl.gaussian_kl`` over every adapter's Gaussian factor,
-    (mean_a, omega = map(g)), with its gradient over the net's ``kl_span``.
-    One pass over the span: the gradient is elementwise, and the value sums
-    each factor's reductions in layer order, bit for bit a per-factor loop.
-    A stacked net gets one value and one gradient row per member."""
+def kl_term(net: SmallNet, sigma_p: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """``kl.gaussian_kl`` over every adapter's Gaussian factor, (mean_a,
+    omega = map(g)), in one call with one factor per layer, and its gradient
+    over the net's ``kl_span``.  A stacked net gets one value and one
+    gradient row per member."""
     _, slots, factors = net._kl_layout
-    lead = net.members
-    span = np.concatenate([getattr(owner, attr).reshape(*lead, -1) for owner, attr in slots], axis=-1)
+    span = np.concatenate([getattr(owner, attr).reshape(*net.members, -1) for owner, attr in slots], axis=-1)
     half = span.shape[-1] // 2
     means, g = span[..., :half], span[..., half:]
-    omega, d_map = apply_map(net.param_map, g), map_derivative(net.param_map, g)
-    if (omega <= 0.0).any():
+    omega = apply_map(net.param_map, g)
+    try:
+        value, d_means, d_omega = gaussian_kl(means, omega, sigma_p, factors)
+    except ValueError as exc:
         layer = next(i for i, cols in enumerate(factors) if (omega[..., cols] <= 0.0).any())
-        raise NonFiniteLossError("kl") from ValueError(f"layer {layer}: some omega entry is <= 0")
-    sp2 = sigma_p * sigma_p
-    grad = np.concatenate((means / sp2, (omega / sp2 - 1.0 / omega) * d_map), axis=-1)
-    sq_means, sq_omega, log_omega, offset = means * means, omega * omega, np.log(omega), np.log(sigma_p) - 0.5
-    value = 0.0
-    for cols in factors:
-        value += (
-            (np.add.reduce(sq_means[..., cols], axis=-1) + np.add.reduce(sq_omega[..., cols], axis=-1)) / (2.0 * sp2)
-            - np.add.reduce(log_omega[..., cols], axis=-1)
-            + (cols.stop - cols.start) * offset
-        )
-    value = _scalar(value)
+        raise NonFiniteLossError("kl") from ValueError(f"layer {layer}: {exc}")
     if not all_finite(value):
         raise NonFiniteLossError("kl")
-    return value, grad
+    return value, np.concatenate((d_means, d_omega * map_derivative(net.param_map, g)), axis=-1)
 
 
 def _fmt(a: np.ndarray) -> str:
@@ -378,6 +368,8 @@ def _parse(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
         values = list(map(float.fromhex, text.split()))
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    if text.count("0x") != len(values):  # fromhex also reads "10" as 0x10, i.e. 16.0
+        raise ValueError(f"{name}: every entry must be a hex float with the 0x prefix")
     expected = math.prod(shape)
     if len(values) != expected:
         raise ValueError(f"{name}: expected {expected} entries, got {len(values)}")
@@ -444,8 +436,8 @@ def load_net(path: str) -> SmallNet:
         if type(head_trainable) is not int or head_trainable not in (0, 1):
             raise ValueError(f"head_trainable must be 0 or 1, got {head_trainable!r}")
         dropout_p = float.fromhex(meta["dropout_p"])
-        if not 0.0 <= dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
+        if not 0.0 <= dropout_p < 1.0 or "0x" not in meta["dropout_p"]:
+            raise ValueError(f"dropout_p must be a 0x hex float in [0, 1), got {meta['dropout_p']!r}")
         if meta["b_std_scale"] != _B_STD_SCALE:
             raise ValueError(f"b_std_scale must be {_B_STD_SCALE!r}, got {meta['b_std_scale']!r}")
         options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p,

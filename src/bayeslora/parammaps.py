@@ -89,6 +89,10 @@ def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
 
     It is ``kl.gaussian_kl``'s d/d omega times :func:`map_derivative` (the
     gradient training applies to g) for one coordinate; the race descends it.
+    It keeps its own scalar arithmetic because the race calls it once per
+    step for tens of thousands of steps, where NumPy's per-call overhead
+    would dominate, and the race exports pin these float operations bit
+    for bit.
     Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
     Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
     """

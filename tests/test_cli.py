@@ -205,6 +205,11 @@ class TestConfigIo:
             # An empty value is a bad value, not the default.
             ("train.steps", ""),
             ("suite.seeds", ""),
+            # An empty list entry is a bad value, not a skipped one.
+            ("suite.seeds", "0,,1"),
+            ("suite.n_samples", ",5"),
+            ("net.hidden", "32,"),
+            ("suite.methods", "mle,,blob"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, field, value):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bayeslora.adapter import forward_flipout, forward_mean, forward_naive_shared
+from bayeslora import kl, network
 from bayeslora.network import (
     NonFiniteLossError,
     cross_entropy,
@@ -14,8 +15,9 @@ from bayeslora.network import (
     net_forward,
     save_net,
     softmax_columns,
+    stack_nets,
 )
-from bayeslora.parammaps import ParamMap
+from bayeslora.parammaps import ParamMap, apply_map
 from bayeslora.training import TrainConfig, build_small_net, elbo_minibatch
 
 
@@ -171,11 +173,44 @@ class TestGradients:
 class TestKlTerm:
     def test_zero_g_raises_named_error(self):
         config = TrainConfig(seed=5)
-        net = _randomized_net(config, seed=5)
-        net.layers[0].adapter.g[0, 0] = 0.0
+        net = _randomized_net(config, hidden=(5, 4), seed=5)
+        net.layers[1].adapter.g[1, 2] = 0.0
         with pytest.raises(NonFiniteLossError) as err:
             kl_term(net, config.sigma_p)
         assert err.value.component == "kl"
+        assert str(err.value.__cause__).startswith("layer 1: some omega entry is <= 0")
+
+    def test_calls_the_one_closed_form_once_with_a_factor_per_layer(self, monkeypatch):
+        """kl_term computes no KL of its own: each call makes exactly one
+        ``kl.gaussian_kl`` call, over the span's means and omega = map(g),
+        with one factor per layer's mean_a columns, and returns its value."""
+        assert network.gaussian_kl is kl.gaussian_kl
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kl.gaussian_kl(*args)
+
+        monkeypatch.setattr(network, "gaussian_kl", spy)
+        config = TrainConfig(seed=6, sigma_p=0.4)
+        nets = [_randomized_net(config, hidden=(5, 4), seed=seed) for seed in (6, 7)]
+        net = nets[0]
+        means = np.concatenate([l.adapter.mean_a.ravel() for l in net.layers])
+        omega = np.concatenate([apply_map(net.param_map, l.adapter.g).ravel() for l in net.layers])
+        for repeat in (1, 2):
+            value, _ = kl_term(net, config.sigma_p)
+            assert len(calls) == repeat
+        for args in calls:
+            assert args[2:] == (config.sigma_p, [slice(0, 12), slice(12, 22)])
+            np.testing.assert_array_equal(args[0], means)
+            np.testing.assert_array_equal(args[1], omega)
+        assert value == kl.gaussian_kl(means, omega, config.sigma_p, [slice(0, 12), slice(12, 22)])[0]
+
+        stacked, _ = stack_nets(nets)
+        values, _ = kl_term(stacked, config.sigma_p)
+        assert len(calls) == 3
+        assert calls[-1][0].shape == calls[-1][1].shape == (2, 22)
+        assert values.shape == (2,)
 
     def test_gradient_covers_the_kl_span(self):
         """The gradient covers the layout's tail from the first mean_a; the
@@ -277,6 +312,12 @@ class TestModelSerialization:
             pytest.param(lambda ls: _set_first_entry(ls, "bias ", "inf"), "^bias:",
                          id="inf-in-bias"),
             pytest.param(lambda ls: _set_first_entry(ls, "g ", "0xzz"), "^g:", id="bad-hex-in-g"),
+            # float.fromhex reads these without the 0x prefix, as 16.0, -1.0 and 123904.0.
+            pytest.param(lambda ls: _set_first_entry(ls, "w0 ", "10"), "^w0:", id="unprefixed-10-in-w0"),
+            pytest.param(lambda ls: _set_first_entry(ls, "g ", "-1"), "^g:", id="unprefixed-minus-1-in-g"),
+            pytest.param(lambda ls: _set_first_entry(ls, "hb ", "1e400"), "^hb:", id="unprefixed-1e400-in-hb"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", "0.5")] + ls[2:],
+                         "^meta: dropout_p", id="unprefixed-dropout"),
             pytest.param(lambda ls: ls + ["junk"], "^hb: trailing", id="trailing-junk"),
         ],
     )

@@ -1,5 +1,6 @@
 """Property tests of the shared ops: the adapter branch op, the Gaussian KL
-and the network's one-pass KL, the KL weight schedule and the model file."""
+and its factor loop in the network's KL, the KL weight schedule and the
+model file."""
 
 import functools
 import math
@@ -118,11 +119,12 @@ def _model_file() -> tuple[str, ...]:
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(st.data(), st.sampled_from(["nan", "inf", "1e400", "-1", "", "0xzz"]))
+@given(st.data(), st.sampled_from(["nan", "inf", "1e400", "-1", "10", "", "0xzz", "-0x1.8p+1"]))
 def test_model_file_with_one_token_replaced_loads_as_spelled_or_fails(data, token):
     """Any one space-separated token of a model file replaced: the loader
     raises a ValueError or returns the net the edited file spells, bit for
-    bit (an entry "-1" or "1e400" is a valid hex float)."""
+    bit.  A token without the 0x prefix always raises, though
+    ``float.fromhex`` reads "-1", "10" and "1e400" as numbers."""
     lines = [line.split(" ") for line in _model_file()]
     i = data.draw(st.integers(0, len(lines) - 1))
     j = data.draw(st.integers(0, len(lines[i]) - 1))
@@ -134,6 +136,7 @@ def test_model_file_with_one_token_replaced_loads_as_spelled_or_fails(data, toke
             net = load_net(str(path))
         except ValueError:
             return
+        assert "0x" in token, f"entry {token!r} loaded without the 0x prefix"
         save_net(net, str(path))
         lines[i][j] = float.fromhex(token).hex()
         assert path.read_text().splitlines() == [" ".join(tokens) for tokens in lines]
