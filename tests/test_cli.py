@@ -60,6 +60,18 @@ GOLDEN_FILES_SHA256 = {
 # sha256 of the stdout of `verify-theorems` at its CLI defaults.
 VERIFY_DEFAULTS_STDOUT_SHA256 = "2656cb2fb60bc0a3f7dd52c4ae2df2be9dcd336f78259807b5e0dc5e3f8ae777"
 
+# sha256 of the stdout of `verify-theorems` at other settings, recorded before
+# the flipout oracle summed its covariance from the branch Gram: the pins
+# guard the printed margins at other seeds, shapes and draw counts, and on a
+# zero b.
+VERIFY_STDOUT_SHA256 = {
+    "--seed 1": "5e61e461e67c0291f262c15d1ba3eb48b9165fa93233624b01c9a5eacd9ac739",
+    "--seed 7": "cd03b114857c90fe78256b4efaafe9aab53c5e0de0722fc64b9560440aee3442",
+    "--m 6 --n 5 --r 3": "0697be9627a7caca8b1e1dc87d7db50b259ec1958799a48141a803e9b9bb7428",
+    "--draws 2000 --flipout-draws 50": "86206a0989c7338eff07c15d340e120db7606175c3072b52e3cf672f87075db7",
+    "--degenerate-b": "50940565b2d03a245624538ec2744f5a02342d36f4d13f670975bb3e772dee14",
+}
+
 # sha256 of train's model-k.txt and trajectory-k.csv on TINY_INI for the
 # training paths the goldens above miss: (method, extra [train] lines,
 # model hashes, trajectory hashes), one hash per member.  Recorded with
@@ -743,6 +755,12 @@ class TestCliCommands:
         lines = out.splitlines()
         assert len(lines) == 7 and all(line.startswith("PASS") for line in lines), lines
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DEFAULTS_STDOUT_SHA256
+
+    @pytest.mark.parametrize("flags", sorted(VERIFY_STDOUT_SHA256))
+    def test_verify_theorems_stdout_matches_recorded_bytes(self, flags, tmp_path, capsys):
+        assert main(["verify-theorems", *flags.split(), "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[flags], out
 
     def test_verify_theorems_degenerate_b_no_crash(self, capsys):
         # The degenerate b must be reported, not crash.
