@@ -8,6 +8,12 @@ like 1/rho while the softplus map's gradient plateaus near -1, which makes
 plain gradient descent on the KL term dramatically slower to open the
 posterior up toward the prior scale.  ``convergence_race`` measures that
 difference directly.
+
+The race runs on Python floats, where NumPy's per-call overhead would
+dominate its tens of thousands of steps.  ``_SCALAR`` holds each map's one
+scalar formula pair, sigma(rho) and dKL/drho(rho, sigma, sigma_p^2), which
+``kl_grad_rho``, ``_apply_scalar`` and the descent all read; the race
+exports pin their float operations bit for bit.
 """
 
 from __future__ import annotations
@@ -75,34 +81,52 @@ def inverse_map(pmap: ParamMap, sigma):
     return float(out) if out.ndim == 0 else out
 
 
-def _apply_scalar(pmap: ParamMap, rho: float) -> float:
-    """:func:`apply_map` on one Python float, in ``math`` arithmetic."""
-    if pmap is ParamMap.SQUARE:
-        return rho * rho
+def _square(rho: float) -> float:
+    return rho * rho
+
+
+def _square_grad(rho: float, sigma: float, sigma_p2: float) -> float:
+    """-2/rho + 2 rho^3 / sigma_p^2 (undefined at rho = 0); sigma is not read."""
+    if rho == 0.0:
+        raise ValueError("square-map KL gradient is undefined at rho = 0")
+    return -2.0 / rho + 2.0 * rho**3 / sigma_p2
+
+
+def _softplus(rho: float) -> float:
     if rho > 30.0:
         return rho + math.log1p(math.exp(-rho))
     return math.log1p(math.exp(rho))
+
+
+def _softplus_grad(rho: float, sigma: float, sigma_p2: float) -> float:
+    """s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid."""
+    s = 1.0 / (1.0 + math.exp(-rho)) if rho > -30.0 else math.exp(rho)
+    return s * (sigma / sigma_p2 - 1.0 / sigma)
+
+
+# Per map: (sigma(rho), dKL/drho(rho, sigma(rho), sigma_p^2)) on Python floats.
+_SCALAR = {
+    ParamMap.SQUARE: (_square, _square_grad),
+    ParamMap.SOFTPLUS: (_softplus, _softplus_grad),
+}
+
+
+def _apply_scalar(pmap: ParamMap, rho: float) -> float:
+    """:func:`apply_map` on one Python float, in ``math`` arithmetic."""
+    return _SCALAR[pmap][0](rho)
 
 
 def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
     """d/d rho of KL(N(0, sigma(rho)^2) || N(0, sigma_p^2)), on Python floats.
 
     It is ``kl.gaussian_kl``'s d/d omega times :func:`map_derivative` (the
-    gradient training applies to g) for one coordinate; the race descends it.
-    It keeps its own scalar arithmetic because the race calls it once per
-    step for tens of thousands of steps, where NumPy's per-call overhead
-    would dominate, and the race exports pin these float operations bit
-    for bit.
+    gradient training applies to g) for one coordinate, read from the
+    map's ``_SCALAR`` pair; the race descends it.
     Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
     Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
     """
-    if pmap is ParamMap.SQUARE:
-        if rho == 0.0:
-            raise ValueError("square-map KL gradient is undefined at rho = 0")
-        return -2.0 / rho + 2.0 * rho**3 / (sigma_p * sigma_p)
-    sigma = _apply_scalar(pmap, rho)
-    s = 1.0 / (1.0 + math.exp(-rho)) if rho > -30.0 else math.exp(rho)
-    return s * (sigma / (sigma_p * sigma_p) - 1.0 / sigma)
+    sigma_of, grad = _SCALAR[pmap]
+    return grad(rho, sigma_of(rho), sigma_p * sigma_p)
 
 
 def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps: int):
@@ -110,20 +134,28 @@ def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps
     n_steps plain gradient-descent steps on the scalar KL alone (no
     momentum, no schedule).  Bad arguments raise before step 0 is yielded;
     a step that leaves sigma no finite positive number raises a ValueError
-    naming ``lr``, the step size that overshot."""
+    naming ``lr``, the step size that overshot.
+
+    Each step's gradient reads the sigma the step before yielded, so the map
+    is evaluated once per step (and once at the start): the same operands
+    and float operations as :func:`kl_grad_rho` at each rho.
+    """
     for name, value in (("sigma_p", sigma_p), ("sigma_q0", sigma_q0), ("lr", lr)):
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
     if n_steps < 0:
         raise ValueError(f"the step count must be >= 0, got {n_steps}")
+    sigma_of, grad = _SCALAR[pmap]
+    sigma_p2 = sigma_p * sigma_p
     yield 0, sigma_q0
     rho = float(inverse_map(pmap, sigma_q0))
+    sigma = sigma_of(rho)
     for step in range(1, n_steps + 1):
         try:
-            rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
+            rho -= lr * grad(rho, sigma, sigma_p2)
         except OverflowError:  # rho**3 past the float range
             rho = math.inf
-        sigma = _apply_scalar(pmap, rho)
+        sigma = sigma_of(rho)
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"lr = {lr} makes the descent diverge: sigma = {sigma} at step {step}")
         yield step, sigma

@@ -207,14 +207,30 @@ def _max_z(err: np.ndarray, se: np.ndarray, scale: np.ndarray) -> tuple[float, b
     return max_z, exact_ok, int(stochastic.sum())
 
 
+# Draws per forward_naive_shared call in the moment oracle: the per-call
+# overhead vanishes while each chunk's temporaries stay a few MiB.
+_MOMENT_CHUNK = 10_000
+
+
 def sample_full_weights(
     adapter: VariationalAdapter, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_draws, m*n) draws of vec(w0 + b a) with a ~ q, column-stacked: the
-    shared-mode layer op at input I_n, w0 + b (mean_a + omega e), per noise e."""
-    (e,) = branch_draws("shared", rng, adapter.n, adapter.n, adapter.rank, count=n_draws)
-    w = forward_naive_shared(adapter, np.eye(adapter.n), e)
-    return w.swapaxes(-1, -2).reshape(n_draws, -1)
+    shared-mode layer op at input I_n, w0 + b (mean_a + omega e), per noise e.
+
+    The rows are filled in chunks of ``_MOMENT_CHUNK`` draws, each one
+    ``branch_draws`` stack pushed through ``forward_naive_shared``; the
+    stacks follow one another in the generator's stream, so the array is
+    bit for bit the one-stack draw of all n_draws.
+    """
+    m, n, r = adapter.m, adapter.n, adapter.rank
+    eye = np.eye(n)
+    flat = np.empty((n_draws, m * n))
+    for start in range(0, n_draws, _MOMENT_CHUNK):
+        stop = min(start + _MOMENT_CHUNK, n_draws)
+        (e,) = branch_draws("shared", rng, n, n, r, count=stop - start)
+        flat[start:stop].reshape(-1, n, m)[...] = forward_naive_shared(adapter, eye, e).swapaxes(-1, -2)
+    return flat
 
 
 def _posterior_moment_check(
@@ -222,9 +238,9 @@ def _posterior_moment_check(
 ) -> tuple[TheoremCheck, TheoremCheck]:
     """Empirical mean/covariance of vec(w0 + b a), a ~ q, against the closed form."""
     q = build_full_posterior(adapter)
-    flat = sample_full_weights(adapter, n_draws, rng)
-    emp_mean = flat.mean(axis=0)
-    centred = flat - emp_mean
+    centred = sample_full_weights(adapter, n_draws, rng)
+    emp_mean = centred.mean(axis=0)
+    centred -= emp_mean
     emp_cov = centred.T @ centred / (n_draws - 1)
     mean_se = np.sqrt(np.diag(emp_cov) / n_draws)
     max_z, exact_ok, _ = _max_z(
@@ -309,19 +325,24 @@ def _perturbation_cov(
 
     ``branch_draws`` takes the draws in stacks of ``_FLIPOUT_CHUNK``, the
     same stream as single calls in training's order, and ``branch_forward``
-    pushes each stack through at once; only the sum and the cross-product
-    sum of the perturbation are kept.
+    pushes each stack through at once.  Only the sum and the
+    (r*batch, r*batch) Gram of the branch deviation dc = c - c_mean are
+    kept; the deterministic b maps them once at the end, as b @ sum(dc) and
+    cross[k] = sum_jl b_kj b_kl G[j, :, l, :].
     """
     omega = adapter.omega()
     c_mean = branch_forward("mean", adapter.mean_a, omega, h, ())
-    m, batch = adapter.m, h.shape[1]
-    total, cross = np.zeros((m, batch)), np.zeros((m, batch, batch))
+    r, batch = adapter.rank, h.shape[1]
+    total, gram = np.zeros((r, batch)), np.zeros((r * batch, r * batch))
     for start in range(0, n_draws, _FLIPOUT_CHUNK):
-        draws = branch_draws(mode, rng, adapter.n, batch, adapter.rank, min(_FLIPOUT_CHUNK, n_draws - start))
-        pert = adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, draws) - c_mean)
-        total += pert.sum(axis=0)
-        per_output = pert.transpose(1, 2, 0)  # (m, batch, draws)
-        cross += per_output @ per_output.transpose(0, 2, 1)
+        draws = branch_draws(mode, rng, adapter.n, batch, r, min(_FLIPOUT_CHUNK, n_draws - start))
+        dc = branch_forward(mode, adapter.mean_a, omega, h, draws) - c_mean
+        total += dc.sum(axis=0)
+        flat = dc.reshape(len(dc), r * batch)
+        gram += flat.T @ flat
+    b = adapter.b
+    cross = np.einsum("kj,kl,jalb->kab", b, b, gram.reshape(r, batch, r, batch))
+    total = b @ total
     return (cross - total[:, :, None] * total[:, None, :] / n_draws) / (n_draws - 1)
 
 

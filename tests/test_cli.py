@@ -475,25 +475,46 @@ class TestTheoremBattery:
         with pytest.raises(ValueError, match="exceeds guard 4096"):
             verify_theorems(m=70, n=70)
 
-    def test_streamed_flipout_moments_match_two_passes(self, monkeypatch):
-        """The chunked one-pass covariance equals np.cov-style centring over
-        the full stack of per-draw perturbations, across chunk boundaries."""
+    @pytest.mark.parametrize("m, n, r, batch, n_draws", [
+        (8, 8, 2, 16, 50),   # m < batch
+        (5, 4, 1, 9, 23),    # r = 1
+        (6, 7, 3, 4, 14),    # r = 3, m > batch, a whole number of chunks
+        (4, 6, 3, 4, 2),     # one short chunk
+    ])
+    def test_streamed_flipout_moments_match_two_passes(self, monkeypatch, m, n, r, batch, n_draws):
+        """The chunked covariance from the branch Gram equals np.cov-style
+        centring over the full stack of per-draw perturbations, across
+        chunk boundaries."""
         monkeypatch.setattr(suite, "_FLIPOUT_CHUNK", 7)
-        adapter = suite._random_adapter(8, 8, 2, np.random.default_rng(40))
-        h = np.random.default_rng(41).normal(size=(8, 16))
+        adapter = suite._random_adapter(m, n, r, np.random.default_rng(40))
+        h = np.random.default_rng(41).normal(size=(n, batch))
         omega = adapter.omega()
         c_mean = branch_forward("mean", adapter.mean_a, omega, h, ())
         for mode in ("flipout", "shared"):
-            streamed = suite._perturbation_cov(adapter, h, mode, 50, np.random.default_rng(42))
+            streamed = suite._perturbation_cov(adapter, h, mode, n_draws, np.random.default_rng(42))
             rng = np.random.default_rng(42)
             stack = np.stack([
-                adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, branch_draws(mode, rng, 8, 16, 2))
+                adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, branch_draws(mode, rng, n, batch, r))
                              - c_mean)
-                for _ in range(50)
+                for _ in range(n_draws)
             ])
             centred = stack - stack.mean(axis=0)
-            two_pass = np.einsum("dki,dkj->kij", centred, centred) / 49
+            two_pass = np.einsum("dki,dkj->kij", centred, centred) / (n_draws - 1)
+            assert streamed.shape == (m, batch, batch)
             assert np.max(np.abs(streamed - two_pass)) <= 1e-12 * np.max(np.abs(two_pass)), mode
+
+    @pytest.mark.parametrize("m, n, r", [(4, 3, 2), (6, 5, 3)])
+    def test_chunked_full_weight_draws_are_the_one_stack_draw(self, monkeypatch, m, n, r):
+        """Draws filled in chunks of 7 are bit for bit one stacked draw of 50,
+        and leave the generator where that draw leaves it."""
+        monkeypatch.setattr(suite, "_MOMENT_CHUNK", 7)
+        adapter = suite._random_adapter(m, n, r, np.random.default_rng(3))
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        flat = suite.sample_full_weights(adapter, 50, rng)
+        (e,) = branch_draws("shared", twin, n, n, r, count=50)
+        one_stack = forward_naive_shared(adapter, np.eye(n), e).swapaxes(-1, -2).reshape(50, -1)
+        np.testing.assert_array_equal(flat, one_stack)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("seed", [1, 3, 4, 7, 9])
     def test_flipout_checks_pass_honest_draws(self, seed):

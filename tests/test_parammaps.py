@@ -1,8 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bayeslora import parammaps
 from bayeslora.kl import gaussian_kl
 from bayeslora.parammaps import (
     ParamMap,
@@ -194,3 +198,68 @@ class TestRace:
         sigmas = [s for _, s in curve]
         assert sigmas[0] == 0.01
         assert all(b >= a for a, b in zip(sigmas, sigmas[1:]))
+
+
+def _reference_curve(pmap, sigma_p, sigma_q0, lr, n_steps):
+    """The descent as two separate calls per step, kl_grad_rho then
+    _apply_scalar: (the curve, the step that diverged or None)."""
+    curve = [(0, sigma_q0)]
+    rho = float(inverse_map(pmap, sigma_q0))
+    for step in range(1, n_steps + 1):
+        try:
+            rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
+        except OverflowError:
+            rho = math.inf
+        sigma = _apply_scalar(pmap, rho)
+        if not 0.0 < sigma < math.inf:
+            return curve, step
+        curve.append((step, sigma))
+    return curve, None
+
+
+class TestDescent:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        pmap=st.sampled_from(list(ParamMap)),
+        sigma_p=st.floats(0.05, 3.0),
+        sigma_q0=st.floats(1e-3, 3.0),
+        lr=st.floats(-6.0, 0.5).map(lambda x: 10.0**x),
+        n_steps=st.integers(0, 2000),
+    )
+    def test_curve_is_the_two_call_loop_bit_for_bit(self, pmap, sigma_p, sigma_q0, lr, n_steps):
+        """Feeding each step the sigma the step before yielded changes no bit
+        of the curve, and a diverging descent stops at the same step."""
+        reference, diverged = _reference_curve(pmap, sigma_p, sigma_q0, lr, n_steps)
+        if diverged is not None:
+            with pytest.raises(ValueError, match=f"at step {diverged}$"):
+                race_curve(pmap, sigma_p, sigma_q0, lr, n_steps)
+            return
+        curve = race_curve(pmap, sigma_p, sigma_q0, lr, n_steps)
+        assert [(step, sigma.hex()) for step, sigma in curve] == [
+            (step, sigma.hex()) for step, sigma in reference]
+
+    @pytest.mark.parametrize("pmap", list(ParamMap))
+    def test_descent_evaluates_the_map_once_per_step(self, monkeypatch, pmap):
+        sigma_of, grad = parammaps._SCALAR[pmap]
+        rhos = []
+
+        def counted(rho):
+            rhos.append(rho)
+            return sigma_of(rho)
+
+        monkeypatch.setitem(parammaps._SCALAR, pmap, (counted, grad))
+        race_curve(pmap, 1.0, 0.01, 1e-4, 500)
+        assert len(rhos) == 501
+
+    def test_softplus_descent_takes_one_log1p_per_step(self, monkeypatch):
+        """Counted at the math call, so a second softplus evaluation hidden in
+        the gradient shows too."""
+        calls = []
+
+        def log1p(x):
+            calls.append(x)
+            return math.log1p(x)
+
+        monkeypatch.setattr(parammaps, "math", SimpleNamespace(exp=math.exp, inf=math.inf, log1p=log1p))
+        race_curve(ParamMap.SOFTPLUS, 1.0, 0.01, 1e-4, 500)
+        assert len(calls) == 501
