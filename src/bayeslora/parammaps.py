@@ -86,7 +86,7 @@ def _square(rho: float) -> float:
 
 
 def _square_grad(rho: float, sigma: float, sigma_p2: float) -> float:
-    """-2/rho + 2 rho^3 / sigma_p^2 (undefined at rho = 0); sigma is not read."""
+    """The square map's gradient needs rho alone; sigma is not read."""
     if rho == 0.0:
         raise ValueError("square-map KL gradient is undefined at rho = 0")
     return -2.0 / rho + 2.0 * rho**3 / sigma_p2
@@ -99,7 +99,6 @@ def _softplus(rho: float) -> float:
 
 
 def _softplus_grad(rho: float, sigma: float, sigma_p2: float) -> float:
-    """s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid."""
     s = 1.0 / (1.0 + math.exp(-rho)) if rho > -30.0 else math.exp(rho)
     return s * (sigma / sigma_p2 - 1.0 / sigma)
 

@@ -207,8 +207,9 @@ def _max_z(err: np.ndarray, se: np.ndarray, scale: np.ndarray) -> tuple[float, b
     return max_z, exact_ok, int(stochastic.sum())
 
 
-# Draws per forward_naive_shared call in the moment oracle: the per-call
-# overhead vanishes while each chunk's temporaries stay a few MiB.
+# Draws per forward_naive_shared call in the moment oracle: enough that the
+# per-call overhead vanishes, and a tenth of the default 1e5-draw stack, so
+# each chunk's temporaries are reused from the heap instead of faulted in.
 _MOMENT_CHUNK = 10_000
 
 
