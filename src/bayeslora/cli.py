@@ -116,7 +116,8 @@ def _is_number(value) -> bool:
 
 def _load_trained(model_dir: str) -> tuple[BaselineModel, int]:
     """The model ``train`` wrote to ``model_dir`` and its training seed; a
-    malformed model.json raises a ValueError that names the field."""
+    malformed model.json, or one that names a missing model file, raises a
+    ValueError that names the field."""
     with open(os.path.join(model_dir, "model.json"), "r", encoding="ascii") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
@@ -145,6 +146,9 @@ def _load_trained(model_dir: str) -> tuple[BaselineModel, int]:
         raise ValueError(
             f"model.json n_members: {method} trains {member_count(spec)} member(s), not {len(files)}"
         )
+    for name in files:
+        if not os.path.isfile(os.path.join(model_dir, name)):
+            raise ValueError(f"model.json model_files: {name!r} is not a file in {model_dir}")
     models = [load_net(os.path.join(model_dir, name)) for name in files]
     return BaselineModel(spec=spec, models=models, logs=[[] for _ in models]), seed
 

@@ -14,6 +14,9 @@ dominate its tens of thousands of steps.  ``_SCALAR`` holds each map's one
 scalar formula pair, sigma(rho) and dKL/drho(rho, sigma, sigma_p^2), which
 ``kl_grad_rho``, ``_apply_scalar`` and the descent all read; the race
 exports pin their float operations bit for bit.
+
+The module needs no SciPy: ``map_derivative`` rebuilds SciPy's ``expit``
+from libm's ``exp``, bit for bit, so a softplus net trains without it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ __all__ = [
     "convergence_race",
     "race_curve",
 ]
+
+
+# The largest double whose exp is finite; math.exp raises OverflowError above it.
+_EXP_MAX = 709.782712893384
 
 
 class ParamMap(enum.Enum):
@@ -53,16 +60,23 @@ def apply_map(pmap: ParamMap, rho):
 def map_derivative(pmap: ParamMap, rho):
     """d sigma / d rho, element-wise.
 
-    The softplus derivative is SciPy's ``expit``, imported on first use so
-    that square-map training never loads SciPy; NumPy's ``1/(1+exp(-rho))``
-    is not a drop-in, because its SIMD ``exp`` rounds differently from
-    libm's on about 2 % of inputs.
+    The softplus derivative is the sigmoid 1 / (1 + exp(-rho)) with libm's
+    ``exp``, per entry through ``math.exp``: the float operations of SciPy's
+    ``expit``, so its bytes match it without loading SciPy.  NumPy's
+    vectorized ``exp`` is no substitute: its SIMD kernel rounds differently
+    from libm's on about 2 % of inputs.  Where ``math.exp`` raises
+    OverflowError (-rho > ``_EXP_MAX``) the entry takes libm's exp = inf.  A
+    float or 0-d input gives an ``np.float64``, an array the input's shape.
     """
     if pmap is ParamMap.SQUARE:
         return 2.0 * rho
-    from scipy.special import expit
-
-    return expit(rho)
+    neg = np.negative(rho, dtype=np.float64)
+    flat = neg.ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, flat), np.float64, len(flat))
+    except OverflowError:  # some exp(-rho) past the float range, where libm gives inf
+        e = np.array([math.inf if v > _EXP_MAX else math.exp(v) for v in flat])
+    return 1.0 / (1.0 + e.reshape(neg.shape))
 
 
 def inverse_map(pmap: ParamMap, sigma):

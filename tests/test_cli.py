@@ -707,6 +707,8 @@ class TestCliCommands:
                          id="files-not-a-list"),
             pytest.param(lambda m: m.update(model_files=["../model-0.txt"]), "model.json model_files",
                          id="file-outside-dir"),
+            pytest.param(lambda m: m.update(model_files=["model-9.txt"]), "model.json model_files",
+                         id="missing-file"),
             pytest.param(lambda m: m.update(n_members=5), "model.json n_members", id="count-vs-files"),
             pytest.param(lambda m: m.update(n_members=1.0), "model.json n_members", id="float-count"),
             pytest.param(lambda m: m.update(n_members=True), "model.json n_members", id="bool-count"),

@@ -2,8 +2,9 @@
 
 Every CLI call starts a fresh interpreter, and SciPy more than doubles the
 import time of ``bayeslora.cli``.  Only the dense oracle (``kl.solve_psd``,
-``scipy.linalg``) and the softplus derivative (``parammaps.map_derivative``,
-``scipy.special``) need it, and each imports its submodule on first use.
+``scipy.linalg``) needs it, and imports it on first use: training, eval
+and the suite load no SciPy module for any method, the softplus-map bbb
+net included (``parammaps.map_derivative`` rebuilds ``expit`` from libm).
 The probes run in fresh interpreters, because the test process has long
 since loaded SciPy.  The import builds no argparse parser either: ``main``
 builds it on its first call.
@@ -27,10 +28,14 @@ hidden = 4
 [train]
 steps = 10
 batch_size = 8
+
+[suite]
+methods = mle,map,mcd,ens,bbb,blob
+seeds = 0
+n_samples = 0,5
 """
 
-# argv[1] is the work directory; the tiny mle and bbb models sit in
-# argv[1]/mle and argv[1]/bbb.
+# argv[1] is the work directory.
 PROBE = """
 import sys
 from pathlib import Path
@@ -51,11 +56,12 @@ assert main(["write-config", "--out-dir", str(work / "cfg")]) == 0
 assert main(["gen-data", "--config", config, "--out-dir", str(work / "data")]) == 0
 assert main(["race", "--square-steps", "20", "--softplus-steps", "20", "--record-every", "5",
              "--out-dir", str(work / "race")]) == 0
-assert main(["train", "--config", config, "--method", "blob", "--out-dir", str(work / "blob")]) == 0
-for method in ("mle", "bbb"):
+for method in ("mle", "map", "mcd", "ens", "bbb", "blob"):
+    assert main(["train", "--config", config, "--method", method, "--out-dir", str(work / method)]) == 0
     for n in ("0", "5"):
         assert main(["eval", "--config", config, "--model-dir", str(work / method), "--n-samples", n,
                      "--out-dir", str(work / f"eval-{method}-{n}")]) == 0
+assert main(["suite", "--config", config, "--out-dir", str(work / "suite")]) == 0
 assert loaded() == [], f"the SciPy-free commands loaded {loaded()}"
 
 assert main(["verify-theorems", "--draws", "2000", "--flipout-draws", "2000",
@@ -63,19 +69,15 @@ assert main(["verify-theorems", "--draws", "2000", "--flipout-draws", "2000",
 assert "scipy.linalg" in sys.modules, "verify-theorems ran without scipy.linalg"
 """
 
-# A softplus net's training loads scipy.special for expit, and nothing of scipy.linalg.
+# bbb, the one softplus-map net, trained first thing in a fresh interpreter.
 BBB_PROBE = """
 import sys
 from bayeslora.cli import main
 
 work = sys.argv[1]
-assert main(["train", "--config", work + "/tiny.ini", "--method", sys.argv[2],
-             "--out-dir", work + "/" + sys.argv[2]]) == 0
-loaded = {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
-if sys.argv[2] == "bbb":
-    assert "scipy.special" in loaded and "scipy.linalg" not in loaded, sorted(loaded)
-else:
-    assert not loaded, sorted(loaded)
+assert main(["train", "--config", work + "/tiny.ini", "--method", "bbb", "--out-dir", work + "/bbb"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
@@ -86,8 +88,7 @@ def _fresh(script: str, *args: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_loads_only_where_the_oracle_or_a_softplus_net_needs_it(tmp_path):
+def test_scipy_loads_only_where_the_oracle_needs_it(tmp_path):
     (tmp_path / "tiny.ini").write_text(TINY_INI)
-    for method in ("mle", "bbb"):
-        _fresh(BBB_PROBE, str(tmp_path), method)
+    _fresh(BBB_PROBE, str(tmp_path))
     _fresh(PROBE, str(tmp_path))

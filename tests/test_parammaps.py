@@ -20,6 +20,15 @@ from bayeslora.parammaps import (
 )
 
 
+def _assert_same_bits(got, want):
+    """Equal float64 bit patterns, signed zeros included; a NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 class TestApply:
     def test_square(self):
         assert apply_map(ParamMap.SQUARE, 0.1) == pytest.approx(0.01, rel=1e-15)
@@ -38,8 +47,32 @@ class TestApply:
         # training bytes rest on expit; NumPy's 1/(1+exp(-x)) rounds differently on ~2 % of inputs
         from scipy.special import expit
 
-        x = np.concatenate([np.linspace(-40.0, 40.0, 10_001), [-700.0, 700.0]])
-        np.testing.assert_array_equal(map_derivative(ParamMap.SOFTPLUS, x), expit(x))
+        edge = parammaps._EXP_MAX
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 10_001),
+            [-700.0, 700.0, edge, 1e308, np.inf, -np.inf, 0.0, -0.0, np.nan],
+            np.random.default_rng(0).normal(0.0, 3.0, 100_000),
+        ])
+        # -rho past _EXP_MAX: math.exp overflows, and expit's libm exp gives inf
+        overflow = np.concatenate([x[:5], [-edge, np.nextafter(-edge, -np.inf), -745.0, -1e308]])
+        for rho in (x, overflow, x[-64:].reshape(2, 32), np.array(-1.25), 0.75, -edge, -745.0, np.nan):
+            got, want = map_derivative(ParamMap.SOFTPLUS, rho), expit(rho)
+            assert type(got) is type(want)
+            _assert_same_bits(got, want)
+
+    def test_exp_max_is_where_math_exp_overflows(self):
+        assert math.exp(parammaps._EXP_MAX) < math.inf
+        with pytest.raises(OverflowError):
+            math.exp(np.nextafter(parammaps._EXP_MAX, np.inf))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_softplus_derivative_matches_expit_on_any_finite_float(self, rho):
+        from scipy.special import expit
+
+        got = map_derivative(ParamMap.SOFTPLUS, rho)
+        assert type(got) is np.float64
+        _assert_same_bits(got, expit(rho))
 
     def test_inverse_round_trip(self):
         for pmap in ParamMap:

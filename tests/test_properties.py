@@ -1,9 +1,10 @@
 """Property tests of the shared ops: the adapter branch op, the Gaussian KL
-and its factor loop in the network's KL, the KL weight schedule and the
-model file."""
+and its factor loop in the network's KL, the KL weight schedule, the
+model file and the model.json manifest."""
 
 import functools
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayeslora.adapter import VariationalAdapter, branch_backward, branch_forward
+from bayeslora.cli import _load_trained, main
 from bayeslora.kl import gaussian_kl
 from bayeslora.network import AdapterLayer, SmallNet, kl_term, load_net, save_net
 from bayeslora.parammaps import ParamMap, apply_map, map_derivative
@@ -140,6 +142,56 @@ def test_model_file_with_one_token_replaced_loads_as_spelled_or_fails(data, toke
         save_net(net, str(path))
         lines[i][j] = float.fromhex(token).hex()
         assert path.read_text().splitlines() == [" ".join(tokens) for tokens in lines]
+
+
+@functools.cache
+def _trained_ens() -> tuple[dict[str, str], tuple]:
+    """The model.json and model files ``train`` writes for a tiny three-member
+    ens, by file name, and the (model, seed) they load as."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "tiny.ini"
+        config.write_text("[task]\nn_train = 60\nn_test = 40\n\n[net]\nhidden = 4\n\n"
+                          "[train]\nsteps = 5\nbatch_size = 8\n")
+        out = Path(tmp) / "ens"
+        assert main(["train", "--config", str(config), "--method", "ens", "--out-dir", str(out)]) == 0
+        files = {p.name: p.read_text() for p in out.iterdir() if p.name.startswith("model")}
+        return files, _load_trained(str(out))
+
+
+# One JSON token: a string, a number, a literal or a punctuator.
+_JSON_TOKEN = re.compile(r'"[^"]*"|-?[0-9][0-9.eE+-]*|true|false|null|[{}\[\],:]')
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(["delete", "duplicate", "truncate", "replace"]))
+def test_model_json_with_one_edit_loads_the_original_model_or_fails(data, edit):
+    """One line of model.json deleted or duplicated, the file truncated, or
+    one token replaced: ``_load_trained`` returns the model as trained or
+    raises a ValueError, never another exception."""
+    files, (model, seed) = _trained_ens()
+    text = files["model.json"]
+    if edit == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif edit == "replace":
+        lo, hi = data.draw(st.sampled_from([m.span() for m in _JSON_TOKEN.finditer(text)]))
+        token = data.draw(st.sampled_from(
+            ["nan", "NaN", "inf", "Infinity", "1e400", "-1", "", "@junk", '"model-9.txt"']))
+        text = text[:lo] + token + text[hi:]
+    else:
+        lines = text.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [] if edit == "delete" else [lines[i]] * 2
+        text = "".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in dict(files, **{"model.json": text}).items():
+            (Path(tmp) / name).write_text(body)
+        try:
+            back, back_seed = _load_trained(tmp)
+        except ValueError:
+            return
+    assert (back.spec, back_seed) == (model.spec, seed)
+    assert [{k: _bits(v) for k, v in _arrays(net).items()} for net in back.models] == [
+        {k: _bits(v) for k, v in _arrays(net).items()} for net in model.models]
 
 
 @_settings
