@@ -43,6 +43,8 @@ class SuiteConfig:
         ):
             if not values:
                 raise ValueError(f"{name} must list at least one value")
+            if any(type(value) is not int for value in values):
+                raise ValueError(f"{name} takes integers only, got {_text(values)}")
             if min(values) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {_text(values)}")
         # A repeated grid entry only adds copies, and summary.csv would count them as seeds.

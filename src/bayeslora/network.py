@@ -64,7 +64,8 @@ _MODEL_VERSION = 1
 _META_KEYS = ("b_std_scale", "dropout_p", "head_trainable", "n_layers", "param_map")
 # The file format keeps two fields of a retired variant that also gave b a
 # Gaussian factor: the meta b_std_scale, always this value, and a per-layer
-# g_b flag, always 0.
+# g_b flag, always 0.  It keeps the meta head_trainable of a retired frozen
+# head too, always 1.
 _B_STD_SCALE = (100.0).hex()
 
 
@@ -95,7 +96,6 @@ class SmallNet:
     head_b: np.ndarray               # (n_classes,)
     param_map: ParamMap = ParamMap.SQUARE
     dropout_p: float = 0.0
-    head_trainable: bool = True
 
     @property
     def input_dim(self) -> int:
@@ -114,7 +114,7 @@ class SmallNet:
         """(key, owner, attribute name) of every trainable array: the head,
         every b, every mean_a, every g.  So the KL means and then the KL stds
         form one run that ends the layout, ``kl_span``."""
-        slots = [("head.w", self, "head_w"), ("head.b", self, "head_b")] if self.head_trainable else []
+        slots = [("head.w", self, "head_w"), ("head.b", self, "head_b")]
         for name in ("b", "mean_a", "g"):
             slots += [(f"layers.{i}.{name}", layer.adapter, name) for i, layer in enumerate(self.layers)]
         return slots
@@ -196,8 +196,7 @@ def stack_nets(nets: list[SmallNet]) -> tuple[SmallNet, np.ndarray]:
         })
         layers.append(AdapterLayer(adapter, stack(lambda net: net.layers[i].bias)))
     stacked = SmallNet(
-        layers, stack(lambda net: net.head_w), stack(lambda net: net.head_b), first.param_map,
-        first.dropout_p, first.head_trainable,
+        layers, stack(lambda net: net.head_w), stack(lambda net: net.head_b), first.param_map, first.dropout_p
     )
     stacked.bind(params)
     return stacked, params
@@ -227,7 +226,8 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     else:
         with np.errstate(divide="ignore"):  # an exact zero gives inf without a warning
             logs = np.log(picked)
-    return _scalar(-(np.add.reduce(logs, axis=-1) / picked.shape[-1]))
+    # 0.0 - x, not -x: a batch fit exactly (every log 0.0) gives +0.0, not -0.0.
+    return _scalar(0.0 - np.add.reduce(logs, axis=-1) / picked.shape[-1])
 
 
 def _scalar(value: np.ndarray) -> float | np.ndarray:
@@ -331,8 +331,7 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
                 dhd = dhd * cache.drop_mask
             dh = ad.w0.swapaxes(-1, -2) @ dz + dhd
     h_out = fwd.layer_caches[-1].h_out
-    head = [d_logits @ h_out.swapaxes(-1, -2), np.add.reduce(d_logits, axis=-1)] if net.head_trainable else []
-    parts = head + d_b + d_mean_a + d_g
+    parts = [d_logits @ h_out.swapaxes(-1, -2), np.add.reduce(d_logits, axis=-1), *d_b, *d_mean_a, *d_g]
     if not net.members:
         return np.concatenate(parts, axis=None)
     return np.concatenate([d.reshape(*net.members, -1) for d in parts], axis=-1)
@@ -384,7 +383,7 @@ def save_net(net: SmallNet, path: str) -> None:
     meta = {
         "param_map": net.param_map.value,
         "dropout_p": float(net.dropout_p).hex(),
-        "head_trainable": int(net.head_trainable),
+        "head_trainable": 1,
         "b_std_scale": _B_STD_SCALE,
         "n_layers": len(net.layers),
     }
@@ -430,18 +429,17 @@ def load_net(path: str) -> SmallNet:
         meta = json.loads(payload)
         if not isinstance(meta, dict) or sorted(meta) != list(_META_KEYS):
             raise ValueError(f"keys must be {list(_META_KEYS)}, got {sorted(meta)}")
-        n_layers, head_trainable = meta["n_layers"], meta["head_trainable"]
+        n_layers = meta["n_layers"]
         if type(n_layers) is not int or n_layers < 1:
             raise ValueError(f"n_layers must be an integer >= 1, got {n_layers!r}")
-        if type(head_trainable) is not int or head_trainable not in (0, 1):
-            raise ValueError(f"head_trainable must be 0 or 1, got {head_trainable!r}")
+        if type(meta["head_trainable"]) is not int or meta["head_trainable"] != 1:
+            raise ValueError(f"head_trainable must be 1, got {meta['head_trainable']!r}")
         dropout_p = float.fromhex(meta["dropout_p"])
         if not 0.0 <= dropout_p < 1.0 or "0x" not in meta["dropout_p"]:
             raise ValueError(f"dropout_p must be a 0x hex float in [0, 1), got {meta['dropout_p']!r}")
         if meta["b_std_scale"] != _B_STD_SCALE:
             raise ValueError(f"b_std_scale must be {_B_STD_SCALE!r}, got {meta['b_std_scale']!r}")
-        options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p,
-                       head_trainable=bool(head_trainable))
+        options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"meta: {exc}") from None
 

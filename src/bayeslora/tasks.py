@@ -45,6 +45,9 @@ class TaskSpec:
     shift: str = "none"
 
     def __post_init__(self) -> None:
+        for name in ("n_train", "n_test", "n_classes", "input_dim"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}")
         if self.shift not in SHIFTS:

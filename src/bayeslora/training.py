@@ -1,8 +1,8 @@
 """Training loop for the Bayesian adapter network.
 
-One step draws a minibatch, runs K stochastic forward passes, assembles
+One step draws a minibatch, runs one stochastic forward pass, assembles
 
-    loss = mean cross-entropy over the K passes + kl_weight * KL
+    loss = mean cross-entropy over the minibatch + kl_weight * KL
 
 and applies two optimizers: an adaptive moment-based optimizer (AdamW
 style, linear warmup then linear decay) for the likelihood gradients of
@@ -85,7 +85,6 @@ class TrainingDivergedError(RuntimeError):
 class TrainConfig:
     sigma_p: float = 0.2
     epsilon: float = 0.05          # init scale of the std parameter g
-    k_train_samples: int = 1
     lr_likelihood: float = 1e-2
     lr_kl: float = 1e-2
     steps: int = 2000
@@ -100,9 +99,11 @@ class TrainConfig:
     gamma: float = 8.0
 
     def __post_init__(self) -> None:
+        for name in ("steps", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         positive = {
             "sigma_p": self.sigma_p, "epsilon": self.epsilon,
-            "k_train_samples": self.k_train_samples,
             "lr_likelihood": self.lr_likelihood, "lr_kl": self.lr_kl,
             "batch_size": self.batch_size, "gamma": self.gamma,
         }
@@ -181,10 +182,9 @@ def build_small_net(
     rank: int,
     config: TrainConfig,
     zero_g: bool = False,
-    head_trainable: bool = True,
 ) -> SmallNet:
-    """Random frozen backbone (one adapter per dense layer) plus a trainable head,
-    drawn from ``config.seed``.
+    """Random frozen backbone (one adapter per dense layer) plus a head,
+    drawn from ``config.seed``; the head always trains.
 
     The requested rank is clipped per layer to min(m, n) - 1.  ``zero_g``
     pins every std parameter to zero for non-Bayesian baselines (valid
@@ -214,7 +214,6 @@ def build_small_net(
         head_b=head_b,
         param_map=config.param_map,
         dropout_p=config.dropout_p,
-        head_trainable=head_trainable,
     )
 
 
@@ -239,7 +238,8 @@ def elbo_minibatch(
 ) -> ElboResult:
     """Loss and gradients for one minibatch (rows of x_batch are examples).
 
-    Runs K stochastic passes for the likelihood term; the KL term is
+    Runs one stochastic pass for the likelihood term (under flipout, one
+    pass already perturbs each example's weights apart); the KL term is
     evaluated in closed form whenever the KL path is active.  Gradients
     come back split by path, as flat-layout vectors, so the two optimizers
     can consume them separately.  A stacked net takes one (batch, features)
@@ -252,29 +252,20 @@ def elbo_minibatch(
     h0 = np.ascontiguousarray(x_batch.swapaxes(-1, -2))
     labels = np.asarray(y_batch, dtype=np.intp)
     batch = h0.shape[-1]
-    k = config.k_train_samples
     mode = {"flipout": "flipout", "shared": "shared", "none": "mean"}[config.sampling]
     dropout_active = net.dropout_p > 0.0
     rng = np.random.default_rng(seed) if mode != "mean" or dropout_active else None  # else nothing is drawn
 
-    likelihood = 0.0
-    picked = label_index(labels)
-    for i in range(k):
-        fwd = net_forward(net, h0, mode=mode, rng=rng, dropout_active=dropout_active)
-        probs = softmax_columns(fwd.logits)
-        likelihood += cross_entropy(probs, labels) / k
-        d_logits = probs.copy()
-        d_logits[picked] -= 1.0
-        d_logits /= batch
-        grad = net_backward(net, fwd, d_logits)
-        if i == 0:
-            probs_mean = probs if k == 1 else probs / k
-            lik_grad = grad if k == 1 else (1.0 / k) * grad
-        else:
-            probs_mean += probs / k
-            lik_grad += (1.0 / k) * grad
+    fwd = net_forward(net, h0, mode=mode, rng=rng, dropout_active=dropout_active)
+    probs = softmax_columns(fwd.logits)
+    likelihood = cross_entropy(probs, labels)
     if not all_finite(likelihood):
         raise NonFiniteLossError("likelihood")
+    correct = np.argmax(probs, axis=-2) == labels
+    d_logits = probs  # (probs - one-hot) / batch, written over probs
+    d_logits[label_index(labels)] -= 1.0
+    d_logits /= batch
+    lik_grad = net_backward(net, fwd, d_logits)
 
     if kl_weight > 0.0:
         kl_value, kl_grad = kl_term(net, config.sigma_p)
@@ -282,7 +273,6 @@ def elbo_minibatch(
         kl_value, kl_grad = 0.0, None
 
     loss = likelihood + kl_weight * kl_value
-    correct = np.argmax(probs_mean, axis=-2) == labels
     if correct.ndim == 1:
         train_acc = int(np.count_nonzero(correct)) / batch
     else:  # one accuracy per member

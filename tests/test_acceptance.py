@@ -101,7 +101,7 @@ def test_criterion_04_gradient_correctness():
     h = 1e-5
     worst = 0.0
     for point in range(10):
-        config = TrainConfig(seed=point, k_train_samples=1)
+        config = TrainConfig(seed=point)
         net = build_small_net(6, (4,), 3, 2, config)
         rng = np.random.default_rng(1000 + point)
         for layer in net.layers:

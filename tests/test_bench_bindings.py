@@ -9,13 +9,20 @@ training steps, the stacked training of the ens members, one sampled
 prediction, a small suite whose sampled cell predicts several counts in one
 call, and a small oracle battery.  It runs in a subprocess because importing
 the harness pins BLAS threads and edits the environment.
+
+The harness also keeps its own copy of the benchmark config, ``GRID_INI``;
+it must keep loading as ``configs/benchmark.ini`` does.
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
 
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+from bayeslora.configio import load_config
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 PROBE = """
 import sys
@@ -64,3 +71,16 @@ def test_every_name_the_benchmark_binds_exists():
         [sys.executable, "-c", PROBE, str(BENCH)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_grid_config_loads_as_the_committed_config(tmp_path):
+    """``GRID_INI``, read from the harness source without importing it and
+    filled in at the committed config's steps and seeds, loads as exactly
+    the config of ``configs/benchmark.ini``: a loader change that refuses a
+    key the harness writes, or reads it differently, fails here."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    [grid_ini] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["GRID_INI"]]
+    path = tmp_path / "grid.ini"
+    path.write_text(grid_ini.format(steps=6000, seed0=0, seeds="0,1,2,3,4"))
+    assert load_config(str(path)) == load_config(str(ROOT / "configs" / "benchmark.ini"))

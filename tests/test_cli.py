@@ -79,11 +79,6 @@ VERIFY_STDOUT_SHA256 = {
 # over a contiguous span; the ens row, with its three members trained one
 # after another, before they trained as one stacked program.
 GOLDEN_TRAIN_PATHS = {
-    "k_train_samples_2": (
-        "blob", "k_train_samples = 2",
-        ("e7c25d34355866375270f518a63dd5bd3b17e4cbd034b578bac2ce7742f069cb",),
-        ("28539054b39a6df07298604a4c6268459fead783fecab3774b6aaf3b44fff282",),
-    ),
     "dropout_flipout": (
         "blob", "dropout_p = 0.1",
         ("662f0e81179e9b278cd9aae2efc9860b9f205234f9c6197ea93c18cc4f7d7afd",),
@@ -244,12 +239,12 @@ class TestConfigIo:
             load_config(str(path))
 
     def test_retired_variant_keys_are_ignored(self, tmp_path):
-        """bayesianize_b and b_std_scale no longer change a config: a file
-        setting them loads as the same file without them."""
+        """bayesianize_b, b_std_scale and k_train_samples no longer change a
+        config: a file setting them loads as the same file without them."""
         plain = tmp_path / "plain.ini"
         plain.write_text("[train]\nsteps = 7\n")
         retired = tmp_path / "retired.ini"
-        retired.write_text("[train]\nsteps = 7\nbayesianize_b = true\nb_std_scale = 5.0\n")
+        retired.write_text("[train]\nsteps = 7\nbayesianize_b = true\nb_std_scale = 5.0\nk_train_samples = 2\n")
         assert load_config(str(retired)) == load_config(str(plain))
 
     @pytest.mark.parametrize(
@@ -289,7 +284,6 @@ class TestConfigIo:
         (TrainConfig, "train", "lr_kl", "lr_kl"),
         (TrainConfig, "train", "weight_decay", "weight_decay"),
         (TrainConfig, "schedule", "gamma", "gamma"),
-        (TrainConfig, "train", "k_train_samples", "k_train_samples"),
         (TrainConfig, "train", "batch_size", "batch_size"),
         (TrainConfig, "train", "steps", "steps"),
         (BaselineSpec, "baselines", "weight_decay", "weight_decay"),
@@ -305,6 +299,29 @@ class TestConfigIo:
         path.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ValueError, match=f"^{section}.{key}: "):
             load_config(str(path))
+
+    @pytest.mark.parametrize("value", [3.5, 2.0, True], ids=["fraction", "whole-float", "bool"])
+    @pytest.mark.parametrize("owner, name, named", [
+        (TrainConfig, "steps", "steps"),
+        (TrainConfig, "batch_size", "batch_size"),
+        (TrainConfig, "seed", "seed"),
+        (TaskSpec, "n_train", "n_train"),
+        (TaskSpec, "n_test", "n_test"),
+        (TaskSpec, "n_classes", "n_classes"),
+        (TaskSpec, "input_dim", "input_dim"),
+        (SuiteConfig, "rank", "rank"),
+        (SuiteConfig, "data_seed_offset", "data_seed_offset"),
+        (SuiteConfig, "hidden", "hidden"),
+        (SuiteConfig, "seeds", "seeds"),
+        (SuiteConfig, "n_samples_list", "n_samples"),
+    ])
+    def test_integer_field_rejects_float_and_bool(self, owner, name, named, value):
+        """An integer field refuses a float or a bool where the config is
+        built, by name, not deep inside training or data generation."""
+        if owner is SuiteConfig and name not in ("rank", "data_seed_offset"):
+            value = (4, value)  # a list field, with one bad entry
+        with pytest.raises(ValueError, match=f"^{named} "):
+            owner(**{name: value})
 
     def test_repeated_hidden_width_is_legal(self, tmp_path):
         path = tmp_path / "net.ini"
@@ -883,7 +900,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_PATHS))
     def test_train_paths_match_golden(self, case, tmp_path, capsys):
-        """K > 1, dropout under flipout, bbb and the ens members: each
+        """Dropout under flipout, bbb and the ens members: each
         trained model and trajectory, byte for byte."""
         method, extra, model_shas, trajectory_shas = GOLDEN_TRAIN_PATHS[case]
         ini = tmp_path / "tiny.ini"

@@ -1,6 +1,6 @@
 """Property tests of the shared ops: the adapter branch op, the Gaussian KL
 and its factor loop in the network's KL, the KL weight schedule, the
-model file and the model.json manifest."""
+model file, the model.json manifest and the config file."""
 
 import functools
 import math
@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from bayeslora.adapter import VariationalAdapter, branch_backward, branch_forward
 from bayeslora.cli import _load_trained, main
+from bayeslora.configio import load_config
 from bayeslora.kl import gaussian_kl
 from bayeslora.network import AdapterLayer, SmallNet, kl_term, load_net, save_net
 from bayeslora.parammaps import ParamMap, apply_map, map_derivative
@@ -55,8 +56,8 @@ def _gaussians(draw):
 
 @st.composite
 def _nets(draw):
-    """A net of random widths and ranks, either std map, any dropout and head
-    flag, and entries anywhere in the finite float64 range (signed zeros and
+    """A net of random widths and ranks, either std map, any dropout, and
+    entries anywhere in the finite float64 range (signed zeros and
     subnormals included)."""
     any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -76,7 +77,6 @@ def _nets(draw):
         head_b=array(n_classes),
         param_map=draw(st.sampled_from(ParamMap)),
         dropout_p=draw(st.floats(0.0, 0.99)),
-        head_trainable=draw(st.booleans()),
     )
 
 
@@ -102,7 +102,6 @@ def test_model_file_round_trips_bit_exactly(net):
         save_net(net, path)
         back = load_net(path)
     assert back.param_map is net.param_map
-    assert back.head_trainable is net.head_trainable
     assert back.dropout_p.hex() == net.dropout_p.hex()
     before, after = _arrays(net), _arrays(back)
     assert list(after) == list(before)
@@ -192,6 +191,61 @@ def test_model_json_with_one_edit_loads_the_original_model_or_fails(data, edit):
     assert (back.spec, back_seed) == (model.spec, seed)
     assert [{k: _bits(v) for k, v in _arrays(net).items()} for net in back.models] == [
         {k: _bits(v) for k, v in _arrays(net).items()} for net in model.models]
+
+
+_BENCHMARK_INI = Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini"
+# The SuiteConfig attribute that owns each section's keys ("" for the
+# SuiteConfig itself), and the keys whose field has another name.
+_SECTION_OWNERS = {"task": "task", "net": "", "train": "train", "schedule": "train", "suite": "",
+                   "baselines": "baseline"}
+_KEY_FIELDS = {"mode": "kl_mode", "n_samples": "n_samples_list"}
+
+
+def _spelled(config, section: str, key: str, raw: str):
+    """``config`` with only the field of ``section.key`` set to the value
+    ``raw`` spells in that field's type; one entry for a list field."""
+    owner_name, name = _SECTION_OWNERS[section], _KEY_FIELDS.get(key, key)
+    owner = getattr(config, owner_name) if owner_name else config
+    current = getattr(owner, name)
+    value = (type(current[0])(raw),) if isinstance(current, tuple) else type(current)(raw)
+    owner = replace(owner, **{name: value})
+    return replace(config, **{owner_name: owner}) if owner_name else owner
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(["nan", "inf", "1e400", "-1", "0", "1.5", "", "junk", "duplicate"]))
+def test_config_with_one_edit_loads_as_spelled_or_names_the_key(data, edit):
+    """One value of the benchmark config replaced, or one key line repeated:
+    the loader raises a ValueError naming ``section.key`` (a repeat: the
+    file and the line), or returns the original config with only that field
+    changed, to the value the edit spells ("0" for "0.0" changes nothing)."""
+    original = load_config(str(_BENCHMARK_INI))
+    lines = _BENCHMARK_INI.read_text().splitlines()
+    sections = {}
+    section = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line and not line.startswith("#"):
+            sections[i] = section
+    i = data.draw(st.sampled_from(sorted(sections)))
+    section, key = sections[i], lines[i].split(" = ")[0]
+    if edit == "duplicate":
+        lines.insert(i + 1, lines[i])
+    else:
+        lines[i] = f"{key} = {edit}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.ini"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            config = load_config(str(path))
+        except ValueError as exc:
+            want = (f"{path}, line {i + 2}: key {key!r} repeats in section [{section}]" if edit == "duplicate"
+                    else f"{section}.{key}: ")
+            assert str(exc).startswith(want), str(exc)
+            return
+    assert edit != "duplicate", "a repeated key line loaded"
+    assert config == _spelled(original, section, key, edit)
 
 
 @_settings

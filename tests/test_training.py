@@ -171,7 +171,7 @@ class TestElbo:
     def test_deterministic_loss_is_plain_cross_entropy(self):
         from bayeslora.network import cross_entropy, net_forward, softmax_columns
 
-        config = TrainConfig(seed=0, sampling="none", k_train_samples=1)
+        config = TrainConfig(seed=0, sampling="none")
         net = build_small_net(2, (6,), 2, 1, config, zero_g=True)
         (x, y), _ = _small_task()
         res = elbo_minibatch(net, x[:16], y[:16], config, kl_weight=0.0, seed=5)
@@ -225,15 +225,6 @@ class TestTrain:
         for layer, (w0, bias) in zip(net.layers, frozen):
             np.testing.assert_array_equal(layer.adapter.w0, w0)
             np.testing.assert_array_equal(layer.bias, bias)
-
-    def test_frozen_head_stays_put(self):
-        config = TrainConfig(seed=1, steps=40)
-        net = build_small_net(2, (8,), 2, 1, config, head_trainable=False)
-        head_before = net.head_w.copy()
-        assert "head.w" not in net.trainable_params()
-        (ds, _) = _small_task()
-        train([(net, config)], ds)
-        np.testing.assert_array_equal(net.head_w, head_before)
 
     def test_same_seed_bit_identical_trajectory(self):
         (ds, _) = _small_task()
