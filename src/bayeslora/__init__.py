@@ -4,8 +4,9 @@ Library layout:
 
 * ``adapter``   - the variational low-rank adapter, its per-mode layer op
   and ``ShapeError``;
-* ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes, with
-  the dense ``vec`` and PSD log-determinant/solve they need;
+* ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes, the
+  last by column blocks, with ``vec`` and the stacked PSD
+  log-determinant/solve it needs, all in NumPy;
 * ``parammaps`` - square vs softplus std parameterizations and their race;
 * ``network``   - frozen-backbone net with hand-written gradients;
 * ``training``  - ELBO minibatch loop, KL re-weighting schedule, predict;

@@ -37,6 +37,9 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("methods must list at least one method")
+        for name in self.methods:
+            if name not in METHODS:
+                raise ValueError(f"methods holds unknown method {name!r}, expected one of {METHODS}")
         for name, values, floor in (
             ("hidden", self.hidden, 1), ("rank", (self.rank,), 1), ("seeds", self.seeds, 0),
             ("n_samples", self.n_samples_list, 0), ("data_seed_offset", (self.data_seed_offset,), 0),
@@ -74,16 +77,10 @@ _LAYOUT = {
 }
 
 
-def _method(name: str) -> str:
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}, expected one of {METHODS}")
-    return name
-
-
 def _parse(key: str, raw: str, default):
     """``raw`` converted to the type of the key's default value."""
     if isinstance(default, tuple):
-        conv = _method if key == "methods" else int
+        conv = str if key == "methods" else int
         tokens = [tok.strip() for tok in raw.split(",")]
         if "" in tokens:
             raise ValueError(f"empty list entry in {raw!r}")

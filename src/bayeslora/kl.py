@@ -10,22 +10,23 @@ Three routes to the same quantity live here, deliberately redundant:
 2. ``kl_monte_carlo`` - an unbiased sample estimate of E_q[log q - log p],
    used to cross-check the closed form.
 3. The full-weight route: ``build_full_posterior`` / ``build_full_prior``
-   materialize the induced (mn)-dimensional Gaussians
-   (mu_q = vec(w0 + b @ mean_a), Sigma_q = [I_n x b] diag(vec(omega^2))
-   [I_n x b]^T, and Sigma_p = sigma_p^2 [I_n x (b b^T)]), both singular,
-   and ``kl_full_weight_regularized`` evaluates the Gaussian KL after
-   adding an explicit ridge lambda to both covariances.  As lambda -> 0+
-   this converges to the closed form, which is exactly the equivalence the
-   test suite verifies numerically.
+   build the induced Gaussians over vec(w), both singular.  vec stacks the
+   columns of the (m, n) weight, and the columns are independent, so each
+   covariance is block diagonal and is held as its n (m x m) blocks:
+   block i of Sigma_q is b diag(omega[:, i]^2) b^T, and every block of
+   Sigma_p is sigma_p^2 R R^T.  ``kl_full_weight_regularized`` adds an
+   explicit ridge lambda to both covariances and sums the n m-dimensional
+   Gaussian KLs of the columns as one stacked computation.  As
+   lambda -> 0+ this converges to the closed form, which is exactly the
+   equivalence the test suite verifies numerically.
 
 The closed form is returned as a genuine KL, i.e. including the additive
 constant r*n*(log sigma_p - 1/2) that has zero gradient.
 
-The full-weight route's dense helpers live here too: column-stacking
-``vec`` and ``logdet_psd``/``solve_psd``, which raise
-``NotPositiveDefiniteError`` rather than regularize a failed Cholesky.
-Only the oracle needs SciPy, so ``solve_psd`` imports ``scipy.linalg`` on
-its first call and training never loads it.
+The full-weight route's helpers live here too: column-stacking ``vec``,
+and ``logdet_psd``/``solve_psd`` on one matrix or a stack of them, both on
+one NumPy Cholesky helper that checks symmetry and raises
+``NotPositiveDefiniteError`` rather than regularize a failed factorization.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ __all__ = [
     "kl_full_weight_regularized",
 ]
 
-# Largest full-weight dimension (m*n) the dense oracle will materialize.
+# Largest full-weight dimension (m*n) the oracle builds: the moment check
+# materializes the dense (mn x mn) covariance.
 FULL_WEIGHT_GUARD = 4096
 
 
@@ -72,44 +74,35 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, 1, order="F")
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    _check_2d("a", a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {a.shape}")
-    if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix, or of
+    each matrix in a stack ``(..., d, d)``; raises
+    :class:`NotPositiveDefiniteError` instead of regularizing."""
+    if not isinstance(a, np.ndarray) or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got {np.shape(a)}")
+    if not np.allclose(a, a.swapaxes(-1, -2), rtol=1e-10, atol=1e-12):
         raise ValueError("matrix is not symmetric")
-
-
-def logdet_psd(a: np.ndarray) -> float:
-    """Log-determinant of a symmetric positive definite matrix.
-
-    Computed from a Cholesky factor; raises
-    :class:`NotPositiveDefiniteError` instead of regularizing.
-    """
-    _check_symmetric(a)
     try:
-        chol = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "Cholesky factorization failed: matrix is not positive definite"
         ) from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+
+
+def logdet_psd(a: np.ndarray) -> float | np.ndarray:
+    """Log-determinant of a symmetric positive definite matrix, or one per
+    matrix of a stack, from its Cholesky factor."""
+    return 2.0 * np.log(np.diagonal(_cholesky(a), axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``."""
-    _check_symmetric(a)
-    if b.shape[0] != a.shape[0]:
+    """Solve ``a @ x = b`` for symmetric positive definite ``a`` (or a stack,
+    with ``b`` stacked alike) by two triangular solves with its Cholesky factor."""
+    chol = _cholesky(a)
+    if b.shape[: a.ndim - 1] != a.shape[:-1]:
         raise ShapeError(f"solve_psd shape mismatch: {a.shape} vs {b.shape}")
-    from scipy.linalg import cho_factor, cho_solve
-
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "Cholesky factorization failed: matrix is not positive definite"
-        ) from exc
-    return cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, b))
 
 
 @dataclass(frozen=True)
@@ -125,24 +118,32 @@ class PriorSpec:
 
 @dataclass
 class FullWeightGaussian:
-    """Gaussian over vec(w) with a possibly singular covariance."""
+    """Gaussian over vec(w), w of shape (m, n), with a possibly singular
+    covariance that is block diagonal: vec stacks the columns of w, so
+    column i of w is independent of the others and carries block i."""
 
-    mu: np.ndarray   # (d, 1)
-    cov: np.ndarray  # (d, d)
+    mean: np.ndarray    # (m, n)
+    blocks: np.ndarray  # (n, m, m): the covariance of column i of w is blocks[i]
 
     def __post_init__(self) -> None:
-        d = self.mu.shape[0]
-        if self.mu.shape != (d, 1) or self.cov.shape != (d, d):
-            raise ShapeError(f"inconsistent shapes: mu {self.mu.shape}, cov {self.cov.shape}")
-        _check_symmetric(self.cov)
-        eigmin = float(np.linalg.eigvalsh(self.cov)[0])
-        scale = max(1.0, float(np.abs(self.cov).max()))
-        if eigmin < -1e-10 * scale:
-            raise ValueError(f"covariance is not PSD: min eigenvalue {eigmin:.3e}")
+        _check_2d("mean", self.mean)
+        m, n = self.mean.shape
+        if self.blocks.shape != (n, m, m):
+            raise ShapeError(f"inconsistent shapes: mean {self.mean.shape}, blocks {self.blocks.shape}")
+        # PSD up to rounding: every block factors once ridged at the rounding scale.
+        scale = max(1.0, float(np.abs(self.blocks).max(initial=0.0)))
+        try:
+            _cholesky(self.blocks + 1e-10 * scale * np.eye(m))
+        except NotPositiveDefiniteError as exc:
+            raise ValueError("covariance is not PSD: some block has a negative eigenvalue") from exc
 
     @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
+    def cov(self) -> np.ndarray:
+        """The dense (mn x mn) covariance of vec(w), the blocks on its diagonal."""
+        m, n = self.mean.shape
+        dense = np.zeros((n, m, n, m))
+        dense[np.arange(n), :, np.arange(n), :] = self.blocks
+        return dense.reshape(m * n, m * n)
 
 
 def gaussian_kl(
@@ -224,29 +225,15 @@ def _guard_dims(m: int, n: int) -> None:
         raise ValueError(f"full-weight dimension m*n = {m * n} exceeds guard {FULL_WEIGHT_GUARD}")
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    """Square blocks placed along the diagonal of a zero matrix (values copied, not computed)."""
-    size = sum(block.shape[0] for block in blocks)
-    out = np.zeros((size, size))
-    start = 0
-    for block in blocks:
-        stop = start + block.shape[0]
-        out[start:stop, start:stop] = block
-        start = stop
-    return out
-
-
 def build_full_posterior(adapter: VariationalAdapter) -> FullWeightGaussian:
-    """Materialize the induced Gaussian over vec(w0 + b @ a).
-
-    The covariance is block-diagonal: block i equals
-    b @ diag(omega[:, i]^2) @ b^T, one (m x m) block per input column.
-    """
+    """The induced Gaussian over vec(w0 + b @ a): block i, the covariance of
+    column i, is b @ diag(omega[:, i]^2) @ b^T, all n in one stacked matmul."""
     _guard_dims(adapter.m, adapter.n)
     omega = adapter.omega()
-    mu = vec(adapter.w0 + adapter.b @ adapter.mean_a)
-    cov = _block_diag([adapter.b @ np.diag(omega[:, i] ** 2) @ adapter.b.T for i in range(adapter.n)])
-    return FullWeightGaussian(mu=mu, cov=0.5 * (cov + cov.T))
+    blocks = (adapter.b * (omega**2).T[:, None, :]) @ adapter.b.T
+    # The two triangles of (b w) b^T round apart; their mean is exactly symmetric.
+    blocks = 0.5 * (blocks + blocks.swapaxes(-1, -2))
+    return FullWeightGaussian(mean=adapter.w0 + adapter.b @ adapter.mean_a, blocks=blocks)
 
 
 def build_full_prior(
@@ -255,12 +242,11 @@ def build_full_prior(
     prior: PriorSpec,
     r_factor: np.ndarray | None = None,
 ) -> FullWeightGaussian:
-    """Materialize the low-rank full-weight prior centred at vec(w0).
+    """The low-rank full-weight prior centred at vec(w0).
 
-    The covariance is sigma_p^2 [I_n x (R R^T)] with any R satisfying
-    R R^T = b b^T; the canonical choice R = b is used unless ``r_factor``
-    overrides it (the induced prior, and hence the KL, must not depend on
-    that choice).
+    Every block is sigma_p^2 R R^T with any R satisfying R R^T = b b^T; the
+    canonical choice R = b is used unless ``r_factor`` overrides it (the
+    induced prior, and hence the KL, must not depend on that choice).
     """
     m, n = w0.shape
     _guard_dims(m, n)
@@ -269,10 +255,8 @@ def build_full_prior(
     factor = b if r_factor is None else r_factor
     if factor.shape[0] != m:
         raise ShapeError(f"r_factor must have {m} rows, got {factor.shape}")
-    gram = factor @ factor.T
-    sp2 = prior.sigma_p * prior.sigma_p
-    cov = _block_diag([sp2 * gram] * n)
-    return FullWeightGaussian(mu=vec(w0), cov=0.5 * (cov + cov.T))
+    block = prior.sigma_p * prior.sigma_p * (factor @ factor.T)
+    return FullWeightGaussian(mean=w0, blocks=np.broadcast_to(block, (n, m, m)))
 
 
 def kl_full_weight_regularized(
@@ -284,20 +268,21 @@ def kl_full_weight_regularized(
 
     Evaluates KL[N(mu_q, Sigma_q + lam I) || N(mu_p, Sigma_p + lam I)]
     through the standard closed form; the ridge keeps both covariances
-    positive definite.  Factorization failure propagates as an error.
+    positive definite.  Both are block diagonal, so the KL is the sum of the
+    n m-dimensional KLs of the columns, computed as one stack.
+    Factorization failure propagates as an error.
     """
     if not (lam > 0.0):
         raise ValueError("lambda must be positive")
-    if q.dim != p.dim:
-        raise ShapeError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
-    d = q.dim
-    eye = np.eye(d)
-    cov_q = q.cov + lam * eye
-    cov_p = p.cov + lam * eye
-
-    logdet_q = logdet_psd(cov_q)
-    logdet_p = logdet_psd(cov_p)
-    trace_term = float(np.trace(solve_psd(cov_p, cov_q)))
-    delta = q.mu - p.mu
-    quad = float((delta.T @ solve_psd(cov_p, delta))[0, 0])
-    return 0.5 * (logdet_p - logdet_q - d + trace_term + quad)
+    if q.mean.shape != p.mean.shape:
+        raise ShapeError(f"shape mismatch: q has {q.mean.shape}, p has {p.mean.shape}")
+    m, n = q.mean.shape
+    ridge = lam * np.eye(m)
+    cov_q, cov_p = q.blocks + ridge, p.blocks + ridge
+    delta = (q.mean - p.mean).T[:, :, None]  # (n, m, 1): column i of mu_q - mu_p
+    # One solve against Sigma_p for the trace and the quadratic term together.
+    x = solve_psd(cov_p, np.concatenate([cov_q, delta], axis=-1))
+    trace_term = np.trace(x[..., :m], axis1=-2, axis2=-1).sum()
+    quad = np.sum(delta[..., 0] * x[..., m])
+    logdets = np.sum(logdet_psd(cov_p) - logdet_psd(cov_q))
+    return float(0.5 * (logdets - m * n + trace_term + quad))

@@ -7,7 +7,9 @@ shape a span's name function expects, breaks ``--trace 1`` or the op cuts.
 The probe installs the harness's tracer and calls through it: a few blob
 training steps, the stacked training of the ens members, one sampled
 prediction, a small suite whose sampled cell predicts several counts in one
-call, and a small oracle battery.  It runs in a subprocess because importing
+call, and a small oracle battery, whose block KL must reach the
+log-determinant and the solve through the names the harness wraps.  It runs
+in a subprocess because importing
 the harness pins BLAS threads and edits the environment.
 
 The harness also keeps its own copy of the benchmark config, ``GRID_INI``;
@@ -60,7 +62,8 @@ spans = tracer.aggregate(0, tracer.mark())
 expected = ("network.backward.flipout", "network.kl_term", "training.elbo",
             "suite.train_method.blob", "suite.predict_method.n2", "suite.train_method.ens",
             "network.forward.mean.b2", "suite.run_suite", "baselines.predict_baseline",
-            "suite.verify_theorems")
+            "suite.verify_theorems", "kl.kl_full_weight_regularized",
+            "linalg.logdet_psd", "linalg.solve_psd")
 missing = [name for name in expected if name not in spans]
 assert not missing, f"spans not recorded: {missing}; recorded: {sorted(spans)}"
 """

@@ -42,7 +42,9 @@ GOLDEN_RESULTS_SHA256 = {
 # model file shows here.  theorems.json was re-recorded when the flipout
 # variance check became a z-score against the exact naive variance, and
 # again when the decorrelation limit began to follow the draw count (at 50
-# draws the honest check had read FAIL against a fixed 0.05).
+# draws the honest check had read FAIL against a fixed 0.05), and again when
+# the full-weight KL began to sum its column blocks by NumPy's Cholesky (the
+# lambda = 1e-8 gap and the factor-invariance difference print new digits).
 GOLDEN_FILES_SHA256 = {
     "data/test.csv": "918eefa59c4c588f926de23cb8572f1cbd35497e2fb9b33194faba3ef44f94da",
     "data/train.csv": "df1af6c56b15364df7fc5152e75bd4fdea7050c38d2c75e1cbf6b122902cb747",
@@ -54,21 +56,22 @@ GOLDEN_FILES_SHA256 = {
     "model/trajectory-0.csv": "8ef4fce8af8f1f47d9d420b5ccad78b8d7746bc52f7de518b405ca83e5dad9e8",
     "race/race_softplus.csv": "e7902ae7201be5a7c682cb7438f2fd79956a6f5cbd32f0a22df9783ed0d69f1f",
     "race/race_square.csv": "dc205eea0e24d0fd5138ef1e516fcb344d218557ff79c489a46231305c55479f",
-    "theorems/theorems.json": "e129a900c53e6153b669db5bf353ea8fc780f94c082b2ccdbef23694f9e538ec",
+    "theorems/theorems.json": "47b4e98dd2e36e3a807e61bfa0cf96a8c3cb9562488505ce5629f1a86cde8946",
 }
 
-# sha256 of the stdout of `verify-theorems` at its CLI defaults.
-VERIFY_DEFAULTS_STDOUT_SHA256 = "2656cb2fb60bc0a3f7dd52c4ae2df2be9dcd336f78259807b5e0dc5e3f8ae777"
+# sha256 of the stdout of `verify-theorems` at its CLI defaults and, below,
+# at other settings: re-recorded, --degenerate-b aside (it runs no KL), when
+# the full-weight KL began to sum its column blocks by NumPy's Cholesky.
+VERIFY_DEFAULTS_STDOUT_SHA256 = "9bc94540a5c99750db8554ae3352e7bf5a14dcfcc12298a7eca8baec318e99c5"
 
-# sha256 of the stdout of `verify-theorems` at other settings, recorded before
-# the flipout oracle summed its covariance from the branch Gram: the pins
-# guard the printed margins at other seeds, shapes and draw counts, and on a
-# zero b.
+# The other settings were first recorded before the flipout oracle summed its
+# covariance from the branch Gram: the pins guard the printed margins at
+# other seeds, shapes and draw counts, and on a zero b.
 VERIFY_STDOUT_SHA256 = {
-    "--seed 1": "5e61e461e67c0291f262c15d1ba3eb48b9165fa93233624b01c9a5eacd9ac739",
-    "--seed 7": "cd03b114857c90fe78256b4efaafe9aab53c5e0de0722fc64b9560440aee3442",
-    "--m 6 --n 5 --r 3": "0697be9627a7caca8b1e1dc87d7db50b259ec1958799a48141a803e9b9bb7428",
-    "--draws 2000 --flipout-draws 50": "86206a0989c7338eff07c15d340e120db7606175c3072b52e3cf672f87075db7",
+    "--seed 1": "7dad0c531fd5ce0353ebfd086bac6f3fb8e66a2561dc1a6db77488f9c39f9814",
+    "--seed 7": "f00d41a5d0c2a7e55d904d291a5762ca0d4101d426da91bd1122a2ca7bec0dc7",
+    "--m 6 --n 5 --r 3": "a6bb4e898b866effd60075b6233f1827083064d6a45041d473a7996799d27bd7",
+    "--draws 2000 --flipout-draws 50": "903756331a6e78d471ac96bb351f40c8e36aa47649076b02f7f029ac2a194024",
     "--degenerate-b": "50940565b2d03a245624538ec2744f5a02342d36f4d13f670975bb3e772dee14",
 }
 
@@ -322,6 +325,13 @@ class TestConfigIo:
             value = (4, value)  # a list field, with one bad entry
         with pytest.raises(ValueError, match=f"^{named} "):
             owner(**{name: value})
+
+    @pytest.mark.parametrize("methods", [("blub",), ("mle", "blub")])
+    def test_unknown_method_rejected_where_the_config_is_built(self, methods):
+        """A config built in Python refuses an unknown method by field name,
+        so run_suite never meets one and records no per-cell error row."""
+        with pytest.raises(ValueError, match="^methods holds unknown method 'blub'"):
+            SuiteConfig(methods=methods)
 
     def test_repeated_hidden_width_is_legal(self, tmp_path):
         path = tmp_path / "net.ini"

@@ -1,13 +1,14 @@
-"""SciPy stays off the cold-start path.
+"""SciPy stays out of the package.
 
 Every CLI call starts a fresh interpreter, and SciPy more than doubles the
-import time of ``bayeslora.cli``.  Only the dense oracle (``kl.solve_psd``,
-``scipy.linalg``) needs it, and imports it on first use: training, eval
-and the suite load no SciPy module for any method, the softplus-map bbb
-net included (``parammaps.map_derivative`` rebuilds ``expit`` from libm).
-The probes run in fresh interpreters, because the test process has long
-since loaded SciPy.  The import builds no argparse parser either: ``main``
-builds it on its first call.
+import time of ``bayeslora.cli``.  The package imports no SciPy module: no
+command loads one, ``verify-theorems`` included (the full-weight oracle
+factors its covariance blocks with NumPy's Cholesky), and no training
+method does, the softplus-map bbb net included (``parammaps.map_derivative``
+rebuilds ``expit`` from libm).  The probes run in fresh interpreters,
+because the test process has long since loaded SciPy for its references.
+The import builds no argparse parser either: ``main`` builds it on its first
+call.
 """
 
 import os
@@ -51,22 +52,24 @@ assert bayeslora.cli.build_parser.cache_info().currsize == 0, "import bayeslora.
 
 work = Path(sys.argv[1])
 config = str(work / "tiny.ini")
-main = bayeslora.cli.main
-assert main(["write-config", "--out-dir", str(work / "cfg")]) == 0
-assert main(["gen-data", "--config", config, "--out-dir", str(work / "data")]) == 0
-assert main(["race", "--square-steps", "20", "--softplus-steps", "20", "--record-every", "5",
-             "--out-dir", str(work / "race")]) == 0
-for method in ("mle", "map", "mcd", "ens", "bbb", "blob"):
-    assert main(["train", "--config", config, "--method", method, "--out-dir", str(work / method)]) == 0
-    for n in ("0", "5"):
-        assert main(["eval", "--config", config, "--model-dir", str(work / method), "--n-samples", n,
-                     "--out-dir", str(work / f"eval-{method}-{n}")]) == 0
-assert main(["suite", "--config", config, "--out-dir", str(work / "suite")]) == 0
-assert loaded() == [], f"the SciPy-free commands loaded {loaded()}"
 
-assert main(["verify-theorems", "--draws", "2000", "--flipout-draws", "2000",
-             "--out-dir", str(work / "verify")]) == 0
-assert "scipy.linalg" in sys.modules, "verify-theorems ran without scipy.linalg"
+
+def run(*argv):
+    assert bayeslora.cli.main(list(argv)) == 0, argv
+    assert loaded() == [], f"{argv[0]} loaded {loaded()}"
+
+
+run("write-config", "--out-dir", str(work / "cfg"))
+run("gen-data", "--config", config, "--out-dir", str(work / "data"))
+run("race", "--square-steps", "20", "--softplus-steps", "20", "--record-every", "5",
+    "--out-dir", str(work / "race"))
+for method in ("mle", "map", "mcd", "ens", "bbb", "blob"):
+    run("train", "--config", config, "--method", method, "--out-dir", str(work / method))
+    for n in ("0", "5"):
+        run("eval", "--config", config, "--model-dir", str(work / method), "--n-samples", n,
+            "--out-dir", str(work / f"eval-{method}-{n}"))
+run("suite", "--config", config, "--out-dir", str(work / "suite"))
+run("verify-theorems", "--draws", "2000", "--flipout-draws", "2000", "--out-dir", str(work / "verify"))
 """
 
 # bbb, the one softplus-map net, trained first thing in a fresh interpreter.
@@ -88,7 +91,7 @@ def _fresh(script: str, *args: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_loads_only_where_the_oracle_needs_it(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "tiny.ini").write_text(TINY_INI)
     _fresh(BBB_PROBE, str(tmp_path))
     _fresh(PROBE, str(tmp_path))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bayeslora.adapter import VariationalAdapter
+from bayeslora.adapter import ShapeError, VariationalAdapter
 from bayeslora.kl import (
     FullWeightGaussian,
     PriorSpec,
@@ -126,8 +126,9 @@ class TestFullPosterior:
         ad = _random_adapter(3, 2, 1, rng)
         ad.b[...] = 0.0
         q = build_full_posterior(ad)
+        np.testing.assert_array_equal(q.blocks, np.zeros((2, 3, 3)))
         np.testing.assert_array_equal(q.cov, np.zeros((6, 6)))
-        np.testing.assert_allclose(q.mu[:, 0], ad.w0.T.ravel())
+        np.testing.assert_array_equal(q.mean, ad.w0)
 
     def test_rank_one_hand_expansion(self):
         # b = e1, g = w everywhere: each diagonal block is w^4 * e1 e1^T
@@ -144,6 +145,7 @@ class TestFullPosterior:
         block = np.zeros((m, m))
         block[0, 0] = w**4
         for i in range(n):
+            np.testing.assert_allclose(q.blocks[i], block)
             np.testing.assert_allclose(q.cov[i * m:(i + 1) * m, i * m:(i + 1) * m], block)
 
     def test_covariance_matches_kron_formula(self):
@@ -189,21 +191,37 @@ class TestFullPrior:
         p = build_full_prior(w0, b, prior)
         expected = np.kron(np.eye(3), prior.sigma_p**2 * (b @ b.T))
         np.testing.assert_allclose(p.cov, expected, atol=1e-12)
-        np.testing.assert_allclose(p.mu[:, 0], w0.T.ravel())
+        np.testing.assert_array_equal(p.mean, w0)
 
     def test_builders_place_blocks_as_scipy_block_diag(self):
-        # The NumPy block placement only copies values, so both covariances keep their bytes.
+        # Block i is the covariance of column i; the dense cov only places the blocks.
         from scipy.linalg import block_diag
 
         rng = np.random.default_rng(12)
         ad = _random_adapter(4, 3, 2, rng)
         omega = ad.omega()
-        expected = block_diag(*(ad.b @ np.diag(omega[:, i] ** 2) @ ad.b.T for i in range(ad.n)))
-        np.testing.assert_array_equal(build_full_posterior(ad).cov, 0.5 * (expected + expected.T))
-        sp2 = PriorSpec(0.3).sigma_p ** 2
-        expected = block_diag(*[sp2 * (ad.b @ ad.b.T)] * ad.n)
-        np.testing.assert_array_equal(build_full_prior(ad.w0, ad.b, PriorSpec(0.3)).cov,
-                                      0.5 * (expected + expected.T))
+        q = build_full_posterior(ad)
+        for i in range(ad.n):
+            np.testing.assert_allclose(q.blocks[i], ad.b @ np.diag(omega[:, i] ** 2) @ ad.b.T, rtol=1e-14)
+        np.testing.assert_array_equal(q.cov, block_diag(*q.blocks))
+        p = build_full_prior(ad.w0, ad.b, PriorSpec(0.3))
+        np.testing.assert_array_equal(p.blocks, [0.3**2 * (ad.b @ ad.b.T)] * ad.n)
+        np.testing.assert_array_equal(p.cov, block_diag(*p.blocks))
+
+
+def _dense_kl_reference(q, p, lam):
+    """The ridged Gaussian KL on the dense (mn x mn) covariances, by SciPy."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    d = q.cov.shape[0]
+    cov_q, cov_p = q.cov + lam * np.eye(d), p.cov + lam * np.eye(d)
+    factor_q, factor_p = cho_factor(cov_q), cho_factor(cov_p)
+    logdet_q = 2.0 * np.sum(np.log(np.diag(factor_q[0])))
+    logdet_p = 2.0 * np.sum(np.log(np.diag(factor_p[0])))
+    delta = (q.mean - p.mean).reshape(-1, order="F")
+    trace_term = np.trace(cho_solve(factor_p, cov_q))
+    quad = delta @ cho_solve(factor_p, delta)
+    return 0.5 * (logdet_p - logdet_q - d + trace_term + quad)
 
 
 class TestRegularizedKl:
@@ -216,20 +234,38 @@ class TestRegularizedKl:
 
     def test_zero_covariances_quadratic_term(self):
         # Sigma_q = Sigma_p = 0: KL reduces to ||mu_q - mu_p||^2 / (2 lambda).
-        d = 5
+        m, n = 5, 3
         rng = np.random.default_rng(12)
-        mu_q = rng.normal(size=(d, 1))
-        mu_p = rng.normal(size=(d, 1))
-        q = FullWeightGaussian(mu=mu_q, cov=np.zeros((d, d)))
-        p = FullWeightGaussian(mu=mu_p, cov=np.zeros((d, d)))
+        mean_q = rng.normal(size=(m, n))
+        mean_p = rng.normal(size=(m, n))
+        q = FullWeightGaussian(mean=mean_q, blocks=np.zeros((n, m, m)))
+        p = FullWeightGaussian(mean=mean_p, blocks=np.zeros((n, m, m)))
         lam = 1e-3
-        expected = float(np.sum((mu_q - mu_p) ** 2)) / (2.0 * lam)
+        expected = float(np.sum((mean_q - mean_p) ** 2)) / (2.0 * lam)
         assert kl_full_weight_regularized(q, p, lam) == pytest.approx(expected, rel=1e-9)
 
     def test_lambda_must_be_positive(self):
-        q = FullWeightGaussian(mu=np.zeros((2, 1)), cov=np.eye(2))
+        q = FullWeightGaussian(mean=np.zeros((2, 1)), blocks=np.eye(2)[None])
         with pytest.raises(ValueError):
             kl_full_weight_regularized(q, q, 0.0)
+
+    def test_shape_mismatch_rejected(self):
+        q = FullWeightGaussian(mean=np.zeros((2, 3)), blocks=np.zeros((3, 2, 2)))
+        p = FullWeightGaussian(mean=np.zeros((3, 2)), blocks=np.zeros((2, 3, 3)))
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            kl_full_weight_regularized(q, p, 1e-4)
+
+    @pytest.mark.parametrize("m, n, r", [(4, 3, 2), (6, 5, 3), (32, 32, 2)])
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6])
+    def test_block_kl_matches_the_dense_reference(self, m, n, r, lam):
+        """The sum of the n column KLs is the KL of the dense (mn)-dimensional
+        Gaussians, up to rounding."""
+        rng = np.random.default_rng(15)
+        ad = _random_adapter(m, n, r, rng)
+        q = build_full_posterior(ad)
+        p = build_full_prior(ad.w0, ad.b, PriorSpec(0.2))
+        reference = _dense_kl_reference(q, p, lam)
+        assert kl_full_weight_regularized(q, p, lam) == pytest.approx(reference, rel=1e-9)
 
     def test_converges_to_closed_form(self):
         """The ridged full-weight KL approaches the low-rank closed form as
@@ -268,10 +304,24 @@ class TestRegularizedKl:
 
 class TestFullWeightGaussianType:
     def test_rejects_asymmetric(self):
-        cov = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            FullWeightGaussian(mu=np.zeros((2, 1)), cov=cov)
+        blocks = np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            FullWeightGaussian(mean=np.zeros((2, 2)), blocks=blocks)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            FullWeightGaussian(mu=np.zeros((2, 1)), cov=np.diag([1.0, -1.0]))
+        blocks = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="not PSD"):
+            FullWeightGaussian(mean=np.zeros((2, 2)), blocks=blocks)
+
+    def test_accepts_singular(self):
+        blocks = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
+        FullWeightGaussian(mean=np.zeros((2, 2)), blocks=blocks)
+
+    @pytest.mark.parametrize("mean_shape, blocks_shape", [
+        ((2, 3), (2, 2, 2)),   # one block per column: 3 needed
+        ((2, 3), (3, 3, 3)),   # blocks of the wrong size
+        ((6,), (1, 6, 6)),     # a flat mean
+    ])
+    def test_rejects_shape_mismatch(self, mean_shape, blocks_shape):
+        with pytest.raises(ShapeError):
+            FullWeightGaussian(mean=np.zeros(mean_shape), blocks=np.zeros(blocks_shape))

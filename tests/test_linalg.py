@@ -1,9 +1,10 @@
-"""The dense helpers of the full-weight KL route: ``kl.vec``,
-``kl.logdet_psd`` and ``kl.solve_psd``."""
+"""The helpers of the full-weight KL route: ``kl.vec``, and
+``kl.logdet_psd`` and ``kl.solve_psd`` on one matrix or a stack of them."""
 
 import numpy as np
 import pytest
 
+from bayeslora.adapter import ShapeError
 from bayeslora.kl import NotPositiveDefiniteError, logdet_psd, solve_psd, vec
 
 
@@ -79,3 +80,43 @@ class TestLogdetSolve:
         with pytest.raises(NotPositiveDefiniteError):
             solve_psd(np.diag([1.0, -2.0]), np.ones((2, 1)))
 
+
+
+def _spd_stack(rng, count, d):
+    m = rng.normal(size=(count, d, d))
+    return m.swapaxes(-1, -2) @ m + np.eye(d)
+
+
+class TestStacks:
+    def test_logdet_per_matrix(self):
+        stack = _spd_stack(np.random.default_rng(10), 3, 4)
+        np.testing.assert_allclose(logdet_psd(stack), [logdet_psd(a) for a in stack], rtol=1e-13)
+
+    def test_solve_per_matrix(self):
+        rng = np.random.default_rng(11)
+        stack, b = _spd_stack(rng, 3, 4), rng.normal(size=(3, 4, 5))
+        np.testing.assert_allclose(stack @ solve_psd(stack, b), b, atol=1e-10)
+
+    def test_one_indefinite_matrix_fails_the_stack(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NotPositiveDefiniteError):
+            logdet_psd(stack)
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_psd(stack, np.ones((2, 2, 1)))
+
+    def test_one_asymmetric_matrix_fails_the_stack(self):
+        stack = np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            logdet_psd(stack)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(3), np.ones((2, 1))),
+        (np.stack([np.eye(2)] * 3), np.ones((2, 2, 1))),
+    ])
+    def test_solve_shape_mismatch(self, a, b):
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            solve_psd(a, b)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            logdet_psd(np.ones((2, 3)))
