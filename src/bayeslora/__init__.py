@@ -4,8 +4,8 @@ Library layout:
 
 * ``adapter``   - the variational low-rank adapter, its per-mode layer op
   and ``ShapeError``;
-* ``kl``        - closed-form, Monte-Carlo, and full-weight KL routes, the
-  last by column blocks, with ``vec`` and the stacked PSD
+* ``kl``        - closed-form and full-weight KL routes, both on an omega
+  array, the second by column blocks, with ``vec`` and the stacked PSD
   log-determinant/solve it needs, all in NumPy;
 * ``parammaps`` - square vs softplus std parameterizations and their race;
 * ``network``   - frozen-backbone net with hand-written gradients;
@@ -35,7 +35,6 @@ from .kl import (
     gaussian_kl,
     kl_closed_form,
     kl_full_weight_regularized,
-    kl_monte_carlo,
 )
 from .metrics import CalibrationReport, ece
 from .parammaps import ParamMap, apply_map, convergence_race, kl_grad_rho
@@ -66,7 +65,6 @@ __all__ = [
     "gaussian_kl",
     "kl_closed_form",
     "kl_full_weight_regularized",
-    "kl_monte_carlo",
     "CalibrationReport",
     "ece",
     "ParamMap",

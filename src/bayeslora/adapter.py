@@ -3,10 +3,11 @@
 A frozen base weight ``w0`` (m x n) is adapted through a rank-r update
 ``b @ a`` where ``b`` (m x r) is deterministic and trainable while ``a``
 (r x n) carries a fully factorized Gaussian posterior with mean ``mean_a``
-and standard deviation ``omega = g * g`` element-wise.  The
-Bayesianization is deliberately asymmetric: ``b`` starts at zero, so at
-initialization every forward pass reproduces the frozen base exactly and
-weight sampling adds no noise.
+and standard deviation ``omega = map(g)`` (``parammaps.apply_map``), which
+every function here takes as an array.  The Bayesianization is
+deliberately asymmetric: ``b`` starts at zero, so at initialization every
+forward pass reproduces the frozen base exactly and weight sampling adds
+no noise.
 
 A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
 ``branch_backward``) computes the adapter branch ``c`` in one of three modes:
@@ -58,7 +59,7 @@ class VariationalAdapter:
     w0: np.ndarray      # (m, n) frozen base weight
     b: np.ndarray       # (m, r) deterministic low-rank factor
     mean_a: np.ndarray  # (r, n) posterior mean of the a-factor
-    g: np.ndarray       # (r, n) std parameter; omega = g * g
+    g: np.ndarray       # (r, n) std parameter; omega = apply_map(param_map, g)
 
     def __post_init__(self) -> None:
         *lead, m, n = self.w0.shape  # lead: the member axes of a stacked net, else none
@@ -86,11 +87,6 @@ class VariationalAdapter:
     @property
     def rank(self) -> int:
         return self.b.shape[-1]
-
-    def omega(self) -> np.ndarray:
-        """Element-wise posterior std under the square map, omega = g * g,
-        recomputed on demand; a softplus (bbb) net maps g with ``apply_map``."""
-        return self.g * self.g
 
 
 def _raw_signs_exact(rng: np.random.Generator, k: int) -> bool:
@@ -205,40 +201,44 @@ def _check_input(adapter: VariationalAdapter, h: np.ndarray) -> None:
         raise ShapeError("batch size must be >= 1")
 
 
-def _check_noise(adapter: VariationalAdapter, noise: np.ndarray) -> None:
-    if noise.shape[-2:] != adapter.mean_a.shape:
-        raise ShapeError(f"noise must be {adapter.mean_a.shape}, got {noise.shape}")
+def _check_a_shape(adapter: VariationalAdapter, name: str, a: np.ndarray) -> None:
+    if a.shape[-2:] != adapter.mean_a.shape:
+        raise ShapeError(f"{name} must be {adapter.mean_a.shape}, got {a.shape}")
 
 
 def forward_mean(adapter: VariationalAdapter, h: np.ndarray) -> np.ndarray:
     """Deterministic pass with the posterior mean: w0 @ h + b @ mean_a @ h."""
     _check_input(adapter, h)
-    c = branch_forward("mean", adapter.mean_a, adapter.omega(), h, ())
+    c = branch_forward("mean", adapter.mean_a, None, h, ())
     return adapter.w0 @ h + adapter.b @ c
 
 
-def forward_flipout(adapter: VariationalAdapter, h: np.ndarray, draws: tuple) -> np.ndarray:
+def forward_flipout(adapter: VariationalAdapter, omega: np.ndarray, h: np.ndarray, draws: tuple) -> np.ndarray:
     """Batched stochastic pass with per-example decorrelated perturbations.
 
     z = w0 @ h + b @ (mean_a @ h + [(e * omega)(h * s)] * t^T), with
     ``draws`` = (s, t, e) as ``branch_draws("flipout", ...)`` returns it.
     """
     _check_input(adapter, h)
+    _check_a_shape(adapter, "omega", omega)
     s, t, e = draws
     for name, mask, shape in (("s", s, (adapter.n, h.shape[1])), ("t", t, (h.shape[1], adapter.rank))):
         if mask.shape != shape:
             raise ShapeError(f"{name} mask must be {shape}, got {mask.shape}")
         if not np.all(np.abs(mask) == 1.0):
             raise ValueError(f"{name} entries must be exactly +/-1")
-    _check_noise(adapter, e)
-    c = branch_forward("flipout", adapter.mean_a, adapter.omega(), h, draws)
+    _check_a_shape(adapter, "noise", e)
+    c = branch_forward("flipout", adapter.mean_a, omega, h, draws)
     return adapter.w0 @ h + adapter.b @ c
 
 
-def forward_naive_shared(adapter: VariationalAdapter, h: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def forward_naive_shared(
+    adapter: VariationalAdapter, omega: np.ndarray, h: np.ndarray, noise: np.ndarray
+) -> np.ndarray:
     """Stochastic pass where one sampled ``a`` is shared by the whole batch;
     noise stacked along leading axes gives one pass per noise."""
     _check_input(adapter, h)
-    _check_noise(adapter, noise)
-    c = branch_forward("shared", adapter.mean_a, adapter.omega(), h, (noise,))
+    _check_a_shape(adapter, "omega", omega)
+    _check_a_shape(adapter, "noise", noise)
+    c = branch_forward("shared", adapter.mean_a, omega, h, (noise,))
     return adapter.w0 @ h + adapter.b @ c

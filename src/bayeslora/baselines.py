@@ -32,16 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from .network import SmallNet, softmax_columns
+from .network import SmallNet, stack_nets
+from .network import softmax_columns  # noqa: F401  (bench/run.py traces this name here)
 from .parammaps import ParamMap
-from .training import (
-    StepRecord,
-    TrainConfig,
-    build_small_net,
-    logits_mean,
-    predict,
-    train,
-)
+from .training import StepRecord, TrainConfig, build_small_net, predict, train
 
 __all__ = [
     "Method",
@@ -64,7 +58,7 @@ class Method:
     changes: Callable[["BaselineSpec"], dict]  # TrainConfig fields the method overrides
     zero_g: bool     # std parameter pinned to zero (no weight noise)
     ensemble: bool   # trains spec.n_members members instead of one
-    sampled: bool    # predicts from N stochastic passes; else from averaged member logits
+    sampled: bool    # predicts from N stochastic passes; else every N is 0, the averaged member logits
 
 
 _DETERMINISTIC = dict(
@@ -159,17 +153,12 @@ def predict_baseline(
     seed: int = 0,
 ) -> list[np.ndarray]:
     """Class probabilities, one row per example, for each sample count N in
-    ``n_samples_list``.
-
-    mcd, bbb and blob predict through ``predict``: every N comes from one
-    stream of stochastic passes, and N = 0 from the posterior mean.  The
-    other methods take one softmax of the member-averaged posterior-mean
-    logits, whatever N: mle and map have one member, ens has n_members.
+    ``n_samples_list``, from one ``predict`` call on the one model or, for
+    several members (ens), their ``stack_nets`` view.  mcd, bbb and blob
+    take every N as given; the other methods do not sample and read every
+    N as 0, the softmax of the member-averaged posterior-mean logits.
     """
-    if any(n < 0 for n in n_samples_list):
-        raise ValueError("n_samples must be >= 0")
-    if METHOD_TABLE[model.spec.kind].sampled:
-        return predict(model.models[0], x, n_samples_list, seed)
-    stacked = np.stack([logits_mean(net, x) for net in model.models])
-    probs = softmax_columns(stacked.mean(axis=0).T).T
-    return [probs] * len(n_samples_list)
+    net = model.models[0] if len(model.models) == 1 else stack_nets(model.models)[0]
+    # min(n, 0) reads every N as 0, and still hands a negative N to predict's check.
+    counts = n_samples_list if METHOD_TABLE[model.spec.kind].sampled else [min(n, 0) for n in n_samples_list]
+    return predict(net, x, counts, seed)

@@ -157,6 +157,9 @@ def _cmd_eval(args) -> int:
     cfg = _load_suite_config(args)
     out = _out_dir(args)
     trained, model_seed = _load_trained(args.model_dir)
+    for name, saved in (("n_classes", trained.models[0].n_classes), ("input_dim", trained.models[0].input_dim)):
+        if getattr(cfg.task, name) != saved:
+            raise ValueError(f"task.{name}: the config gives {getattr(cfg.task, name)}, the saved model {saved}")
     seed = args.seed if args.seed is not None else model_seed
     _, test_ds = generate_task(cfg.task, seed=cfg.data_seed_offset + seed)
     n_samples = args.n_samples if args.n_samples is not None else 0

@@ -40,8 +40,9 @@ class SuiteConfig:
         for name in self.methods:
             if name not in METHODS:
                 raise ValueError(f"methods holds unknown method {name!r}, expected one of {METHODS}")
+        # Each adapter layer takes a rank r with 1 <= r < min(m, n), so every width is >= 2.
         for name, values, floor in (
-            ("hidden", self.hidden, 1), ("rank", (self.rank,), 1), ("seeds", self.seeds, 0),
+            ("hidden", self.hidden, 2), ("rank", (self.rank,), 1), ("seeds", self.seeds, 0),
             ("n_samples", self.n_samples_list, 0), ("data_seed_offset", (self.data_seed_offset,), 0),
         ):
             if not values:

@@ -1,15 +1,13 @@
 """KL-divergence machinery for the low-rank Gaussian posterior.
 
-Three routes to the same quantity live here, deliberately redundant:
+Two routes to the same quantity live here, deliberately redundant:
 
 1. ``kl_closed_form`` - the analytical KL between the factorized posterior
    q(a) = prod N(mean_a_ij, omega_ij^2) and the isotropic prior
    prod N(0, sigma_p^2), evaluated in the low-rank space by
    ``gaussian_kl``, the one closed form with its gradients, which training's
    ``network.kl_term`` calls too, over every adapter's factor at once.
-2. ``kl_monte_carlo`` - an unbiased sample estimate of E_q[log q - log p],
-   used to cross-check the closed form.
-3. The full-weight route: ``build_full_posterior`` / ``build_full_prior``
+2. The full-weight route: ``build_full_posterior`` / ``build_full_prior``
    build the induced Gaussians over vec(w), both singular.  vec stacks the
    columns of the (m, n) weight, and the columns are independent, so each
    covariance is block diagonal and is held as its n (m x m) blocks:
@@ -20,6 +18,7 @@ Three routes to the same quantity live here, deliberately redundant:
    lambda -> 0+ this converges to the closed form, which is exactly the
    equivalence the test suite verifies numerically.
 
+Both take the std omega = map(g) as an array, so neither assumes a ``ParamMap``.
 The closed form is returned as a genuine KL, i.e. including the additive
 constant r*n*(log sigma_p - 1/2) that has zero gradient.
 
@@ -31,7 +30,6 @@ one NumPy Cholesky helper that checks symmetry and raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "FullWeightGaussian",
     "gaussian_kl",
     "kl_closed_form",
-    "kl_monte_carlo",
     "build_full_posterior",
     "build_full_prior",
     "kl_full_weight_regularized",
@@ -178,46 +175,14 @@ def gaussian_kl(
     return (float(value) if np.ndim(value) == 0 else value), d_mean, d_omega
 
 
-def kl_closed_form(mean_a: np.ndarray, g: np.ndarray, prior: PriorSpec) -> float:
-    """Exact KL[q(a) || p(a)] with omega = g * g, constants included.
+def kl_closed_form(mean_a: np.ndarray, omega: np.ndarray, prior: PriorSpec) -> float:
+    """Exact KL[q(a) || p(a)] for the std ``omega``, constants included.
 
-    Raises ValueError where some g entry is zero (infinite KL).
+    Raises ValueError where some omega entry is <= 0 (infinite KL).
     """
-    if mean_a.shape != g.shape:
-        raise ShapeError(f"mean_a {mean_a.shape} and g {g.shape} must match")
-    return gaussian_kl(mean_a, g * g, prior.sigma_p)[0]
-
-
-def kl_monte_carlo(
-    mean_a: np.ndarray,
-    g: np.ndarray,
-    prior: PriorSpec,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Unbiased estimate of E_q[log q(a) - log p(a)] with its standard error.
-
-    Draws a ~ q via the reparameterization a = mean_a + omega * eps and
-    evaluates both log-densities exactly; the log(2 pi) terms cancel.
-    """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
-    if mean_a.shape != g.shape:
-        raise ShapeError(f"mean_a {mean_a.shape} and g {g.shape} must match")
-    if np.any(g == 0.0):
-        raise ValueError("degenerate posterior: some g entry is exactly zero (infinite KL)")
-    omega = g * g
-    sp2 = prior.sigma_p * prior.sigma_p
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(size=(samples,) + mean_a.shape)
-    a = mean_a + omega * eps
-    # log q = sum_ij [-log omega - eps^2/2] + const; log p = sum_ij [-log sigma_p - a^2/(2 sp2)] + const
-    log_q = -np.sum(np.log(omega)) - 0.5 * np.sum(eps * eps, axis=(1, 2))
-    log_p = -mean_a.size * math.log(prior.sigma_p) - np.sum(a * a, axis=(1, 2)) / (2.0 * sp2)
-    per_sample = log_q - log_p
-    estimate = float(np.mean(per_sample))
-    std_error = float(np.std(per_sample, ddof=1) / math.sqrt(samples))
-    return estimate, std_error
+    if mean_a.shape != omega.shape:
+        raise ShapeError(f"mean_a {mean_a.shape} and omega {omega.shape} must match")
+    return gaussian_kl(mean_a, omega, prior.sigma_p)[0]
 
 
 def _guard_dims(m: int, n: int) -> None:
@@ -225,11 +190,12 @@ def _guard_dims(m: int, n: int) -> None:
         raise ValueError(f"full-weight dimension m*n = {m * n} exceeds guard {FULL_WEIGHT_GUARD}")
 
 
-def build_full_posterior(adapter: VariationalAdapter) -> FullWeightGaussian:
-    """The induced Gaussian over vec(w0 + b @ a): block i, the covariance of
-    column i, is b @ diag(omega[:, i]^2) @ b^T, all n in one stacked matmul."""
+def build_full_posterior(adapter: VariationalAdapter, omega: np.ndarray) -> FullWeightGaussian:
+    """The induced Gaussian over vec(w0 + b @ a), a of std ``omega``: block i, the
+    covariance of column i, is b @ diag(omega[:, i]^2) @ b^T, all n in one stacked matmul."""
     _guard_dims(adapter.m, adapter.n)
-    omega = adapter.omega()
+    if omega.shape != adapter.mean_a.shape:
+        raise ShapeError(f"omega must be {adapter.mean_a.shape}, got {omega.shape}")
     blocks = (adapter.b * (omega**2).T[:, None, :]) @ adapter.b.T
     # The two triangles of (b w) b^T round apart; their mean is exactly symmetric.
     blocks = 0.5 * (blocks + blocks.swapaxes(-1, -2))

@@ -34,7 +34,7 @@ from .kl import (
     vec,
 )
 from .metrics import CalibrationReport, ece
-from .parammaps import ParamMap, convergence_race
+from .parammaps import ParamMap, apply_map, convergence_race
 from .tasks import generate_task
 from .textio import write_csv, write_json
 from .training import train  # noqa: F401  (bench/run.py traces training under this name)
@@ -215,7 +215,7 @@ _MOMENT_CHUNK = 10_000
 
 
 def sample_full_weights(
-    adapter: VariationalAdapter, n_draws: int, rng: np.random.Generator
+    adapter: VariationalAdapter, omega: np.ndarray, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_draws, m*n) draws of vec(w0 + b a) with a ~ q, column-stacked: the
     shared-mode layer op at input I_n, w0 + b (mean_a + omega e), per noise e.
@@ -231,17 +231,17 @@ def sample_full_weights(
     for start in range(0, n_draws, _MOMENT_CHUNK):
         stop = min(start + _MOMENT_CHUNK, n_draws)
         (e,) = branch_draws("shared", rng, n, n, r, count=stop - start)
-        flat[start:stop].reshape(-1, n, m)[...] = forward_naive_shared(adapter, eye, e).swapaxes(-1, -2)
+        flat[start:stop].reshape(-1, n, m)[...] = forward_naive_shared(adapter, omega, eye, e).swapaxes(-1, -2)
     return flat
 
 
 def _posterior_moment_check(
-    adapter: VariationalAdapter, n_draws: int, rng: np.random.Generator
+    adapter: VariationalAdapter, omega: np.ndarray, n_draws: int, rng: np.random.Generator
 ) -> tuple[TheoremCheck, TheoremCheck]:
     """Empirical mean/covariance of vec(w0 + b a), a ~ q, against the closed form."""
-    q = build_full_posterior(adapter)
+    q = build_full_posterior(adapter, omega)
     mu, cov = vec(q.mean)[:, 0], q.cov
-    centred = sample_full_weights(adapter, n_draws, rng)
+    centred = sample_full_weights(adapter, omega, n_draws, rng)
     emp_mean = centred.mean(axis=0)
     centred -= emp_mean
     emp_cov = centred.T @ centred / (n_draws - 1)
@@ -267,7 +267,7 @@ def _posterior_moment_check(
     return mean_check, cov_check
 
 
-def _kl_equivalence_check(adapter: VariationalAdapter, sigma_p: float) -> list[TheoremCheck]:
+def _kl_equivalence_check(adapter: VariationalAdapter, omega: np.ndarray, sigma_p: float) -> list[TheoremCheck]:
     prior = PriorSpec(sigma_p)
     if np.linalg.matrix_rank(adapter.b) < adapter.rank:
         return [
@@ -277,9 +277,9 @@ def _kl_equivalence_check(adapter: VariationalAdapter, sigma_p: float) -> list[T
                 margin="rank precondition violated: b does not have full column rank",
             )
         ]
-    q = build_full_posterior(adapter)
+    q = build_full_posterior(adapter, omega)
     p = build_full_prior(adapter.w0, adapter.b, prior)
-    closed = kl_closed_form(adapter.mean_a, adapter.g, prior)
+    closed = kl_closed_form(adapter.mean_a, omega, prior)
     lambdas = (1e-4, 1e-6, 1e-8)
     kls = [kl_full_weight_regularized(q, p, lam) for lam in lambdas]
     gaps = [abs(kl - closed) / abs(closed) for kl in kls]
@@ -318,7 +318,7 @@ _FLIPOUT_CHUNK = 1000
 
 
 def _perturbation_cov(
-    adapter: VariationalAdapter, h: np.ndarray, mode: str, n_draws: int, rng: np.random.Generator
+    adapter: VariationalAdapter, omega: np.ndarray, h: np.ndarray, mode: str, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(m, batch, batch) sample covariance over n_draws of the layer
     perturbation b @ (c - c_mean), one batch x batch matrix per output.
@@ -330,8 +330,7 @@ def _perturbation_cov(
     kept; the deterministic b maps them once at the end, as b @ sum(dc) and
     cross[k] = sum_jl b_kj b_kl G[j, :, l, :].
     """
-    omega = adapter.omega()
-    c_mean = branch_forward("mean", adapter.mean_a, omega, h, ())
+    c_mean = branch_forward("mean", adapter.mean_a, None, h, ())
     r, batch = adapter.rank, h.shape[1]
     total, gram = np.zeros((r, batch)), np.zeros((r * batch, r * batch))
     for start in range(0, n_draws, _FLIPOUT_CHUNK):
@@ -354,6 +353,7 @@ def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
     m = n = 8
     r, batch = 2, 64
     adapter = _random_adapter(m, n, r, rng)
+    omega = apply_map(ParamMap.SQUARE, adapter.g)
     h = np.tile(rng.normal(size=(n, 1)), (1, batch))
 
     def mean_abs_corr(cov: np.ndarray) -> float:
@@ -362,9 +362,9 @@ def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
         iu = np.triu_indices(batch, 1)
         return float(np.abs(corr[:, iu[0], iu[1]]).mean())
 
-    cov_flip = _perturbation_cov(adapter, h, "flipout", n_draws, rng)
+    cov_flip = _perturbation_cov(adapter, omega, h, "flipout", n_draws, rng)
     corr_flip = mean_abs_corr(cov_flip)
-    corr_shared = mean_abs_corr(_perturbation_cov(adapter, h, "shared", n_draws, rng))
+    corr_shared = mean_abs_corr(_perturbation_cov(adapter, omega, h, "shared", n_draws, rng))
     # Flipout's examples are uncorrelated, so mean |corr| is sampling noise of
     # about sqrt(2 / (pi (D - 1))); honest seeds read up to 1.83 times that
     # (300 seeds at D = 10 to 100), and the limit allows 2.5 times, at least 0.05.
@@ -380,7 +380,7 @@ def _flipout_checks(n_draws: int, seed: int) -> list[TheoremCheck]:
     # C_i = b diag(v_i) b^T, v = (omega^2) @ (h^2) (local reparameterization);
     # given its signs, a flipout example's perturbation is exactly N(0, C_i),
     # so its summed sample variance has Wishart variance 2 tr(C_i^2) / (D - 1).
-    v = (adapter.omega() ** 2) @ (h**2)
+    v = (omega**2) @ (h**2)
     gram = adapter.b.T @ adapter.b
     var_naive = np.diag(gram) @ v
     var_se = np.sqrt(2.0 * np.sum(v * (gram**2 @ v), axis=0) / (n_draws - 1))
@@ -429,10 +429,11 @@ def verify_theorems(
     adapter = _random_adapter(m, n, r, rng)
     if degenerate_b:
         adapter.b = np.zeros_like(adapter.b)
+    omega = apply_map(ParamMap.SQUARE, adapter.g)
 
     return TheoremReport(checks=[
-        *_posterior_moment_check(adapter, n_draws, rng),
-        *_kl_equivalence_check(adapter, sigma_p),
+        *_posterior_moment_check(adapter, omega, n_draws, rng),
+        *_kl_equivalence_check(adapter, omega, sigma_p),
         *_flipout_checks(flipout_draws, seed + 1),
         _race_check(),
     ])

@@ -61,7 +61,6 @@ __all__ = [
     "elbo_minibatch",
     "train",
     "predict",
-    "logits_mean",
     "write_trajectory_csv",
     "lr_factor",
     "AdamW",
@@ -436,7 +435,9 @@ def predict(net: SmallNet, x: np.ndarray, n_samples_list: Sequence[int], seed: i
     """Class probabilities, one row per example, for each sample count N in
     ``n_samples_list``, in its order.
 
-    N = 0 uses the posterior-mean weights (and disables dropout); N >= 1
+    N = 0 is the softmax of the member-averaged posterior-mean logits
+    (dropout off), where a single net is one member and a ``stack_nets``
+    net averages its members.  N >= 1, which a stacked net refuses,
     averages the softmax outputs of N stochastic passes (weight noise
     shared across the batch within a pass, dropout active if the net
     carries it).  The counts share one stream of max(N) passes drawn from
@@ -445,11 +446,14 @@ def predict(net: SmallNet, x: np.ndarray, n_samples_list: Sequence[int], seed: i
     """
     if any(n < 0 for n in n_samples_list):
         raise ValueError("n_samples must be >= 0")
-    h0 = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
     wanted, probs = set(n_samples_list), {}
-    if 0 in wanted:
-        probs[0] = softmax_columns(net_forward(net, h0, mode="mean").logits).T
     top = max(wanted, default=0)
+    if top and net.members:
+        raise ValueError(f"a stacked net predicts only at N = 0, got N = {top}")
+    h0 = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+    if 0 in wanted:
+        logits = net_forward(net, np.broadcast_to(h0, (*net.members, *h0.shape)), mode="mean").logits
+        probs[0] = softmax_columns(logits.reshape(-1, *logits.shape[-2:]).mean(axis=0)).T
     if top:
         rng = np.random.default_rng(seed)
         acc = np.zeros((net.n_classes, h0.shape[1]))
@@ -459,13 +463,6 @@ def predict(net: SmallNet, x: np.ndarray, n_samples_list: Sequence[int], seed: i
             if n in wanted:
                 probs[n] = (acc / n).T
     return [probs[n] for n in n_samples_list]
-
-
-def logits_mean(net: SmallNet, x: np.ndarray) -> np.ndarray:
-    """Posterior-mean logits, one row per example (used by ensembles)."""
-    h0 = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
-    fwd = net_forward(net, h0, mode="mean", rng=None, dropout_active=False)
-    return fwd.logits.T
 
 
 def write_trajectory_csv(log: list[StepRecord], path: str) -> None:

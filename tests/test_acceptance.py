@@ -13,8 +13,9 @@ import pytest
 
 from bayeslora.baselines import BaselineSpec, predict_baseline, train_baseline
 from bayeslora.cli import main
-from bayeslora.kl import PriorSpec, kl_closed_form, kl_monte_carlo
+from bayeslora.kl import PriorSpec, kl_closed_form
 from bayeslora.metrics import ece
+from bayeslora.parammaps import ParamMap, apply_map
 from bayeslora.suite import (
     _flipout_checks,
     _kl_equivalence_check,
@@ -24,6 +25,8 @@ from bayeslora.suite import (
 )
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import TrainConfig, build_small_net, elbo_minibatch
+
+from kl_estimators import kl_monte_carlo
 
 
 def _report(line: str) -> None:
@@ -42,7 +45,7 @@ def test_criterion_01_full_weight_kl_equivalence():
         r = int(rng.integers(1, min(m, n)))
         sigma_p = 0.2 if trial % 2 == 0 else 1.0
         adapter = _random_adapter(m, n, r, rng)
-        checks = _kl_equivalence_check(adapter, sigma_p)
+        checks = _kl_equivalence_check(adapter, apply_map(ParamMap.SQUARE, adapter.g), sigma_p)
         names = [check.name for check in checks]
         assert names == ["full-weight-kl-equivalence", "prior-factor-choice-invariance"], names
         for check in checks:
@@ -62,7 +65,7 @@ def test_criterion_02_posterior_moments():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     adapter = _random_adapter(4, 3, 2, rng)
-    checks = _posterior_moment_check(adapter, 100_000, rng)
+    checks = _posterior_moment_check(adapter, apply_map(ParamMap.SQUARE, adapter.g), 100_000, rng)
     for check in checks:
         assert check.status == "pass", f"{check.name}: {check.margin}"
     elapsed = time.perf_counter() - t0
@@ -81,10 +84,10 @@ def test_criterion_03_kl_monte_carlo_agreement():
         r = int(rng.integers(1, 4))
         n = int(rng.integers(2, 5))
         mean_a = rng.normal(0.0, 0.5, size=(r, n))
-        g = rng.uniform(0.3, 0.9, size=(r, n))
+        omega = apply_map(ParamMap.SQUARE, rng.uniform(0.3, 0.9, size=(r, n)))
         prior = PriorSpec(float(rng.uniform(0.15, 1.0)))
-        closed = kl_closed_form(mean_a, g, prior)
-        est, se = kl_monte_carlo(mean_a, g, prior, 1_000_000, seed=trial)
+        closed = kl_closed_form(mean_a, omega, prior)
+        est, se = kl_monte_carlo(mean_a, omega, prior, 1_000_000, seed=trial)
         z = abs(est - closed) / se
         assert z <= 3.0, f"trial {trial}: z = {z:.2f}"
         worst_z = max(worst_z, z)

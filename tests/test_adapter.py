@@ -15,6 +15,7 @@ from bayeslora.adapter import (
     forward_mean,
     forward_naive_shared,
 )
+from bayeslora.parammaps import ParamMap, apply_map
 
 
 def _masks(ad, batch, rng):
@@ -29,6 +30,11 @@ def _random_adapter(m=5, n=4, r=2, seed=0, g_scale=(0.2, 0.8)):
         mean_a=rng.normal(size=(r, n)),
         g=rng.uniform(*g_scale, size=(r, n)),
     )
+
+
+def _omega(ad):
+    """The std of an adapter's a-factor under the square map."""
+    return apply_map(ParamMap.SQUARE, ad.g)
 
 
 class TestInvariants:
@@ -49,20 +55,30 @@ class TestInvariants:
     def test_omega_nonnegative(self):
         ad = _random_adapter(seed=1)
         ad.g[0, 0] = -0.5
-        assert np.all(ad.omega() >= 0.0)
+        assert np.all(_omega(ad) >= 0.0)
 
     def test_masks_must_be_signs(self):
         ad = _random_adapter(m=4, n=3, r=2, seed=1)
         h = np.ones((3, 2))
         good = (np.ones((3, 2)), np.ones((2, 2)), np.zeros((2, 3)))
-        forward_flipout(ad, h, good)
+        omega = _omega(ad)
+        forward_flipout(ad, omega, h, good)
         for bad in ((np.zeros((3, 2)),) + good[1:], good[:1] + (np.full((2, 2), 0.5),) + good[2:]):
             with pytest.raises(ValueError, match="exactly"):
-                forward_flipout(ad, h, bad)
+                forward_flipout(ad, omega, h, bad)
         for bad in ((np.ones((2, 2)),) + good[1:], good[:1] + (np.ones((2, 3)),) + good[2:],
                     good[:2] + (np.zeros((3, 2)),)):
             with pytest.raises(ShapeError):
-                forward_flipout(ad, h, bad)
+                forward_flipout(ad, omega, h, bad)
+
+    def test_omega_shape_checked(self):
+        ad = _random_adapter(m=4, n=3, r=2, seed=1)
+        h = np.ones((3, 2))
+        draws = (np.ones((3, 2)), np.ones((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"^omega must be \(2, 3\)"):
+            forward_flipout(ad, _omega(ad).T, h, draws)
+        with pytest.raises(ShapeError, match=r"^omega must be \(2, 3\)"):
+            forward_naive_shared(ad, np.ones(3), h, draws[2])
 
 
 class TestForwardMean:
@@ -95,15 +111,15 @@ class TestForwardMean:
 
 class TestSampleA:
     def test_monte_carlo_moments(self):
-        """Mean -> mean_a, std -> g^2 over 1e5 draws (reparameterization check)."""
+        """Mean -> mean_a, std -> omega over 1e5 draws (reparameterization check)."""
         ad = _random_adapter(m=5, n=3, r=2, seed=10, g_scale=(0.3, 0.9))
         rng = np.random.default_rng(11)
         draws = 100_000
         noise = rng.standard_normal(size=(draws, ad.rank, ad.n))
-        samples = ad.mean_a[None] + ad.omega()[None] * noise
+        omega = _omega(ad)
+        samples = ad.mean_a[None] + omega[None] * noise
         emp_mean = samples.mean(axis=0)
         emp_std = samples.std(axis=0, ddof=1)
-        omega = ad.omega()
         np.testing.assert_array_less(
             np.abs(emp_mean - ad.mean_a), 4.0 * omega / np.sqrt(draws) + 1e-12
         )
@@ -116,7 +132,7 @@ class TestFlipout:
         h = np.random.default_rng(13).normal(size=(ad.n, 6))
         s, t, _ = _masks(ad, 6, np.random.default_rng(14))
         masks = (s, t, np.zeros((ad.rank, ad.n)))
-        np.testing.assert_allclose(forward_flipout(ad, h, masks), forward_mean(ad, h), rtol=1e-13)
+        np.testing.assert_allclose(forward_flipout(ad, _omega(ad), h, masks), forward_mean(ad, h), rtol=1e-13)
 
     def test_batch_one_unit_masks_is_naive(self):
         ad = _random_adapter(seed=15)
@@ -124,7 +140,7 @@ class TestFlipout:
         e = np.random.default_rng(17).standard_normal((ad.rank, ad.n))
         masks = (np.ones((ad.n, 1)), np.ones((1, ad.rank)), e)
         np.testing.assert_allclose(
-            forward_flipout(ad, h, masks), forward_naive_shared(ad, h, e), rtol=1e-13
+            forward_flipout(ad, _omega(ad), h, masks), forward_naive_shared(ad, _omega(ad), h, e), rtol=1e-13
         )
 
     def test_per_example_sign_mask_identity(self):
@@ -133,8 +149,8 @@ class TestFlipout:
         batch = 5
         h = np.random.default_rng(19).normal(size=(ad.n, batch))
         s, t, e = _masks(ad, batch, np.random.default_rng(20))
-        out = forward_flipout(ad, h, (s, t, e))
-        omega = ad.omega()
+        omega = _omega(ad)
+        out = forward_flipout(ad, omega, h, (s, t, e))
         for i in range(batch):
             delta_a = (e * omega) * np.outer(t[i], s[:, i])
             expect = ad.w0 @ h[:, i] + ad.b @ ((ad.mean_a + delta_a) @ h[:, i])
@@ -149,7 +165,7 @@ class TestFlipout:
         ad = _random_adapter(m=4, n=4, r=2, seed=21, g_scale=(0.3, 0.7))
         batch = 8
         h = np.random.default_rng(22).normal(size=(ad.n, batch))
-        omega = ad.omega()
+        omega = _omega(ad)
         c_mean = branch_forward("mean", ad.mean_a, omega, h, ())
         smp = np.random.default_rng(23)
         for _ in range(2000):
@@ -164,12 +180,12 @@ class TestFlipout:
         ad.b[...] = 0.0
         h = np.random.default_rng(25).normal(size=(ad.n, 4))
         masks = _masks(ad, 4, np.random.default_rng(26))
-        np.testing.assert_array_equal(forward_flipout(ad, h, masks), ad.w0 @ h)
+        np.testing.assert_array_equal(forward_flipout(ad, _omega(ad), h, masks), ad.w0 @ h)
 
     def test_empty_batch_rejected(self):
         ad = _random_adapter(seed=27)
         with pytest.raises(ShapeError):
-            forward_flipout(ad, np.zeros((ad.n, 0)), _masks(ad, 0, np.random.default_rng(28)))
+            forward_flipout(ad, _omega(ad), np.zeros((ad.n, 0)), _masks(ad, 0, np.random.default_rng(28)))
         with pytest.raises(ShapeError):
             forward_mean(ad, np.zeros((ad.n, 0)))
 
@@ -202,9 +218,9 @@ class TestStackedBranch:
         rng = np.random.default_rng(36)
         draws = [branch_draws(mode, rng, ad.n, batch, ad.rank) for _ in range(5)]
         stacked = tuple(np.stack(part) for part in zip(*draws))
-        out = branch_forward(mode, ad.mean_a, ad.omega(), h, stacked)
+        out = branch_forward(mode, ad.mean_a, _omega(ad), h, stacked)
         for d, one in enumerate(draws):
-            np.testing.assert_array_equal(out[d], branch_forward(mode, ad.mean_a, ad.omega(), h, one))
+            np.testing.assert_array_equal(out[d], branch_forward(mode, ad.mean_a, _omega(ad), h, one))
 
     @pytest.mark.parametrize("mode", ["flipout", "shared"])
     def test_stacked_backward_gives_the_per_draw_gradients_bit_for_bit(self, mode):
@@ -217,9 +233,9 @@ class TestStackedBranch:
         draws = [branch_draws(mode, rng, ad.n, batch, ad.rank) for _ in range(5)]
         dc = rng.normal(size=(5, ad.rank, batch))
         stacked = tuple(np.stack(part) for part in zip(*draws))
-        out = branch_backward(mode, ad.mean_a, ad.omega(), h, stacked, dc)
+        out = branch_backward(mode, ad.mean_a, _omega(ad), h, stacked, dc)
         for d, one in enumerate(draws):
-            alone = branch_backward(mode, ad.mean_a, ad.omega(), h, one, dc[d])
+            alone = branch_backward(mode, ad.mean_a, _omega(ad), h, one, dc[d])
             assert [grad[d].tobytes() for grad in out] == [grad.tobytes() for grad in alone]
 
 
@@ -275,7 +291,7 @@ class TestNaiveShared:
         ad = _random_adapter(seed=29)
         h = np.random.default_rng(30).normal(size=(ad.n, 5))
         np.testing.assert_allclose(
-            forward_naive_shared(ad, h, np.zeros((ad.rank, ad.n))), forward_mean(ad, h)
+            forward_naive_shared(ad, _omega(ad), h, np.zeros((ad.rank, ad.n))), forward_mean(ad, h)
         )
 
     @pytest.mark.parametrize("m, n, r", [(4, 3, 2), (12, 10, 7)])
@@ -285,16 +301,16 @@ class TestNaiveShared:
         ad = _random_adapter(m=m, n=n, r=r, seed=m + n + r)
         for h in (np.random.default_rng(31).normal(size=(n, 5)), np.eye(n)):
             noise = np.random.default_rng(32).standard_normal(size=(6, r, n))
-            out = forward_naive_shared(ad, h, noise)
+            out = forward_naive_shared(ad, _omega(ad), h, noise)
             assert out.shape == (6, m, h.shape[1])
             for d in range(6):
-                assert out[d].tobytes() == forward_naive_shared(ad, h, noise[d]).tobytes()
+                assert out[d].tobytes() == forward_naive_shared(ad, _omega(ad), h, noise[d]).tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 2), (6, 4, 2), (6, 2, 5), (4,), (2, 4, 1)])
     def test_wrong_trailing_noise_shape_rejected(self, shape):
         ad = _random_adapter()  # noise must end in (2, 4)
         with pytest.raises(ShapeError, match=r"^noise must be \(2, 4\)"):
-            forward_naive_shared(ad, np.ones((ad.n, 3)), np.zeros(shape))
+            forward_naive_shared(ad, _omega(ad), np.ones((ad.n, 3)), np.zeros(shape))
 
     def test_decorrelation_at_full_draw_count(self):
         """At 1e5 draws with identical inputs, cross-example perturbation
@@ -309,7 +325,7 @@ class TestNaiveShared:
             g=rng.uniform(0.3, 0.8, size=(r, n)),
         )
         h = np.tile(rng.normal(size=(n, 1)), (1, batch))
-        omega = ad.omega()
+        omega = _omega(ad)
         draws, chunk = 100_000, 5_000
 
         def corr_stats(mode):
@@ -347,6 +363,7 @@ class TestNaiveShared:
         rng = np.random.default_rng(32)
         h = rng.normal(size=(ad.n, batch))
         base = forward_mean(ad, h)
+        omega = _omega(ad)
         draws = 10_000
         smp = np.random.default_rng(33)
 
@@ -354,10 +371,10 @@ class TestNaiveShared:
             deltas = np.empty((draws, ad.m, batch))
             for d in range(draws):
                 if mode == "flipout":
-                    deltas[d] = forward_flipout(ad, h, _masks(ad, batch, smp)) - base
+                    deltas[d] = forward_flipout(ad, omega, h, _masks(ad, batch, smp)) - base
                 else:
                     noise = smp.standard_normal((ad.rank, ad.n))
-                    deltas[d] = forward_naive_shared(ad, h, noise) - base
+                    deltas[d] = forward_naive_shared(ad, omega, h, noise) - base
             centred = deltas - deltas.mean(axis=0, keepdims=True)
             cov = np.einsum("dki,dkj->kij", centred, centred) / (draws - 1)
             iu = np.triu_indices(batch, 1)

@@ -10,6 +10,7 @@ from bayeslora.baselines import (
     predict_baseline,
     train_baseline,
 )
+from bayeslora.network import net_forward, softmax_columns
 from bayeslora.parammaps import ParamMap
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import TrainConfig, build_small_net, train
@@ -143,6 +144,17 @@ class TestEnsemble:
         np.testing.assert_allclose(
             predict_baseline(cloned, te.x, [0])[0], predict_baseline(single, te.x, [0])[0], rtol=1e-12
         )
+
+    def test_prediction_is_the_softmax_of_the_mean_member_logits(self):
+        """Every N of a 3-member ens reads the softmax of the mean of its
+        members' single-net mean-mode logits, bit for bit."""
+        ds, te = _task()
+        ens = train_baseline(BaselineSpec("ens", n_members=3), SHAPE, ds, TrainConfig(seed=15, steps=60))
+        h0 = np.ascontiguousarray(te.x.T)
+        member_logits = np.stack([net_forward(net, h0, mode="mean").logits.T for net in ens.models])
+        expected = softmax_columns(member_logits.mean(axis=0).T).T
+        probs = predict_baseline(ens, te.x, [0, 5], seed=1)
+        assert [p.tobytes() for p in probs] == [expected.tobytes()] * 2
 
     def test_zero_variance_across_equal_seeds(self):
         ds, te = _task()

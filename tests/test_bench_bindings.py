@@ -6,7 +6,7 @@ and cuts ops at ``suite.train_method`` and the oracle groups of
 shape a span's name function expects, breaks ``--trace 1`` or the op cuts.
 The probe installs the harness's tracer and calls through it: a few blob
 training steps, the stacked training of the ens members, one sampled
-prediction, a small suite whose sampled cell predicts several counts in one
+prediction, the ens members' stacked N = 0 prediction, a small suite whose sampled cell predicts several counts in one
 call, and a small oracle battery, whose block KL must reach the
 log-determinant and the solve through the names the harness wraps.  It runs
 in a subprocess because importing
@@ -50,6 +50,7 @@ trained = lib.suite.train_method("blob", cfg, (train_ds.x, train_ds.y), 0)
 lib.suite.predict_method(trained, test_ds.x, 2, 0)
 ens = lib.suite.train_method("ens", cfg, (train_ds.x, train_ds.y), 0)
 assert len(ens.models) == 3
+lib.suite.predict_method(ens, test_ds.x, 0, 0)
 results = lib.cli.run_suite(replace(cfg, methods=("ens", "mcd"), seeds=(0,), n_samples_list=(3, 0, 2)))
 assert [(r.method, r.n_samples, r.status) for r in results] == [
     ("ens", 0, "ok"), ("mcd", 3, "ok"), ("mcd", 0, "ok"), ("mcd", 2, "ok")], results
@@ -57,11 +58,12 @@ lib.cli.verify_theorems(n_draws=2000, flipout_draws=50)
 tracer.uninstall()
 
 spans = tracer.aggregate(0, tracer.mark())
-# The stacked ens forward takes a (members, input_dim, batch) input, so the
-# width label reads the input dimension: b2.
+# The stacked ens forward, in training and at prediction, takes a
+# (members, input_dim, batch) input, so the width label reads the input
+# dimension: b2.
 expected = ("network.backward.flipout", "network.kl_term", "training.elbo",
             "suite.train_method.blob", "suite.predict_method.n2", "suite.train_method.ens",
-            "network.forward.mean.b2", "suite.run_suite", "baselines.predict_baseline",
+            "suite.predict_method.n0", "network.forward.mean.b2", "suite.run_suite", "baselines.predict_baseline",
             "suite.verify_theorems", "kl.kl_full_weight_regularized",
             "linalg.logdet_psd", "linalg.solve_psd")
 missing = [name for name in expected if name not in spans]

@@ -15,6 +15,7 @@ from bayeslora.configio import SuiteConfig, load_config, write_example_config
 from bayeslora import suite
 from bayeslora.adapter import branch_draws, branch_forward, forward_naive_shared
 from bayeslora.kl import build_full_posterior
+from bayeslora.parammaps import ParamMap, apply_map
 from bayeslora.suite import (
     run_suite,
     verify_theorems,
@@ -255,6 +256,8 @@ class TestConfigIo:
         [
             ("net.rank", "0"),
             ("net.hidden", "0,4"),
+            ("net.hidden", "1"),
+            ("net.hidden", "32,1"),
             ("net.hidden", ","),
             ("schedule.mode", "blundell"),
             ("schedule.gamma", "-1"),
@@ -332,6 +335,19 @@ class TestConfigIo:
         so run_suite never meets one and records no per-cell error row."""
         with pytest.raises(ValueError, match="^methods holds unknown method 'blub'"):
             SuiteConfig(methods=methods)
+
+    def test_hidden_floor_is_the_adapter_floor(self, tmp_path):
+        """A width of 1 leaves no rank r with 1 <= r < min(m, n): the config
+        names net.hidden, and the floor width 2 trains."""
+        path = tmp_path / "narrow.ini"
+        path.write_text("[net]\nhidden = 1\n")
+        with pytest.raises(ValueError, match=r"^net\.hidden: hidden must be >= 2, got 1$"):
+            load_config(str(path))
+        path.write_text("[net]\nhidden = 2\n[train]\nsteps = 3\n")
+        cfg = load_config(str(path))
+        x = np.random.default_rng(0).normal(size=(8, cfg.task.input_dim))
+        trained = suite.train_method("blob", cfg, (x, np.arange(8) % 2), 0)
+        assert trained.models[0].layers[0].adapter.rank == 1
 
     def test_repeated_hidden_width_is_legal(self, tmp_path):
         path = tmp_path / "net.ini"
@@ -454,7 +470,7 @@ class TestTheoremBattery:
         monkeypatch.setattr(
             suite,
             "build_full_posterior",
-            lambda ad: build_full_posterior(replace(ad, g=ad.g / np.sqrt(1.01))),
+            lambda ad, omega: build_full_posterior(ad, omega / 1.01),
         )
         report = verify_theorems(seed=0)
         cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
@@ -515,10 +531,10 @@ class TestTheoremBattery:
         monkeypatch.setattr(suite, "_FLIPOUT_CHUNK", 7)
         adapter = suite._random_adapter(m, n, r, np.random.default_rng(40))
         h = np.random.default_rng(41).normal(size=(n, batch))
-        omega = adapter.omega()
+        omega = apply_map(ParamMap.SQUARE, adapter.g)
         c_mean = branch_forward("mean", adapter.mean_a, omega, h, ())
         for mode in ("flipout", "shared"):
-            streamed = suite._perturbation_cov(adapter, h, mode, n_draws, np.random.default_rng(42))
+            streamed = suite._perturbation_cov(adapter, omega, h, mode, n_draws, np.random.default_rng(42))
             rng = np.random.default_rng(42)
             stack = np.stack([
                 adapter.b @ (branch_forward(mode, adapter.mean_a, omega, h, branch_draws(mode, rng, n, batch, r))
@@ -536,10 +552,11 @@ class TestTheoremBattery:
         and leave the generator where that draw leaves it."""
         monkeypatch.setattr(suite, "_MOMENT_CHUNK", 7)
         adapter = suite._random_adapter(m, n, r, np.random.default_rng(3))
+        omega = apply_map(ParamMap.SQUARE, adapter.g)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        flat = suite.sample_full_weights(adapter, 50, rng)
+        flat = suite.sample_full_weights(adapter, omega, 50, rng)
         (e,) = branch_draws("shared", twin, n, n, r, count=50)
-        one_stack = forward_naive_shared(adapter, np.eye(n), e).swapaxes(-1, -2).reshape(50, -1)
+        one_stack = forward_naive_shared(adapter, omega, np.eye(n), e).swapaxes(-1, -2).reshape(50, -1)
         np.testing.assert_array_equal(flat, one_stack)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -604,9 +621,10 @@ class TestTheoremBattery:
         """The draws through the shared-mode op are vec(w0 + b a) of the same
         noise, up to the rounding of b @ a."""
         adapter = suite._random_adapter(m, n, r, np.random.default_rng(m * 100 + n * 10 + r))
-        flat = suite.sample_full_weights(adapter, 500, np.random.default_rng(r))
+        omega = apply_map(ParamMap.SQUARE, adapter.g)
+        flat = suite.sample_full_weights(adapter, omega, 500, np.random.default_rng(r))
         eps = np.random.default_rng(r).standard_normal(size=(500, r, n))
-        a = adapter.mean_a + adapter.omega() * eps
+        a = adapter.mean_a + omega * eps
         w = adapter.w0[None, :, :] + np.einsum("ij,njk->nik", adapter.b, a)
         reference = w.transpose(0, 2, 1).reshape(500, -1)
         np.testing.assert_allclose(flat, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
@@ -618,7 +636,7 @@ class TestTheoremBattery:
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         adapter = suite._random_adapter(4, 3, 2, rng)
         suite._random_adapter(4, 3, 2, twin)
-        suite._posterior_moment_check(adapter, 2_000, rng)
+        suite._posterior_moment_check(adapter, apply_map(ParamMap.SQUARE, adapter.g), 2_000, rng)
         branch_draws("shared", twin, adapter.n, adapter.n, adapter.rank, count=2_000)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -626,7 +644,8 @@ class TestTheoremBattery:
         """Noise scaled by 1.01 inside the shared-mode op puts every draw's
         covariance about 2 % off the closed form: the check sees the op."""
         monkeypatch.setattr(
-            suite, "forward_naive_shared", lambda ad, h, noise: forward_naive_shared(ad, h, 1.01 * noise)
+            suite, "forward_naive_shared",
+            lambda ad, omega, h, noise: forward_naive_shared(ad, omega, h, 1.01 * noise),
         )
         report = verify_theorems(seed=0)
         cov = [c for c in report.checks if c.name == "posterior-covariance-moments"][0]
@@ -698,6 +717,18 @@ class TestCliCommands:
         rows = [line.split(",") for line in results]
         row = next(r for r in rows if r[:3] == ["blob", "3", "5"])
         assert [float(v) for v in row[5:8]] == [report["acc"], report["ece"], report["nll"]]
+
+    @pytest.mark.parametrize("key, value, saved", [("n_classes", 3, 2), ("input_dim", 3, 2)])
+    def test_eval_refuses_a_task_the_model_does_not_fit(self, tiny_config, tmp_path, key, value, saved):
+        """A config whose task disagrees with the saved model fails before any
+        prediction, naming task.<key> and the model's value."""
+        model = str(tmp_path / "model")
+        main(["train", "--config", tiny_config, "--method", "ens", "--out-dir", model])
+        config = tmp_path / "other.ini"
+        config.write_text(TINY_INI.replace("[task]\n", f"[task]\n{key} = {value}\n"))
+        with pytest.raises(ValueError, match=rf"^task\.{key}: the config gives {value}, the saved model {saved}$"):
+            main(["eval", "--config", str(config), "--model-dir", model, "--out-dir", str(tmp_path / "eval")])
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_reused_parser_leaks_no_flags_between_calls(self, tiny_config, tmp_path):
         """An eval after one with --seed, --shift and --n-samples writes what

@@ -11,8 +11,10 @@ from bayeslora.kl import (
     build_full_prior,
     kl_closed_form,
     kl_full_weight_regularized,
-    kl_monte_carlo,
 )
+from bayeslora.parammaps import ParamMap, apply_map
+
+from kl_estimators import kl_monte_carlo
 
 
 def _random_adapter(m, n, r, rng, g_low=0.3, g_high=0.9):
@@ -24,18 +26,23 @@ def _random_adapter(m, n, r, rng, g_low=0.3, g_high=0.9):
     )
 
 
+def _omega(ad):
+    """The std of an adapter's a-factor under the square map."""
+    return apply_map(ParamMap.SQUARE, ad.g)
+
+
 class TestClosedForm:
     def test_zero_when_posterior_equals_prior(self):
         sigma_p = 0.4
-        g = np.full((2, 3), math.sqrt(sigma_p))
-        assert kl_closed_form(np.zeros((2, 3)), g, PriorSpec(sigma_p)) == pytest.approx(0.0, abs=1e-12)
+        omega = np.full((2, 3), sigma_p)
+        assert kl_closed_form(np.zeros((2, 3)), omega, PriorSpec(sigma_p)) == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_gaussian_value(self):
         # One entry, mean 0, omega = sigma_p / 2: KL = log 2 + 1/8 - 1/2.
         sigma_p = 0.7
-        g = np.array([[math.sqrt(sigma_p / 2.0)]])
+        omega = np.array([[sigma_p / 2.0]])
         expected = math.log(2.0) + 0.125 - 0.5
-        assert kl_closed_form(np.zeros((1, 1)), g, PriorSpec(sigma_p)) == pytest.approx(expected, rel=1e-12)
+        assert kl_closed_form(np.zeros((1, 1)), omega, PriorSpec(sigma_p)) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.318147, abs=1e-6)
 
     def test_raw_differs_by_constant(self):
@@ -44,8 +51,8 @@ class TestClosedForm:
         ad = _random_adapter(4, 3, 2, rng)
         prior = PriorSpec(0.2)
         const = ad.mean_a.size * (math.log(prior.sigma_p) - 0.5)
-        full = kl_closed_form(ad.mean_a, ad.g, prior)
-        omega = ad.omega()
+        omega = _omega(ad)
+        full = kl_closed_form(ad.mean_a, omega, prior)
         raw = float(
             (np.sum(ad.mean_a**2) + np.sum(omega**2)) / (2.0 * prior.sigma_p**2)
             - np.sum(np.log(omega))
@@ -57,28 +64,33 @@ class TestClosedForm:
         prior = PriorSpec(0.5)
         for _ in range(50):
             m = rng.normal(0, 1.0, size=(2, 3))
-            g = rng.uniform(0.1, 1.2, size=(2, 3))
-            assert kl_closed_form(m, g, prior) >= -1e-12
+            omega = rng.uniform(0.01, 1.44, size=(2, 3))
+            assert kl_closed_form(m, omega, prior) >= -1e-12
         # Strictly positive as soon as q deviates from p in mean or scale.
-        g_prior = np.full((2, 3), math.sqrt(prior.sigma_p))
+        omega_prior = np.full((2, 3), prior.sigma_p)
         off_mean = np.zeros((2, 3)); off_mean[0, 0] = 0.1
-        assert kl_closed_form(off_mean, g_prior, prior) > 1e-4
-        off_scale = g_prior.copy(); off_scale[1, 2] *= 1.2
+        assert kl_closed_form(off_mean, omega_prior, prior) > 1e-4
+        off_scale = omega_prior.copy(); off_scale[1, 2] *= 1.44
         assert kl_closed_form(np.zeros((2, 3)), off_scale, prior) > 1e-4
 
-    def test_zero_g_entry_rejected(self):
-        g = np.array([[0.5, 0.0]])
-        with pytest.raises(ValueError):
-            kl_closed_form(np.zeros((1, 2)), g, PriorSpec(1.0))
+    @pytest.mark.parametrize("bad", [0.0, -0.25])
+    def test_nonpositive_omega_entry_rejected(self, bad):
+        omega = np.array([[0.5, bad]])
+        with pytest.raises(ValueError, match="omega entry is <= 0"):
+            kl_closed_form(np.zeros((1, 2)), omega, PriorSpec(1.0))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="must match"):
+            kl_closed_form(np.zeros((2, 3)), np.ones((3, 2)), PriorSpec(1.0))
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(2, 4))
-        g = rng.uniform(0.2, 0.8, size=(2, 4))
+        omega = rng.uniform(0.04, 0.64, size=(2, 4))
         prior = PriorSpec(0.3)
         perm = rng.permutation(4)
-        assert kl_closed_form(m, g, prior) == pytest.approx(
-            kl_closed_form(m[:, perm], g[:, perm], prior), rel=1e-12
+        assert kl_closed_form(m, omega, prior) == pytest.approx(
+            kl_closed_form(m[:, perm], omega[:, perm], prior), rel=1e-12
         )
 
 
@@ -87,22 +99,22 @@ class TestMonteCarlo:
         # When q == p the per-sample log-ratio cancels exactly, so the
         # estimator collapses to floating-point noise around zero.
         sigma_p = 0.4
-        g = np.full((2, 2), math.sqrt(sigma_p))
-        est, se = kl_monte_carlo(np.zeros((2, 2)), g, PriorSpec(sigma_p), 50_000, seed=0)
+        omega = np.full((2, 2), sigma_p)
+        est, se = kl_monte_carlo(np.zeros((2, 2)), omega, PriorSpec(sigma_p), 50_000, seed=0)
         assert abs(est) <= max(3.0 * se, 1e-12)
 
     def test_scalar_case_within_three_se(self):
         sigma_p = 0.7
-        g = np.array([[math.sqrt(sigma_p / 2.0)]])
-        est, se = kl_monte_carlo(np.zeros((1, 1)), g, PriorSpec(sigma_p), 200_000, seed=1)
+        omega = np.array([[sigma_p / 2.0]])
+        est, se = kl_monte_carlo(np.zeros((1, 1)), omega, PriorSpec(sigma_p), 200_000, seed=1)
         assert abs(est - 0.3181471805599453) <= 3.0 * se
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(2, 3))
-        g = rng.uniform(0.3, 0.8, size=(2, 3))
-        a = kl_monte_carlo(m, g, PriorSpec(0.2), 10_000, seed=9)
-        b = kl_monte_carlo(m, g, PriorSpec(0.2), 10_000, seed=9)
+        omega = rng.uniform(0.09, 0.64, size=(2, 3))
+        a = kl_monte_carlo(m, omega, PriorSpec(0.2), 10_000, seed=9)
+        b = kl_monte_carlo(m, omega, PriorSpec(0.2), 10_000, seed=9)
         assert a == b
 
     def test_minimum_samples_enforced(self):
@@ -113,10 +125,10 @@ class TestMonteCarlo:
         rng = np.random.default_rng(4)
         for trial in range(3):
             m_a = rng.normal(0, 0.5, size=(2, 3))
-            g = rng.uniform(0.3, 0.9, size=(2, 3))
+            omega = apply_map(ParamMap.SQUARE, rng.uniform(0.3, 0.9, size=(2, 3)))
             prior = PriorSpec(0.2)
-            closed = kl_closed_form(m_a, g, prior)
-            est, se = kl_monte_carlo(m_a, g, prior, 400_000, seed=trial)
+            closed = kl_closed_form(m_a, omega, prior)
+            est, se = kl_monte_carlo(m_a, omega, prior, 400_000, seed=trial)
             assert abs(est - closed) <= 3.0 * se
 
 
@@ -125,14 +137,14 @@ class TestFullPosterior:
         rng = np.random.default_rng(5)
         ad = _random_adapter(3, 2, 1, rng)
         ad.b[...] = 0.0
-        q = build_full_posterior(ad)
+        q = build_full_posterior(ad, _omega(ad))
         np.testing.assert_array_equal(q.blocks, np.zeros((2, 3, 3)))
         np.testing.assert_array_equal(q.cov, np.zeros((6, 6)))
         np.testing.assert_array_equal(q.mean, ad.w0)
 
     def test_rank_one_hand_expansion(self):
-        # b = e1, g = w everywhere: each diagonal block is w^4 * e1 e1^T
-        # (the entry variance is omega^2 = g^4).
+        # b = e1, omega = w everywhere: each diagonal block is w^2 * e1 e1^T
+        # (the entry variance is omega^2).
         m, n, r = 3, 2, 1
         w = 0.7
         ad = VariationalAdapter(
@@ -141,9 +153,9 @@ class TestFullPosterior:
             mean_a=np.zeros((r, n)),
             g=np.full((r, n), w),
         )
-        q = build_full_posterior(ad)
+        q = build_full_posterior(ad, np.full((r, n), w))
         block = np.zeros((m, m))
-        block[0, 0] = w**4
+        block[0, 0] = w**2
         for i in range(n):
             np.testing.assert_allclose(q.blocks[i], block)
             np.testing.assert_allclose(q.cov[i * m:(i + 1) * m, i * m:(i + 1) * m], block)
@@ -151,8 +163,8 @@ class TestFullPosterior:
     def test_covariance_matches_kron_formula(self):
         rng = np.random.default_rng(6)
         ad = _random_adapter(4, 3, 2, rng)
-        q = build_full_posterior(ad)
-        omega = ad.omega()
+        omega = _omega(ad)
+        q = build_full_posterior(ad, omega)
         tilde_b = np.kron(np.eye(ad.n), ad.b)
         diag = np.diag((omega**2).T.ravel())  # vec(omega)^2, column-stacked
         expected = tilde_b @ diag @ tilde_b.T
@@ -161,14 +173,31 @@ class TestFullPosterior:
     def test_rank_bound(self):
         rng = np.random.default_rng(8)
         ad = _random_adapter(5, 4, 2, rng)
-        q = build_full_posterior(ad)
+        q = build_full_posterior(ad, _omega(ad))
         assert np.linalg.matrix_rank(q.cov) <= ad.n * ad.rank < ad.m * ad.n
 
     def test_size_guard(self):
         rng = np.random.default_rng(9)
         ad = _random_adapter(80, 80, 2, rng)
         with pytest.raises(ValueError):
-            build_full_posterior(ad)
+            build_full_posterior(ad, _omega(ad))
+
+    def test_omega_shape_checked(self):
+        ad = _random_adapter(4, 3, 2, np.random.default_rng(9))
+        with pytest.raises(ShapeError, match=r"^omega must be \(2, 3\)"):
+            build_full_posterior(ad, _omega(ad).T)
+
+    def test_blocks_follow_the_given_map(self):
+        """A softplus omega gives blocks b diag(softplus(g)^2) b^T, not the
+        square map's b diag(g^4) b^T: the builder reads no map of its own."""
+        ad = _random_adapter(4, 3, 2, np.random.default_rng(7))
+        softplus = apply_map(ParamMap.SOFTPLUS, ad.g)
+        q = build_full_posterior(ad, softplus)
+        square = build_full_posterior(ad, _omega(ad))
+        for i in range(ad.n):
+            expected = ad.b @ np.diag(np.log1p(np.exp(ad.g[:, i])) ** 2) @ ad.b.T
+            np.testing.assert_allclose(q.blocks[i], expected, rtol=1e-13, atol=1e-15)
+            assert np.abs(q.blocks[i] - square.blocks[i]).max() > 0.1 * np.abs(expected).max()
 
 
 class TestFullPrior:
@@ -199,8 +228,8 @@ class TestFullPrior:
 
         rng = np.random.default_rng(12)
         ad = _random_adapter(4, 3, 2, rng)
-        omega = ad.omega()
-        q = build_full_posterior(ad)
+        omega = _omega(ad)
+        q = build_full_posterior(ad, omega)
         for i in range(ad.n):
             np.testing.assert_allclose(q.blocks[i], ad.b @ np.diag(omega[:, i] ** 2) @ ad.b.T, rtol=1e-14)
         np.testing.assert_array_equal(q.cov, block_diag(*q.blocks))
@@ -228,7 +257,7 @@ class TestRegularizedKl:
     def test_identical_distributions(self):
         rng = np.random.default_rng(11)
         ad = _random_adapter(4, 3, 2, rng)
-        q = build_full_posterior(ad)
+        q = build_full_posterior(ad, _omega(ad))
         for lam in (1e-4, 1e-8):
             assert kl_full_weight_regularized(q, q, lam) == pytest.approx(0.0, abs=1e-8)
 
@@ -262,7 +291,7 @@ class TestRegularizedKl:
         Gaussians, up to rounding."""
         rng = np.random.default_rng(15)
         ad = _random_adapter(m, n, r, rng)
-        q = build_full_posterior(ad)
+        q = build_full_posterior(ad, _omega(ad))
         p = build_full_prior(ad.w0, ad.b, PriorSpec(0.2))
         reference = _dense_kl_reference(q, p, lam)
         assert kl_full_weight_regularized(q, p, lam) == pytest.approx(reference, rel=1e-9)
@@ -278,9 +307,10 @@ class TestRegularizedKl:
             r = int(rng.integers(1, min(m, n)))
             ad = _random_adapter(m, n, r, rng)
             assert np.linalg.matrix_rank(ad.b) == r
-            q = build_full_posterior(ad)
+            omega = _omega(ad)
+            q = build_full_posterior(ad, omega)
             p = build_full_prior(ad.w0, ad.b, prior)
-            closed = kl_closed_form(ad.mean_a, ad.g, prior)
+            closed = kl_closed_form(ad.mean_a, omega, prior)
             gaps = [
                 abs(kl_full_weight_regularized(q, p, lam) - closed) / abs(closed)
                 for lam in (1e-4, 1e-6, 1e-8)
@@ -293,7 +323,7 @@ class TestRegularizedKl:
         rng = np.random.default_rng(14)
         ad = _random_adapter(4, 3, 2, rng)
         prior = PriorSpec(0.2)
-        q = build_full_posterior(ad)
+        q = build_full_posterior(ad, _omega(ad))
         p_canonical = build_full_prior(ad.w0, ad.b, prior)
         orth, _ = np.linalg.qr(rng.normal(size=(ad.rank, ad.rank)))
         p_rotated = build_full_prior(ad.w0, ad.b, prior, r_factor=ad.b @ orth)

@@ -110,20 +110,23 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="flipout", rng=np.random.default_rng(123))
         cache = fwd.layer_caches[0]
-        z_adapter = forward_flipout(net.layers[0].adapter, h0, cache.draws)
+        z_adapter = forward_flipout(net.layers[0].adapter, cache.omega, h0, cache.draws)
         np.testing.assert_array_equal(
             cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
 
-    def test_shared_layer_matches_adapter_op(self):
-        config = TrainConfig(seed=9, sampling="shared")
+    @pytest.mark.parametrize("pmap", list(ParamMap))
+    def test_shared_layer_matches_adapter_op(self, pmap):
+        """Under either map (softplus with shared noise is bbb's layer), the
+        checked op at the std the net used gives the layer's bytes."""
+        config = TrainConfig(seed=9, sampling="shared", param_map=pmap)
         net = _randomized_net(config, hidden=(4,), seed=9)
         rng = np.random.default_rng(10)
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="shared", rng=np.random.default_rng(321))
         cache = fwd.layer_caches[0]
         (noise,) = cache.draws
-        z_adapter = forward_naive_shared(net.layers[0].adapter, h0, noise)
+        z_adapter = forward_naive_shared(net.layers[0].adapter, cache.omega, h0, noise)
         np.testing.assert_array_equal(
             cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
@@ -233,14 +236,15 @@ class TestKlTerm:
         offsets = net.views(np.arange(sum(p.size for p in net.trainable_params().values())))
         assert net.kl_span.start == offsets["layers.0.mean_a"].flat[0]
 
-    def test_matches_closed_form_sum(self):
+    @pytest.mark.parametrize("pmap", list(ParamMap))
+    def test_matches_closed_form_sum(self, pmap):
         from bayeslora.kl import PriorSpec, kl_closed_form
 
-        config = TrainConfig(seed=6, sigma_p=0.4)
+        config = TrainConfig(seed=6, sigma_p=0.4, param_map=pmap)
         net = _randomized_net(config, hidden=(5, 4), seed=6)
         value, _ = kl_term(net, config.sigma_p)
         expected = sum(
-            kl_closed_form(l.adapter.mean_a, l.adapter.g, PriorSpec(config.sigma_p))
+            kl_closed_form(l.adapter.mean_a, apply_map(pmap, l.adapter.g), PriorSpec(config.sigma_p))
             for l in net.layers
         )
         assert value == pytest.approx(expected, rel=1e-12)

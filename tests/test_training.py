@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bayeslora.network import net_forward, softmax_columns, stack_nets
 from bayeslora.parammaps import ParamMap
 from bayeslora.tasks import TaskSpec, generate_task
 from bayeslora.training import (
@@ -442,6 +443,20 @@ class TestPredict:
         np.testing.assert_allclose(
             predict(net, x, [25], seed=6)[0], predict(net, x, [0])[0], rtol=1e-12
         )
+
+
+    def test_stacked_net_averages_its_members_logits_at_zero(self):
+        """A stacked net's N = 0 is one softmax of the mean of its members'
+        own mean-mode logits, bit for bit; at any N >= 1 it raises."""
+        nets = [build_small_net(2, (8, 8), 3, 2, TrainConfig(seed=seed)) for seed in (0, 1, 2)]
+        x = np.random.default_rng(3).normal(size=(40, 2))
+        h0 = np.ascontiguousarray(x.T)
+        logits = np.mean([net_forward(net, h0, mode="mean").logits for net in nets], axis=0)
+        stacked, _ = stack_nets(nets)
+        assert predict(stacked, x, [0])[0].tobytes() == softmax_columns(logits).T.tobytes()
+        for counts in ([5], [0, 1]):
+            with pytest.raises(ValueError, match=r"^a stacked net predicts only at N = 0, got N = \d+$"):
+                predict(stacked, x, counts)
 
 
 class TestMleReduction:
