@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-from .baselines import METHODS, BaselineModel, BaselineSpec, member_count
+from .baselines import METHODS, BaselineModel, BaselineSpec, derive_config, member_count
 from .configio import SuiteConfig, load_config, write_example_config
 from .metrics import ece, report_to_json, write_bins_csv, write_reliability_csv
 from .network import load_net, save_net
@@ -35,7 +35,7 @@ from .suite import (
 )
 from .tasks import SHIFTS, generate_task, write_dataset_csv
 from .textio import write_csv, write_json, write_lines
-from .training import write_trajectory_csv
+from .training import TrainConfig, write_trajectory_csv
 
 ENV_OUT_DIR = "BAYESLORA_OUT_DIR"
 
@@ -86,13 +86,7 @@ def _cmd_train(args) -> int:
     trained = train_method(method, cfg, (train_ds.x, train_ds.y), seed)
     print(f"trained {method} (seed {seed}) in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
 
-    manifest = {
-        "method": method,
-        "seed": seed,
-        "n_members": len(trained.models),
-        "model_files": [f"model-{k}.txt" for k in range(len(trained.models))],
-        "baseline": _spec_fields(cfg.baseline),
-    }
+    manifest = {"method": method, "seed": seed, "baseline": _spec_fields(cfg.baseline)}
     for k, net in enumerate(trained.models):
         save_net(net, os.path.join(out, f"model-{k}.txt"))
         write_trajectory_csv(trained.logs[k], os.path.join(out, f"trajectory-{k}.csv"))
@@ -106,7 +100,7 @@ def _spec_fields(spec: BaselineSpec) -> dict:
     return {name: value for name, value in asdict(spec).items() if name != "kind"}
 
 
-_MANIFEST_KEYS = {"method", "seed", "n_members", "model_files", "baseline"}
+_MANIFEST_KEYS = {"method", "seed", "baseline"}
 _SPEC_KEYS = sorted(_spec_fields(BaselineSpec("mle")))
 
 
@@ -114,49 +108,57 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_trained(model_dir: str) -> tuple[BaselineModel, int]:
-    """The model ``train`` wrote to ``model_dir`` and its training seed; a
-    malformed model.json, or one that names a missing model file, raises a
-    ValueError that names the field."""
-    with open(os.path.join(model_dir, "model.json"), "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+def _load_trained(model_dir: str, train: TrainConfig) -> tuple[BaselineModel, int]:
+    """The model ``train`` wrote to ``model_dir`` and its training seed.
+
+    The member files are ``model-{k}.txt`` for k < ``member_count`` of the
+    recorded method, and each must hold the std map and dropout rate that
+    the method derives from ``train``, and ``model-0.txt``'s layer shapes.
+    A bad model.json raises a ValueError naming ``model.json`` and the
+    field; a missing or mismatched member, one naming its file.
+    """
+    try:
+        with open(os.path.join(model_dir, "model.json"), "r", encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"model.json: {exc}") from None
     if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
         raise ValueError(f"model.json: keys must be exactly {sorted(_MANIFEST_KEYS)}")
-    method, files, params = manifest["method"], manifest["model_files"], manifest["baseline"]
+    method, params = manifest["method"], manifest["baseline"]
     if method not in METHODS:
         raise ValueError(f"model.json method: {method!r} is not one of {METHODS}")
     seed = manifest["seed"]
     if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"model.json seed: must be a non-negative integer, got {seed!r}")
-    if not (
-        isinstance(files, list)
-        and files
-        and all(isinstance(f, str) and f not in ("", ".", "..") and os.path.basename(f) == f for f in files)
-    ):
-        raise ValueError("model.json model_files: must be a non-empty list of plain file names")
-    if not (type(manifest["n_members"]) is int and manifest["n_members"] == len(files)):
-        raise ValueError(f"model.json n_members: must be the integer {len(files)}, the number of model_files")
     if not (isinstance(params, dict) and sorted(params) == _SPEC_KEYS and all(map(_is_number, params.values()))):
         raise ValueError(f"model.json baseline: must map exactly {_SPEC_KEYS} to numbers")
     try:
         spec = BaselineSpec(kind=method, **params)
     except ValueError as exc:
         raise ValueError(f"model.json baseline: {exc}") from None
-    if member_count(spec) != len(files):
-        raise ValueError(
-            f"model.json n_members: {method} trains {member_count(spec)} member(s), not {len(files)}"
-        )
-    for name in files:
+    names = [f"model-{k}.txt" for k in range(member_count(spec))]
+    for name in names:
         if not os.path.isfile(os.path.join(model_dir, name)):
-            raise ValueError(f"model.json model_files: {name!r} is not a file in {model_dir}")
-    models = [load_net(os.path.join(model_dir, name)) for name in files]
+            raise ValueError(f"{name}: {method} trains {len(names)} member(s), and this file is not in {model_dir}")
+    run = derive_config(spec, train)
+    models = []
+    for name in names:
+        net = load_net(os.path.join(model_dir, name))
+        for field, want, got in (("param_map", run.param_map.value, net.param_map.value),
+                                 ("dropout_p", run.dropout_p, net.dropout_p)):
+            if got != want:
+                raise ValueError(f"{name} {field}: {method} trains with {want!r} under this config, "
+                                 f"the file holds {got!r}")
+        if models and net._layout != models[0]._layout:
+            raise ValueError(f"{name}: its layer shapes differ from {names[0]}'s")
+        models.append(net)
     return BaselineModel(spec=spec, models=models, logs=[[] for _ in models]), seed
 
 
 def _cmd_eval(args) -> int:
     cfg = _load_suite_config(args)
     out = _out_dir(args)
-    trained, model_seed = _load_trained(args.model_dir)
+    trained, model_seed = _load_trained(args.model_dir, cfg.train)
     for name, saved in (("n_classes", trained.models[0].n_classes), ("input_dim", trained.models[0].input_dim)):
         if getattr(cfg.task, name) != saved:
             raise ValueError(f"task.{name}: the config gives {getattr(cfg.task, name)}, the saved model {saved}")

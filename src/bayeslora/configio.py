@@ -119,6 +119,8 @@ def load_config(path: str) -> SuiteConfig:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise _syntax_error(path, exc) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     default = SuiteConfig()
     # Owner "" is the SuiteConfig itself; the nested owners join it once, at the end.
     owners = {"": default, "task": default.task, "train": default.train, "baseline": default.baseline}

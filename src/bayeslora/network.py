@@ -60,13 +60,8 @@ __all__ = [
 ]
 
 _MODEL_MAGIC = "bayeslora-model"
-_MODEL_VERSION = 1
-_META_KEYS = ("b_std_scale", "dropout_p", "head_trainable", "n_layers", "param_map")
-# The file format keeps two fields of a retired variant that also gave b a
-# Gaussian factor: the meta b_std_scale, always this value, and a per-layer
-# g_b flag, always 0.  It keeps the meta head_trainable of a retired frozen
-# head too, always 1.
-_B_STD_SCALE = (100.0).hex()
+_MODEL_VERSION = 2
+_META_KEYS = ("dropout_p", "n_layers", "param_map")
 
 
 class NonFiniteLossError(ValueError):
@@ -379,18 +374,15 @@ def _parse(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def save_net(net: SmallNet, path: str) -> None:
-    """Textual model record (hex floats) that round-trips bit-exactly."""
-    meta = {
-        "param_map": net.param_map.value,
-        "dropout_p": float(net.dropout_p).hex(),
-        "head_trainable": 1,
-        "b_std_scale": _B_STD_SCALE,
-        "n_layers": len(net.layers),
-    }
+    """Textual model record (hex floats) that round-trips bit-exactly: a
+    ``bayeslora-model 2`` header, a meta line with the std map, the dropout
+    rate and the layer count, then per layer ``layer m n r`` and its arrays,
+    then the head."""
+    meta = {"param_map": net.param_map.value, "dropout_p": float(net.dropout_p).hex(), "n_layers": len(net.layers)}
     lines = [f"{_MODEL_MAGIC} {_MODEL_VERSION}", "meta " + json.dumps(meta, sort_keys=True)]
     for layer in net.layers:
         ad = layer.adapter
-        lines.append(f"layer {ad.m} {ad.n} {ad.rank} 0")
+        lines.append(f"layer {ad.m} {ad.n} {ad.rank}")
         lines += [f"{name} " + _fmt(getattr(ad, name)) for name in ("w0", "b", "mean_a", "g")]
         lines.append("bias " + _fmt(layer.bias))
     c, h = net.head_w.shape
@@ -419,9 +411,13 @@ def _dims(payload: str, count: int, key: str) -> list[int]:
 
 
 def load_net(path: str) -> SmallNet:
-    """Read a ``save_net`` record; a malformed one raises a ValueError naming the field."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = iter(fh.read().splitlines())
+    """Read a ``save_net`` record; a malformed one raises a ValueError naming
+    the field, and one that is not ASCII text a ValueError naming ``path``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = iter(fh.read().splitlines())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if next(lines, None) != f"{_MODEL_MAGIC} {_MODEL_VERSION}":
         raise ValueError(f"not a {_MODEL_MAGIC} v{_MODEL_VERSION} file: {path}")
     payload = _next_field(lines, "meta")
@@ -432,13 +428,9 @@ def load_net(path: str) -> SmallNet:
         n_layers = meta["n_layers"]
         if type(n_layers) is not int or n_layers < 1:
             raise ValueError(f"n_layers must be an integer >= 1, got {n_layers!r}")
-        if type(meta["head_trainable"]) is not int or meta["head_trainable"] != 1:
-            raise ValueError(f"head_trainable must be 1, got {meta['head_trainable']!r}")
         dropout_p = float.fromhex(meta["dropout_p"])
         if not 0.0 <= dropout_p < 1.0 or "0x" not in meta["dropout_p"]:
             raise ValueError(f"dropout_p must be a 0x hex float in [0, 1), got {meta['dropout_p']!r}")
-        if meta["b_std_scale"] != _B_STD_SCALE:
-            raise ValueError(f"b_std_scale must be {_B_STD_SCALE!r}, got {meta['b_std_scale']!r}")
         options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"meta: {exc}") from None
@@ -446,9 +438,7 @@ def load_net(path: str) -> SmallNet:
     layers: list[AdapterLayer] = []
     width = None
     for _ in range(n_layers):
-        m, n, r, g_b_flag = _dims(_next_field(lines, "layer"), 4, "layer")
-        if g_b_flag != 0:
-            raise ValueError(f"layer: the g_b flag must be 0, got {g_b_flag}")
+        m, n, r = _dims(_next_field(lines, "layer"), 3, "layer")
         if width is not None and n != width:
             raise ValueError(f"layer: input width {n} does not match the previous layer's {width}")
         fields = {

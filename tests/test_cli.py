@@ -46,14 +46,17 @@ GOLDEN_RESULTS_SHA256 = {
 # draws the honest check had read FAIL against a fixed 0.05), and again when
 # the full-weight KL began to sum its column blocks by NumPy's Cholesky (the
 # lambda = 1e-8 gap and the factor-invariance difference print new digits).
+# The model files were re-recorded for model format v2, which changed only
+# their header, meta and layer lines, and model.json when it dropped
+# n_members and model_files.
 GOLDEN_FILES_SHA256 = {
     "data/test.csv": "918eefa59c4c588f926de23cb8572f1cbd35497e2fb9b33194faba3ef44f94da",
     "data/train.csv": "df1af6c56b15364df7fc5152e75bd4fdea7050c38d2c75e1cbf6b122902cb747",
     "eval/bins.csv": "efec4c7b632a50d388cee6e355f7cb9ef377d3274371aa7efbdbe7b10d4915cc",
     "eval/reliability.csv": "a450015b5795047295227d80864dc5f3f56f6ed4c2dda0b979c9e98d625d2170",
     "eval/report.json": "33ddbcaa9de438b5cff92866ab1251e3c1ba23e77e21102fd5f476a95486497c",
-    "model/model-0.txt": "e8804ba39f45a5b88ff280a40ec79cc8f1fefc0b0467dabee784a07550a62b8c",
-    "model/model.json": "4a8b08df17a50431c8e456348f582c3494997f44ae74a270e9d07ac029091ddf",
+    "model/model-0.txt": "13be40de12d38f4b8fafa9bb60c876486afc382c404c4c57bcf05ba36456f72b",
+    "model/model.json": "d7ab04e9c6317347bd4823c31d151752bec103f4b2584f485f90d1727f747a9c",
     "model/trajectory-0.csv": "8ef4fce8af8f1f47d9d420b5ccad78b8d7746bc52f7de518b405ca83e5dad9e8",
     "race/race_softplus.csv": "e7902ae7201be5a7c682cb7438f2fd79956a6f5cbd32f0a22df9783ed0d69f1f",
     "race/race_square.csv": "dc205eea0e24d0fd5138ef1e516fcb344d218557ff79c489a46231305c55479f",
@@ -81,23 +84,24 @@ VERIFY_STDOUT_SHA256 = {
 # model hashes, trajectory hashes), one hash per member.  Recorded with
 # per-layer KL calls and dict-built gradients, before the KL became one pass
 # over a contiguous span; the ens row, with its three members trained one
-# after another, before they trained as one stacked program.
+# after another, before they trained as one stacked program.  The model
+# hashes were re-recorded for model format v2 (header, meta and layer lines).
 GOLDEN_TRAIN_PATHS = {
     "dropout_flipout": (
         "blob", "dropout_p = 0.1",
-        ("662f0e81179e9b278cd9aae2efc9860b9f205234f9c6197ea93c18cc4f7d7afd",),
+        ("b38acd140512fde1c7e11b6b904457b40ce2ba8ec717aa15b21595f9037fcfac",),
         ("ab08a8dd601f2e1f6cb34153871355b246577715daf30b5348dbcb6bd97c3d8c",),
     ),
     "bbb": (
         "bbb", "",
-        ("34ff08f4d32dbce380a13c74907a2ab3050d84a503f8373edcf1a0b2dc6a4720",),
+        ("0231dd7dcdb1c72e88f6e40bc20cab8d53b5d312662298d969fb27972056869d",),
         ("6c4c31fa3466e3d025a699c2358ec7ccb602231508a5c28f00b7a46c33e3d399",),
     ),
     "ens": (
         "ens", "",
-        ("1dcc56a97f45d36b772b3c51dd498ee450406bf16d9db5e4a0767cb504677ddf",
-         "916aef62cd15b022bd2a5025128ab64d359dc05b3d0d410dabdb6848fe33072b",
-         "6c0f09521d86039ab06ad091248cfb062e6c3c8715bfae1ed8bcb5c06c1d9947"),
+        ("e24c9c28a551b0b612c5d6f0b96f34e21548c1fb80f2e8fe3dd9e1e8f6d550e9",
+         "e707c67ea0521bbc145ed81997080742bafbeed120303c2933684d55a3b629ed",
+         "cd3cdd78c2411d00f2b1c696ce91ecb80c95be33cfdc282194c2ff156e14b32c"),
         ("30e10e386f78932e97bf85bdf1fa82120a9fde76a3fc6ebebbf931592331b629",
          "5deab0c33a94a0703ecda51547ea6f2422c352102f866d5e6be294dc6c36b4bb",
          "0d251fe3e85f0c254536f2b2682d68b96a0ff75b72592b0006edf007f21b8b28"),
@@ -753,43 +757,112 @@ class TestCliCommands:
             assert "argument --r: r must satisfy" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "mutate, field",
+        "method, mutate, field",
         [
-            pytest.param(lambda m: m.update(extra=1), "model.json: keys", id="extra-key"),
-            pytest.param(lambda m: m.pop("seed"), "model.json: keys", id="missing-key"),
-            pytest.param(lambda m: m.update(method="blub"), "model.json method", id="unknown-method"),
-            pytest.param(lambda m: m.update(seed=-1), "model.json seed", id="negative-seed"),
-            pytest.param(lambda m: m.update(seed=3.0), "model.json seed", id="float-seed"),
-            pytest.param(lambda m: m.update(model_files=[]), "model.json model_files", id="no-files"),
-            pytest.param(lambda m: m.update(model_files="model-0.txt"), "model.json model_files",
-                         id="files-not-a-list"),
-            pytest.param(lambda m: m.update(model_files=["../model-0.txt"]), "model.json model_files",
-                         id="file-outside-dir"),
-            pytest.param(lambda m: m.update(model_files=["model-9.txt"]), "model.json model_files",
+            pytest.param("mcd", lambda m, d: m.update(extra=1), "model.json: keys", id="extra-key"),
+            pytest.param("mcd", lambda m, d: m.pop("seed"), "model.json: keys", id="missing-key"),
+            pytest.param("mcd", lambda m, d: m.update(method="blub"), "model.json method", id="unknown-method"),
+            pytest.param("mcd", lambda m, d: m.update(seed=-1), "model.json seed", id="negative-seed"),
+            pytest.param("mcd", lambda m, d: m.update(seed=3.0), "model.json seed", id="float-seed"),
+            pytest.param("mcd", lambda m, d: m.update(n_members=1, model_files=["model-0.txt"]), "model.json: keys",
+                         id="v1-manifest"),
+            pytest.param("ens", lambda m, d: (d / "model-1.txt").unlink(), "model-1.txt: ens trains 3 member",
                          id="missing-file"),
-            pytest.param(lambda m: m.update(n_members=5), "model.json n_members", id="count-vs-files"),
-            pytest.param(lambda m: m.update(n_members=1.0), "model.json n_members", id="float-count"),
-            pytest.param(lambda m: m.update(n_members=True), "model.json n_members", id="bool-count"),
-            pytest.param(lambda m: m["baseline"].update(n_members=2.5), "model.json baseline: n_members",
+            pytest.param("mcd", lambda m, d: (d / "model-0.txt").unlink(), "model-0.txt: mcd trains 1 member",
+                         id="missing-only-file"),
+            pytest.param("mcd", lambda m, d: m["baseline"].update(n_members=2.5), "model.json baseline: n_members",
                          id="fractional-spec-count"),
-            pytest.param(lambda m: m["baseline"].update(n_members=0), "model.json baseline: n_members",
+            pytest.param("mcd", lambda m, d: m["baseline"].update(n_members=0), "model.json baseline: n_members",
                          id="zero-spec-count"),
-            pytest.param(lambda m: m["baseline"].update(dropout_p=1.5), "model.json baseline: dropout_p",
+            pytest.param("mcd", lambda m, d: m["baseline"].update(dropout_p=1.5), "model.json baseline: dropout_p",
                          id="spec-out-of-range"),
-            pytest.param(lambda m: m.update(baseline={}), "model.json baseline", id="empty-baseline"),
-            pytest.param(lambda m: m.update(method="ens"), "model.json n_members", id="count-vs-method"),
+            pytest.param("mcd", lambda m, d: m.update(baseline={}), "model.json baseline", id="empty-baseline"),
+            pytest.param("mcd", lambda m, d: m.update(method="ens"), "model-1.txt: ens trains 3 member",
+                         id="count-vs-method"),
         ],
     )
-    def test_malformed_manifest_names_the_field(self, tiny_config, tmp_path, mutate, field):
+    def test_malformed_manifest_names_the_field(self, tiny_config, tmp_path, method, mutate, field):
         model_dir = tmp_path / "model"
-        assert main(["train", "--config", tiny_config, "--method", "mcd",
+        assert main(["train", "--config", tiny_config, "--method", method,
                      "--out-dir", str(model_dir)]) == 0
-        assert len(_load_trained(str(model_dir))[0].models) == 1
+        assert _load_trained(str(model_dir), TrainConfig())[0].models
         manifest = json.loads((model_dir / "model.json").read_text())
-        mutate(manifest)
+        mutate(manifest, model_dir)
         (model_dir / "model.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"^{field}"):
-            _load_trained(str(model_dir))
+            _load_trained(str(model_dir), TrainConfig())
+
+    def test_model_json_holds_method_seed_and_baseline_only(self, tiny_config, tmp_path):
+        """model.json records each fact once: the member files and their
+        count follow from the method and its baseline settings."""
+        main(["train", "--config", tiny_config, "--method", "ens", "--out-dir", str(tmp_path)])
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        assert manifest == {"method": "ens", "seed": 0,
+                            "baseline": {"dropout_p": 0.1, "n_members": 3, "weight_decay": 1e-05}}
+
+    def test_member_with_other_layer_shapes_names_the_file(self, tiny_config, tmp_path):
+        """An ens member copied from a run of other hidden widths fails at
+        load, naming the file, not inside the stacked forward."""
+        small = tmp_path / "small.ini"
+        small.write_text(TINY_INI.replace("hidden = 8,8", "hidden = 6,6"))
+        for name, config in (("wide", tiny_config), ("narrow", str(small))):
+            main(["train", "--config", config, "--method", "ens", "--out-dir", str(tmp_path / name)])
+        (tmp_path / "wide" / "model-1.txt").write_bytes(_read(tmp_path / "narrow" / "model-1.txt"))
+        with pytest.raises(ValueError, match=r"^model-1\.txt: its layer shapes differ from model-0\.txt's$"):
+            main(["eval", "--config", tiny_config, "--model-dir", str(tmp_path / "wide"),
+                  "--out-dir", str(tmp_path / "eval")])
+
+    @pytest.mark.parametrize(
+        "source, target, message",
+        [
+            pytest.param("bbb", "blob", "param_map: blob trains with 'square' under this config, "
+                         "the file holds 'softplus'", id="param_map"),
+            pytest.param("mcd", "mle", "dropout_p: mle trains with 0.0 under this config, "
+                         "the file holds 0.1", id="dropout_p"),
+        ],
+    )
+    def test_member_settings_that_contradict_the_method_name_the_file(
+        self, tiny_config, tmp_path, source, target, message
+    ):
+        for method in (source, target):
+            main(["train", "--config", tiny_config, "--method", method, "--out-dir", str(tmp_path / method)])
+        (tmp_path / target / "model-0.txt").write_bytes(_read(tmp_path / source / "model-0.txt"))
+        with pytest.raises(ValueError, match=f"^model-0\\.txt {re.escape(message)}$"):
+            main(["eval", "--config", tiny_config, "--model-dir", str(tmp_path / target),
+                  "--n-samples", "5", "--out-dir", str(tmp_path / "eval")])
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    def test_member_settings_follow_the_config(self, tiny_config, tmp_path):
+        """blob takes its dropout rate from [train]: a model trained at 0.1
+        evaluates under its own config and fails under the default one."""
+        config = tmp_path / "dropout.ini"
+        config.write_text(TINY_INI.replace("[train]\n", "[train]\ndropout_p = 0.1\n"))
+        model = str(tmp_path / "model")
+        main(["train", "--config", str(config), "--method", "blob", "--out-dir", model])
+        assert main(["eval", "--config", str(config), "--model-dir", model, "--n-samples", "5",
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+        with pytest.raises(ValueError, match=r"^model-0\.txt dropout_p: blob trains with 0\.0 under this config"):
+            main(["eval", "--config", tiny_config, "--model-dir", model, "--out-dir", str(tmp_path / "eval")])
+
+    @pytest.mark.parametrize(
+        "name, body, message",
+        [
+            pytest.param("model/model.json", b"not json\n", r"^model\.json: Expecting value",
+                         id="model-json-not-json"),
+            pytest.param("model/model.json", '{"method": "bl\u00f6b"}\n'.encode(), r"^model\.json: 'ascii' codec",
+                         id="model-json-not-ascii"),
+            pytest.param("model/model-0.txt", "bayeslora-model 2\nmeta \u00e9\n".encode(),
+                         r"^\S*model-0\.txt: 'ascii' codec", id="model-file-not-ascii"),
+            pytest.param("tiny.ini", b"[task]\nn_train = 1\xff0\n", r"^\S*tiny\.ini: 'utf-8' codec",
+                         id="config-not-utf8"),
+        ],
+    )
+    def test_undecodable_file_names_the_file(self, tiny_config, tmp_path, name, body, message):
+        model = tmp_path / "model"
+        main(["train", "--config", tiny_config, "--method", "blob", "--out-dir", str(model)])
+        (tmp_path / name).write_bytes(body)
+        with pytest.raises(ValueError, match=message):
+            main(["eval", "--config", tiny_config, "--model-dir", str(model), "--out-dir", str(tmp_path / "eval")])
 
     def test_suite_outputs_and_determinism(self, tmp_path):
         config = tmp_path / "small.ini"

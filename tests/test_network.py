@@ -268,6 +268,17 @@ class TestModelSerialization:
         np.testing.assert_array_equal(net.head_w, back.head_w)
         np.testing.assert_array_equal(net.head_b, back.head_b)
 
+    def test_written_format(self, tmp_path):
+        """A v2 header, a meta of exactly the std map, the dropout rate and
+        the layer count, and ``layer m n r`` lines."""
+        net = build_small_net(3, (5, 4), 2, 2, TrainConfig(seed=11, dropout_p=0.25))
+        path = tmp_path / "model.txt"
+        save_net(net, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["bayeslora-model 2",
+                             'meta {"dropout_p": "0x1.0000000000000p-2", "n_layers": 2, "param_map": "square"}']
+        assert [line for line in lines if line.startswith("layer ")] == ["layer 5 3 2", "layer 4 5 2"]
+
     def test_prediction_identical_after_reload(self, tmp_path):
         from bayeslora.training import predict
 
@@ -282,8 +293,14 @@ class TestModelSerialization:
     @pytest.mark.parametrize(
         "mutate, field",
         [
-            pytest.param(lambda ls: ["bayeslora-adapter 1"] + ls[1:], "^not a bayeslora-model v1 file",
+            pytest.param(lambda ls: ["bayeslora-adapter 2"] + ls[1:], "^not a bayeslora-model v2 file",
                          id="bad-magic"),
+            pytest.param(lambda ls: ["bayeslora-model 1"] + ls[1:], "^not a bayeslora-model v2 file",
+                         id="v1-header"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "head_trainable", 1)] + ls[2:],
+                         "^meta: keys must be", id="v1-meta-key"),
+            pytest.param(lambda ls: [l + " 0" if l.startswith("layer ") else l for l in ls],
+                         "^layer: expected 3", id="v1-layer-flag"),
             pytest.param(lambda ls: ls[:-1], "^hb:", id="truncated-last-line"),
             pytest.param(lambda ls: ls[:5], "^mean_a:", id="truncated-in-layer"),
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "n_layers")] + ls[2:], "^meta:",
@@ -292,24 +309,10 @@ class TestModelSerialization:
                          id="zero-layers"),
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "n_layers", 2.7)] + ls[2:],
                          "^meta: n_layers", id="fractional-layers"),
-            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "head_trainable", "0")] + ls[2:],
-                         "^meta: head_trainable", id="string-head-flag"),
-            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "head_trainable", 2)] + ls[2:],
-                         "^meta: head_trainable", id="head-flag-2"),
-            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "head_trainable", 0)] + ls[2:],
-                         "^meta: head_trainable", id="frozen-head-flag-0"),
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", (1.5).hex())] + ls[2:],
                          "^meta: dropout_p", id="dropout-above-1"),
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", (-1.0).hex())] + ls[2:],
                          "^meta: dropout_p", id="negative-dropout"),
-            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", (-0.0).hex())] + ls[2:],
-                         "^meta: b_std_scale", id="negative-zero-b-std-scale"),
-            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", "inf")] + ls[2:],
-                         "^meta: b_std_scale", id="infinite-b-std-scale"),
-            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "b_std_scale", (50.0).hex())] + ls[2:],
-                         "^meta: b_std_scale", id="other-b-std-scale"),
-            pytest.param(lambda ls: _set_last_token(ls, "layer ", "1"), "^layer:", id="g_b-flag-1"),
-            pytest.param(lambda ls: _set_last_token(ls, "layer ", "2"), "^layer:", id="g_b-flag-2"),
             pytest.param(lambda ls: _set_last_token(ls, "head ", "9"), "^head:",
                          id="head-width-mismatch"),
             pytest.param(lambda ls: [("x" + l[1:] if l.startswith("w ") else l) for l in ls], "^w:",

@@ -154,7 +154,7 @@ def _trained_ens() -> tuple[dict[str, str], tuple]:
         out = Path(tmp) / "ens"
         assert main(["train", "--config", str(config), "--method", "ens", "--out-dir", str(out)]) == 0
         files = {p.name: p.read_text() for p in out.iterdir() if p.name.startswith("model")}
-        return files, _load_trained(str(out))
+        return files, _load_trained(str(out), TrainConfig())
 
 
 # One JSON token: a string, a number, a literal or a punctuator.
@@ -185,7 +185,7 @@ def test_model_json_with_one_edit_loads_the_original_model_or_fails(data, edit):
         for name, body in dict(files, **{"model.json": text}).items():
             (Path(tmp) / name).write_text(body)
         try:
-            back, back_seed = _load_trained(tmp)
+            back, back_seed = _load_trained(tmp, TrainConfig())
         except ValueError:
             return
     assert (back.spec, back_seed) == (model.spec, seed)
