@@ -37,7 +37,7 @@ from .kl import (
     kl_full_weight_regularized,
 )
 from .metrics import CalibrationReport, ece
-from .parammaps import ParamMap, apply_map, convergence_race, kl_grad_rho
+from .parammaps import ParamMap, apply_map, convergence_race
 from .tasks import Dataset, TaskSpec, generate_task
 from .training import (
     TrainConfig,
@@ -70,7 +70,6 @@ __all__ = [
     "ParamMap",
     "apply_map",
     "convergence_race",
-    "kl_grad_rho",
     "Dataset",
     "TaskSpec",
     "generate_task",

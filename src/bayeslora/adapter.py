@@ -22,8 +22,10 @@ A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
   ``(e * omega) * outer(t_i, s_i)``, which leaves the per-example marginal
   distribution identical to naive independent sampling.
 
-``branch_draws`` is the one rule for what each mode draws.  The network
-trains through these ops unchecked; ``forward_mean``,
+``branch_draws`` is the one rule for what each mode draws.  Flipout's
+signs are the top bits of raw PCG64 words, one sign per 32-bit half, so
+flipout needs a PCG64 generator (``np.random.default_rng``'s).  The
+network trains through these ops unchecked; ``forward_mean``,
 ``forward_naive_shared`` and ``forward_flipout`` are checked one-layer passes.
 ``forward_naive_shared`` at input I_n on a stack of noise also gives the
 oracle battery its draws of the full weight w0 + b a.
@@ -31,7 +33,6 @@ oracle battery its draws of the full weight w0 + b a.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,38 +90,31 @@ class VariationalAdapter:
         return self.b.shape[-1]
 
 
-def _raw_signs_exact(rng: np.random.Generator, k: int) -> bool:
-    """Whether k signs from raw words equal ``rng.integers(0, 2, size=k)``.
+def _signs_then_normals(rng: np.random.Generator, k: int, shape: tuple, count: int | None) -> tuple:
+    """(signs, e): k +/-1 signs, then ``rng.standard_normal(size=shape)``;
+    with a count, that many such pairs drawn in turn and stacked along a
+    leading axis.
 
-    That draw keeps the top bit of one 32-bit word per sign, and PCG64 cuts
-    each 64-bit raw word into two of them, low half first; an odd k leaves
-    its last high half buffered (``has_uint32``) for the next 32-bit draw,
-    and a buffered half would be the first word.  So the raw words stand in
-    for ``integers`` exactly when the generator is PCG64, the host is
-    little-endian, k is even and no half is buffered.
+    The signs are the top bits of the 32-bit halves of ceil(k/2) raw PCG64
+    words, low half first, whatever the host's byte order: for an even k on
+    a fresh generator, the signs of a size-k 0/1 ``integers`` draw.  An odd
+    k discards its last high half.  Other bit generators raise a ValueError,
+    since their raw words need not be 64 bits wide.
     """
     bit_generator = rng.bit_generator
-    return (sys.byteorder == "little" and type(bit_generator) is np.random.PCG64 and k % 2 == 0
-            and bit_generator.state["has_uint32"] == 0)
-
-
-def _signs_then_normals(rng: np.random.Generator, k: int, shape: tuple, count: int | None) -> tuple:
-    """(signs, e): the +/-1 signs of ``rng.integers(0, 2, size=k)``, then
-    ``rng.standard_normal(size=shape)``; with a count, that many such pairs
-    drawn in turn and stacked along a leading axis."""
-    # An even k leaves the buffered half word as it found it, so the one
-    # check holds for every draw of a stack.
-    raw = _raw_signs_exact(rng, k)
+    if type(bit_generator) is not np.random.PCG64:
+        raise ValueError(f"flipout signs need a PCG64 generator, got {type(bit_generator).__name__}")
+    n_words = (k + 1) // 2
     if count is None:
-        bits = rng.bit_generator.random_raw(k // 2).view(np.uint32) >> 31 if raw else rng.integers(0, 2, size=k)
+        words = bit_generator.random_raw(n_words)
         e = rng.standard_normal(size=shape)
     else:
-        words = np.empty((count, k // 2), np.uint64) if raw else np.empty((count, k), np.int64)
+        words = np.empty((count, n_words), np.uint64)
         e = np.empty((count, *shape))
         for i in range(count):
-            words[i] = rng.bit_generator.random_raw(k // 2) if raw else rng.integers(0, 2, size=k)
+            words[i] = bit_generator.random_raw(n_words)
             rng.standard_normal(out=e[i])
-        bits = words.view(np.uint32) >> 31 if raw else words
+    bits = words.astype("<u8", copy=False).view("<u4")[..., :k] >> 31
     return 2.0 * bits - 1.0, e
 
 
@@ -136,9 +130,8 @@ def branch_draws(
     With a ``count``, every array gains a leading axis of that length: bit
     for bit the stack of ``count`` consecutive single calls, with ``rng``
     left where they would leave it.  The signs are the top bits of raw
-    PCG64 words when ``_raw_signs_exact`` holds (checked once per call:
-    PCG64, a little-endian host, an even number of signs and no buffered
-    half word); otherwise they come from ``rng.integers(0, 2)``.
+    PCG64 words, one per 32-bit half (``_signs_then_normals``), so flipout
+    needs a PCG64 generator and raises a ValueError naming any other.
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -90,6 +90,11 @@ def _cmd_train(args) -> int:
     for k, net in enumerate(trained.models):
         save_net(net, os.path.join(out, f"model-{k}.txt"))
         write_trajectory_csv(trained.logs[k], os.path.join(out, f"trajectory-{k}.csv"))
+    k = len(trained.models)  # remove the surplus members of an earlier run with more of them
+    while stale := [name for name in (f"model-{k}.txt", f"trajectory-{k}.csv") if os.path.exists(os.path.join(out, name))]:
+        for name in stale:
+            os.remove(os.path.join(out, name))
+        k += 1
     write_json(os.path.join(out, "model.json"), manifest)
     print(os.path.join(out, "model.json"))
     return 0

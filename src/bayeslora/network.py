@@ -257,15 +257,16 @@ def net_forward(
     h0: np.ndarray,
     mode: str,
     rng: np.random.Generator | None = None,
-    dropout_active: bool = False,
 ) -> ForwardCache:
     """One pass through the network; draws fresh noise/masks per call.
 
-    mode is one of "mean", "flipout", "shared".  Per layer the draw order
-    is: dropout mask, then ``branch_draws`` for the mode.  Dropout applies
-    to the adapter-branch input only; the frozen path always sees the raw
-    activations.  A stacked net takes a (members, n, batch) input, one
-    batch per member.
+    mode is one of "mean", "flipout", "shared"; the last two need ``rng``.
+    A layer draws a dropout mask exactly when the pass holds an ``rng`` and
+    ``net.dropout_p > 0``, so a mean-mode pass without one is the
+    deterministic pass.  Per layer the draw order is: dropout mask, then
+    ``branch_draws`` for the mode.  Dropout applies to the adapter-branch
+    input only; the frozen path always sees the raw activations.  A stacked
+    net takes a (members, n, batch) input, one batch per member.
     """
     if mode not in ("mean", "flipout", "shared"):
         raise ValueError(f"unknown forward mode {mode!r}")
@@ -275,8 +276,9 @@ def net_forward(
     batch = h0.shape[-1]
     if batch < 1:
         raise ShapeError("batch size must be >= 1")
-    if (mode != "mean" or (dropout_active and net.dropout_p > 0.0)) and rng is None:
+    if mode != "mean" and rng is None:
         raise ValueError("stochastic forward requires an rng")
+    keep = 1.0 - net.dropout_p if rng is not None and net.dropout_p > 0.0 else None
 
     h = h0
     caches: list[_LayerCache] = []
@@ -285,8 +287,7 @@ def net_forward(
         omega = None if mode == "mean" else apply_map(net.param_map, ad.g)
 
         drop_mask, hd = None, h
-        if dropout_active and net.dropout_p > 0.0:
-            keep = 1.0 - net.dropout_p
+        if keep is not None:
             drop_mask = (rng.random(size=h.shape) < keep).astype(np.float64) / keep
             hd = h * drop_mask
 
@@ -439,6 +440,8 @@ def load_net(path: str) -> SmallNet:
     width = None
     for _ in range(n_layers):
         m, n, r = _dims(_next_field(lines, "layer"), 3, "layer")
+        if not 1 <= r < min(m, n):
+            raise ValueError(f"layer: rank must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
         if width is not None and n != width:
             raise ValueError(f"layer: input width {n} does not match the previous layer's {width}")
         fields = {

@@ -12,8 +12,7 @@ difference directly.
 The race runs on Python floats, where NumPy's per-call overhead would
 dominate its tens of thousands of steps.  ``_SCALAR`` holds each map's one
 scalar formula pair, sigma(rho) and dKL/drho(rho, sigma, sigma_p^2), which
-``kl_grad_rho``, ``_apply_scalar`` and the descent all read; the race
-exports pin their float operations bit for bit.
+the descent reads; the race exports pin their float operations bit for bit.
 
 The module needs no SciPy: ``map_derivative`` rebuilds SciPy's ``expit``
 from libm's ``exp``, bit for bit, so a softplus net trains without it.
@@ -31,7 +30,6 @@ __all__ = [
     "apply_map",
     "map_derivative",
     "inverse_map",
-    "kl_grad_rho",
     "convergence_race",
     "race_curve",
 ]
@@ -117,29 +115,13 @@ def _softplus_grad(rho: float, sigma: float, sigma_p2: float) -> float:
     return s * (sigma / sigma_p2 - 1.0 / sigma)
 
 
-# Per map: (sigma(rho), dKL/drho(rho, sigma(rho), sigma_p^2)) on Python floats.
+# Per map: (sigma(rho), dKL/drho(rho, sigma(rho), sigma_p^2)) on Python floats,
+# where KL = KL(N(0, sigma^2) || N(0, sigma_p^2)): one coordinate of
+# kl.gaussian_kl's d/d omega times map_derivative, the gradient training applies to g.
 _SCALAR = {
     ParamMap.SQUARE: (_square, _square_grad),
     ParamMap.SOFTPLUS: (_softplus, _softplus_grad),
 }
-
-
-def _apply_scalar(pmap: ParamMap, rho: float) -> float:
-    """:func:`apply_map` on one Python float, in ``math`` arithmetic."""
-    return _SCALAR[pmap][0](rho)
-
-
-def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
-    """d/d rho of KL(N(0, sigma(rho)^2) || N(0, sigma_p^2)), on Python floats.
-
-    It is ``kl.gaussian_kl``'s d/d omega times :func:`map_derivative` (the
-    gradient training applies to g) for one coordinate, read from the
-    map's ``_SCALAR`` pair; the race descends it.
-    Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
-    Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
-    """
-    sigma_of, grad = _SCALAR[pmap]
-    return grad(rho, sigma_of(rho), sigma_p * sigma_p)
 
 
 def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps: int):
@@ -151,7 +133,8 @@ def _descent(pmap: ParamMap, sigma_p: float, sigma_q0: float, lr: float, n_steps
 
     Each step's gradient reads the sigma the step before yielded, so the map
     is evaluated once per step (and once at the start): the same operands
-    and float operations as :func:`kl_grad_rho` at each rho.
+    and float operations as evaluating the map and then the gradient at
+    each rho.
     """
     for name, value in (("sigma_p", sigma_p), ("sigma_q0", sigma_q0), ("lr", lr)):
         if not value > 0.0:

@@ -252,10 +252,9 @@ def elbo_minibatch(
     labels = np.asarray(y_batch, dtype=np.intp)
     batch = h0.shape[-1]
     mode = {"flipout": "flipout", "shared": "shared", "none": "mean"}[config.sampling]
-    dropout_active = net.dropout_p > 0.0
-    rng = np.random.default_rng(seed) if mode != "mean" or dropout_active else None  # else nothing is drawn
+    rng = np.random.default_rng(seed) if mode != "mean" or net.dropout_p > 0.0 else None  # else nothing is drawn
 
-    fwd = net_forward(net, h0, mode=mode, rng=rng, dropout_active=dropout_active)
+    fwd = net_forward(net, h0, mode=mode, rng=rng)
     probs = softmax_columns(fwd.logits)
     likelihood = cross_entropy(probs, labels)
     if not all_finite(likelihood):
@@ -458,7 +457,7 @@ def predict(net: SmallNet, x: np.ndarray, n_samples_list: Sequence[int], seed: i
         rng = np.random.default_rng(seed)
         acc = np.zeros((net.n_classes, h0.shape[1]))
         for n in range(1, top + 1):
-            fwd = net_forward(net, h0, mode="shared", rng=rng, dropout_active=net.dropout_p > 0.0)
+            fwd = net_forward(net, h0, mode="shared", rng=rng)
             acc += softmax_columns(fwd.logits)
             if n in wanted:
                 probs[n] = (acc / n).T

@@ -1,5 +1,7 @@
-"""A Monte-Carlo estimate of the low-rank KL, the reference the closed form
-is checked against (``test_kl``, acceptance criterion 03)."""
+"""KL references the tests check the package against: a Monte-Carlo
+estimate of the low-rank KL, the reference for the closed form (``test_kl``,
+acceptance criterion 03), and the race's scalar KL gradient as one call
+(``test_parammaps``)."""
 
 import math
 
@@ -7,6 +9,17 @@ import numpy as np
 
 from bayeslora.adapter import ShapeError
 from bayeslora.kl import PriorSpec
+from bayeslora.parammaps import _SCALAR, ParamMap
+
+
+def kl_grad_rho(pmap: ParamMap, rho: float, sigma_p: float) -> float:
+    """d/d rho of KL(N(0, sigma(rho)^2) || N(0, sigma_p^2)), on Python floats,
+    from the map's ``parammaps._SCALAR`` pair, which the race descends.
+    Square map:    -2/rho + 2 rho^3 / sigma_p^2   (undefined at rho = 0).
+    Softplus map:  s(rho) * (sigma/sigma_p^2 - 1/sigma) with s the sigmoid.
+    """
+    sigma_of, grad = _SCALAR[pmap]
+    return grad(rho, sigma_of(rho), sigma_p * sigma_p)
 
 
 def kl_monte_carlo(

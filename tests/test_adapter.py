@@ -1,12 +1,11 @@
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayeslora.adapter import (
     ShapeError,
     VariationalAdapter,
-    _raw_signs_exact,
     _signs_then_normals,
     branch_backward,
     branch_draws,
@@ -239,29 +238,51 @@ class TestStackedBranch:
             assert [grad[d].tobytes() for grad in out] == [grad.tobytes() for grad in alone]
 
 
+def _top_bits(words: np.ndarray, k: int) -> np.ndarray:
+    """Bit 31, then bit 63, of each 64-bit word, in integer arithmetic: k of them."""
+    return np.array([(int(word) >> shift) & 1 for word in words for shift in (31, 63)][:k])
+
+
 class TestDrawStream:
-    @pytest.mark.parametrize("k", [1, 2, 3, 128, 640, 1088, 1089, 4160])
-    @pytest.mark.parametrize("after_odd", [False, True])
-    def test_signs_equal_integers_and_leave_the_stream_in_place(self, k, after_odd):
-        """The signs are those of rng.integers(0, 2, size=k), from raw words
-        or not, and the next 32-bit and 64-bit draws match too: a NumPy
-        release that changes integers fails here, not in a golden."""
+    @pytest.mark.parametrize("k", [2, 64, 128, 160, 640, 1088, 4160])  # the tiny, grid and verify layers among them
+    def test_even_k_on_a_fresh_generator_is_integers(self, k):
+        """An even k gives the signs of rng.integers(0, 2, size=k), then the
+        same normals, and the next 32-bit and 64-bit draws match too; so
+        every recorded training stream keeps its bytes, and a NumPy release
+        that changes integers fails here, not in a golden."""
         for seed in range(200):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            if after_odd:  # leaves a half word buffered
-                rng.integers(0, 2, size=3), ref.integers(0, 2, size=3)
-            assert _raw_signs_exact(rng, k) == (not after_odd and k % 2 == 0 and sys.byteorder == "little")
             signs, e = _signs_then_normals(rng, k, (5,), None)
             np.testing.assert_array_equal(signs, 2.0 * ref.integers(0, 2, size=k) - 1.0)
             np.testing.assert_array_equal(e, ref.standard_normal(5))
             np.testing.assert_array_equal(rng.integers(0, 2, 7), ref.integers(0, 2, 7))
             np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
-    def test_other_bit_generators_draw_through_integers(self):
-        rng = np.random.Generator(np.random.MT19937(5))
-        assert not _raw_signs_exact(rng, 128)
-        signs, _ = _signs_then_normals(rng, 128, (2,), None)
-        np.testing.assert_array_equal(signs, 2.0 * np.random.Generator(np.random.MT19937(5)).integers(0, 2, 128) - 1.0)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 9), batch=st.integers(1, 40), r=st.integers(1, 4), count=st.integers(1, 4),
+           seed=st.integers(0, 2**64 - 1))
+    def test_signs_are_the_top_bits_of_raw_words_then_normals(self, n, batch, r, count, seed):
+        """Odd k included: each draw's signs (s, then t) are the top bits of
+        a twin's ceil(k/2) raw words, low half first, then come its normals;
+        count=c is c single calls stacked, and all three generators end in
+        one state."""
+        k = n * batch + batch * r
+        rng, twin, ref = (np.random.default_rng(seed) for _ in range(3))
+        stacked = branch_draws("flipout", rng, n, batch, r, count)
+        for i in range(count):
+            s, t, e = (part[i] for part in stacked)
+            bits = _top_bits(twin.bit_generator.random_raw((k + 1) // 2), k)
+            np.testing.assert_array_equal(np.concatenate([s.ravel(), t.ravel()]), 2.0 * bits - 1.0)
+            np.testing.assert_array_equal(e, twin.standard_normal((r, n)))
+            for got, want in zip((s, t, e), branch_draws("flipout", ref, n, batch, r)):
+                np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_are_refused_by_name(self, bit_generator):
+        rng = np.random.Generator(bit_generator(5))
+        with pytest.raises(ValueError, match=f"need a PCG64 generator, got {bit_generator.__name__}$"):
+            branch_draws("flipout", rng, 8, 64, 2)
 
     @pytest.mark.parametrize("mode", ["flipout", "shared", "mean"])
     @pytest.mark.parametrize("count", [1, 7, 1000])
@@ -269,7 +290,8 @@ class TestDrawStream:
     @pytest.mark.parametrize("after_odd", [False, True])
     def test_count_stacks_consecutive_single_calls(self, mode, count, n, batch, r, after_odd):
         """branch_draws(..., count=c) is c single calls stacked, bit for bit,
-        and leaves the generator where they leave it."""
+        and leaves the generator where they leave it, also when an earlier
+        32-bit draw left a half word buffered."""
         rng, ref = np.random.default_rng(61), np.random.default_rng(61)
         if after_odd:
             rng.integers(0, 2, size=3), ref.integers(0, 2, size=3)

@@ -800,6 +800,22 @@ class TestCliCommands:
         assert manifest == {"method": "ens", "seed": 0,
                             "baseline": {"dropout_p": 0.1, "n_members": 3, "weight_decay": 1e-05}}
 
+    def test_retrain_with_fewer_members_removes_the_surplus_member_files(self, tiny_config, tmp_path):
+        """Training into a directory that a larger run used leaves only the
+        new run's files of the member pattern: the surplus members go,
+        including one whose model file is already gone, and no other file."""
+        model = tmp_path / "model"
+        for n_members in (5, 3):
+            config = tmp_path / f"ens-{n_members}.ini"
+            config.write_text(TINY_INI + f"\n[baselines]\nn_members = {n_members}\n")
+            main(["train", "--config", str(config), "--method", "ens", "--out-dir", str(model)])
+            if n_members == 5:
+                (model / "model-3.txt").unlink()
+                (model / "notes.txt").write_text("kept")
+        assert sorted(p.name for p in model.iterdir()) == [
+            "model-0.txt", "model-1.txt", "model-2.txt", "model.json", "notes.txt",
+            "trajectory-0.csv", "trajectory-1.csv", "trajectory-2.csv"]
+
     def test_member_with_other_layer_shapes_names_the_file(self, tiny_config, tmp_path):
         """An ens member copied from a run of other hidden widths fails at
         load, naming the file, not inside the stacked forward."""

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.adapter import forward_flipout, forward_mean, forward_naive_shared
+from bayeslora.adapter import branch_draws, forward_flipout, forward_mean, forward_naive_shared
 from bayeslora import kl, network
 from bayeslora.network import (
     NonFiniteLossError,
@@ -130,6 +130,28 @@ class TestForwardConsistency:
         np.testing.assert_array_equal(
             cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
+
+    @pytest.mark.parametrize("mode", ["mean", "flipout", "shared"])
+    def test_dropout_masks_exactly_when_the_pass_holds_an_rng(self, mode):
+        """A dropout net's mean pass without an rng is its pass at
+        dropout_p = 0; given an rng, each layer draws its mask, then its
+        branch draws, and nothing more."""
+        net = _randomized_net(TrainConfig(seed=17, dropout_p=0.3), hidden=(5, 4), seed=17)
+        h0 = np.random.default_rng(18).normal(size=(net.input_dim, 6))
+        plain = net_forward(net, h0, mode="mean")
+        assert [cache.drop_mask for cache in plain.layer_caches] == [None, None]
+        np.testing.assert_array_equal(plain.logits, net_forward(replace(net, dropout_p=0.0), h0, mode="mean").logits)
+        rng, twin = np.random.default_rng(19), np.random.default_rng(19)
+        fwd = net_forward(net, h0, mode=mode, rng=rng)
+        keep = 1.0 - net.dropout_p
+        for layer, cache in zip(net.layers, fwd.layer_caches):
+            ad = layer.adapter
+            np.testing.assert_array_equal(cache.drop_mask, (twin.random(size=(ad.n, 6)) < keep) / keep)
+            draws = branch_draws(mode, twin, ad.n, 6, ad.rank)
+            assert len(cache.draws) == len(draws)
+            for got, want in zip(cache.draws, draws):
+                np.testing.assert_array_equal(got, want)
+        assert rng.random() == twin.random()
 
     def test_stochastic_mode_requires_rng(self):
         config = TrainConfig(seed=1)
@@ -328,6 +350,10 @@ class TestModelSerialization:
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", "0.5")] + ls[2:],
                          "^meta: dropout_p", id="unprefixed-dropout"),
             pytest.param(lambda ls: ls + ["junk"], "^hb: trailing", id="trailing-junk"),
+            # The payloads fit the edited rank, so only the rank itself is wrong.
+            pytest.param(lambda ls: _set_first_rank(ls, 0), "^layer: rank must satisfy", id="layer-rank-0"),
+            pytest.param(lambda ls: _set_first_rank(ls, 5), "^layer: rank must satisfy",
+                         id="layer-rank-too-large"),
         ],
     )
     def test_malformed_file_rejected_with_field_named(self, tmp_path, mutate, field):
@@ -382,6 +408,16 @@ def _set_last_token(lines: list[str], prefix: str, token: str) -> list[str]:
     """Replace the last token of the first line that starts with ``prefix``."""
     i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
     lines[i] = " ".join(lines[i].split()[:-1] + [token])
+    return lines
+
+
+def _set_first_rank(lines: list[str], r: int) -> list[str]:
+    """Give the first layer rank r, with b, mean_a and g payloads of the sizes r asks for."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("layer "))
+    m, n, _ = map(int, lines[i].split()[1:])
+    lines[i] = f"layer {m} {n} {r}"
+    for j, (tag, size) in enumerate((("b", m * r), ("mean_a", r * n), ("g", r * n)), start=i + 2):
+        lines[j] = " ".join([tag] + ["0x1.0p+0"] * size)
     return lines
 
 

@@ -10,14 +10,13 @@ from bayeslora import parammaps
 from bayeslora.kl import gaussian_kl
 from bayeslora.parammaps import (
     ParamMap,
-    _apply_scalar,
     apply_map,
     convergence_race,
     inverse_map,
-    kl_grad_rho,
     map_derivative,
     race_curve,
 )
+from kl_estimators import kl_grad_rho
 
 
 def _assert_same_bits(got, want):
@@ -140,7 +139,7 @@ class TestKlGrad:
         map training uses, both sides of its rho > 30 branch included."""
         for rho in np.linspace(-740.0, 740.0, 42_001):
             sigma = apply_map(ParamMap.SOFTPLUS, rho)
-            assert abs(_apply_scalar(ParamMap.SOFTPLUS, float(rho)) - sigma) <= 2 * np.spacing(sigma), rho
+            assert abs(parammaps._SCALAR[ParamMap.SOFTPLUS][0](float(rho)) - sigma) <= 2 * np.spacing(sigma), rho
 
     def test_square_gradient_blows_up_near_zero(self):
         for rho in (0.001, 0.01, 0.05, 0.1):
@@ -234,8 +233,8 @@ class TestRace:
 
 
 def _reference_curve(pmap, sigma_p, sigma_q0, lr, n_steps):
-    """The descent as two separate calls per step, kl_grad_rho then
-    _apply_scalar: (the curve, the step that diverged or None)."""
+    """The descent as two separate calls per step, kl_grad_rho then the
+    map's scalar sigma: (the curve, the step that diverged or None)."""
     curve = [(0, sigma_q0)]
     rho = float(inverse_map(pmap, sigma_q0))
     for step in range(1, n_steps + 1):
@@ -243,7 +242,7 @@ def _reference_curve(pmap, sigma_p, sigma_q0, lr, n_steps):
             rho -= lr * kl_grad_rho(pmap, rho, sigma_p)
         except OverflowError:
             rho = math.inf
-        sigma = _apply_scalar(pmap, rho)
+        sigma = parammaps._SCALAR[pmap][0](rho)
         if not 0.0 < sigma < math.inf:
             return curve, step
         curve.append((step, sigma))
