@@ -1,16 +1,18 @@
 """Low-rank adapter with a Gaussian variational factor.
 
-A frozen base weight ``w0`` (m x n) is adapted through a rank-r update
-``b @ a`` where ``b`` (m x r) is deterministic and trainable while ``a``
-(r x n) carries a fully factorized Gaussian posterior with mean ``mean_a``
-and standard deviation ``omega = map(g)`` (``parammaps.apply_map``), which
-every function here takes as an array.  The Bayesianization is
-deliberately asymmetric: ``b`` starts at zero, so at initialization every
-forward pass reproduces the frozen base exactly and weight sampling adds
-no noise.
+One ``VariationalAdapter`` is one adapted dense layer: a frozen base
+weight ``w0`` (m x n) and bias ``bias`` (m,), with ``w0`` adapted through
+a rank-r update ``b @ a`` where ``b`` (m x r) is deterministic and
+trainable while ``a`` (r x n) carries a fully factorized Gaussian
+posterior with mean ``mean_a`` and standard deviation ``omega = map(g)``
+(``parammaps.apply_map``), which every function here takes as an array.
+The Bayesianization is deliberately asymmetric: ``b`` starts at zero, so
+at initialization every forward pass reproduces the frozen base exactly
+and weight sampling adds no noise.
 
-A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
-``branch_backward``) computes the adapter branch ``c`` in one of three modes:
+The weight op is ``w0 @ h + b @ c``, and the network adds ``bias`` after
+it; ``branch_forward`` (and its gradient ``branch_backward``) computes the
+adapter branch ``c`` in one of three modes:
 
 * ``mean``    - posterior mean weights, no sampling;
 * ``shared``  - one sampled ``a`` shared by the whole batch
@@ -26,9 +28,11 @@ A layer computes ``w0 @ h + b @ c``; ``branch_forward`` (and its gradient
 signs are the top bits of raw PCG64 words, one sign per 32-bit half, so
 flipout needs a PCG64 generator (``np.random.default_rng``'s).  The
 network trains through these ops unchecked; ``forward_mean``,
-``forward_naive_shared`` and ``forward_flipout`` are checked one-layer passes.
-``forward_naive_shared`` at input I_n on a stack of noise also gives the
-oracle battery its draws of the full weight w0 + b a.
+``forward_naive_shared`` and ``forward_flipout`` are checked passes of the
+weight op alone, and the full-weight builders in ``kl`` read w0 + b a, so
+none of them reads ``bias``.  ``forward_naive_shared`` at input I_n on a
+stack of noise also gives the oracle battery its draws of the full weight
+w0 + b a.
 """
 
 from __future__ import annotations
@@ -55,12 +59,14 @@ class ShapeError(ValueError):
 
 @dataclass
 class VariationalAdapter:
-    """Frozen base weight plus the parameters of the low-rank posterior."""
+    """One adapted layer: the frozen base weight and bias plus the
+    parameters of the low-rank posterior."""
 
     w0: np.ndarray      # (m, n) frozen base weight
     b: np.ndarray       # (m, r) deterministic low-rank factor
     mean_a: np.ndarray  # (r, n) posterior mean of the a-factor
     g: np.ndarray       # (r, n) std parameter; omega = apply_map(param_map, g)
+    bias: np.ndarray    # (m,) frozen bias, added by the network after the weight op
 
     def __post_init__(self) -> None:
         *lead, m, n = self.w0.shape  # lead: the member axes of a stacked net, else none
@@ -71,9 +77,11 @@ class VariationalAdapter:
             raise ShapeError(f"mean_a must be ({r}, {n}), got {self.mean_a.shape}")
         if self.g.shape != (*lead, r, n):
             raise ShapeError(f"g must be ({r}, {n}), got {self.g.shape}")
+        if self.bias.shape != (*lead, m):
+            raise ShapeError(f"bias must be ({m},), got {self.bias.shape}")
         if not (1 <= r < min(m, n)):
             raise ValueError(f"rank must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
-        for name in ("w0", "b", "mean_a", "g"):
+        for name in ("w0", "b", "mean_a", "g", "bias"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
 

@@ -1,11 +1,13 @@
 """Frozen-backbone classification network with adapters and hand-written gradients.
 
 The network is a desk-scale stand-in for a large pre-trained model: a few
-dense tanh layers whose weights are randomly initialized and then frozen,
-each carrying a low-rank adapter, followed by a softmax classification
-head.  Only the adapter parameters (b, mean_a, g) and the head receive
-gradients.  Each adapter carries one Gaussian factor, over its a-factor:
-mean mean_a and std omega = map(g); b stays deterministic.
+dense tanh layers whose weights and biases are randomly initialized and
+then frozen, followed by a softmax classification head.  Each layer is one
+``adapter.VariationalAdapter``: the frozen w0 and bias with the low-rank
+adapter on w0, computing tanh(w0 @ h + b @ c + bias).  Only the adapter
+parameters (b, mean_a, g) and the head receive gradients.  Each adapter
+carries one Gaussian factor, over its a-factor: mean mean_a and std
+omega = map(g); b stays deterministic.
 
 Gradients are reverse-mode and written out explicitly: each layer's
 adapter branch runs ``adapter.branch_forward``/``branch_backward``, and
@@ -44,7 +46,6 @@ from .parammaps import ParamMap, apply_map, map_derivative
 from .textio import write_lines
 
 __all__ = [
-    "AdapterLayer",
     "SmallNet",
     "stack_nets",
     "NonFiniteLossError",
@@ -62,6 +63,7 @@ __all__ = [
 _MODEL_MAGIC = "bayeslora-model"
 _MODEL_VERSION = 2
 _META_KEYS = ("dropout_p", "n_layers", "param_map")
+_LAYER_FIELDS = ("w0", "b", "mean_a", "g", "bias")  # a layer's arrays, in file order
 
 
 class NonFiniteLossError(ValueError):
@@ -73,20 +75,10 @@ class NonFiniteLossError(ValueError):
 
 
 @dataclass
-class AdapterLayer:
-    """One frozen dense layer (weight inside the adapter, plus bias)."""
-
-    adapter: VariationalAdapter
-    bias: np.ndarray                 # (m,) frozen
-
-    def __post_init__(self) -> None:
-        if self.bias.shape != (*self.adapter.w0.shape[:-2], self.adapter.m):
-            raise ShapeError(f"bias must be ({self.adapter.m},), got {self.bias.shape}")
-
-
-@dataclass
 class SmallNet:
-    layers: list[AdapterLayer]
+    """Adapted layers, each h -> tanh(w0 @ h + b @ c + bias), then a softmax head."""
+
+    layers: list[VariationalAdapter]
     head_w: np.ndarray               # (n_classes, last_hidden)
     head_b: np.ndarray               # (n_classes,)
     param_map: ParamMap = ParamMap.SQUARE
@@ -94,7 +86,7 @@ class SmallNet:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].adapter.n
+        return self.layers[0].n
 
     @property
     def n_classes(self) -> int:
@@ -111,7 +103,7 @@ class SmallNet:
         form one run that ends the layout, ``kl_span``."""
         slots = [("head.w", self, "head_w"), ("head.b", self, "head_b")]
         for name in ("b", "mean_a", "g"):
-            slots += [(f"layers.{i}.{name}", layer.adapter, name) for i, layer in enumerate(self.layers)]
+            slots += [(f"layers.{i}.{name}", layer, name) for i, layer in enumerate(self.layers)]
         return slots
 
     @cached_property
@@ -184,12 +176,12 @@ def stack_nets(nets: list[SmallNet]) -> tuple[SmallNet, np.ndarray]:
     def stack(get) -> np.ndarray:
         return np.stack([get(net) for net in nets])
 
-    layers = []
-    for i in range(len(first.layers)):
-        adapter = VariationalAdapter(**{
-            f.name: stack(lambda net: getattr(net.layers[i].adapter, f.name)) for f in fields(VariationalAdapter)
+    layers = [
+        VariationalAdapter(**{
+            f.name: stack(lambda net: getattr(net.layers[i], f.name)) for f in fields(VariationalAdapter)
         })
-        layers.append(AdapterLayer(adapter, stack(lambda net: net.layers[i].bias)))
+        for i in range(len(first.layers))
+    ]
     stacked = SmallNet(
         layers, stack(lambda net: net.head_w), stack(lambda net: net.head_b), first.param_map, first.dropout_p
     )
@@ -282,8 +274,7 @@ def net_forward(
 
     h = h0
     caches: list[_LayerCache] = []
-    for layer in net.layers:
-        ad = layer.adapter
+    for ad in net.layers:
         omega = None if mode == "mean" else apply_map(net.param_map, ad.g)
 
         drop_mask, hd = None, h
@@ -296,7 +287,7 @@ def net_forward(
 
         z = ad.w0 @ h
         z += ad.b @ c
-        z += layer.bias[..., None]
+        z += ad.bias[..., None]
         h = np.tanh(z, out=z)
         caches.append(_LayerCache(hd, drop_mask, omega, mode, draws, c, h))
 
@@ -312,8 +303,7 @@ def net_backward(net: SmallNet, fwd: ForwardCache, d_logits: np.ndarray) -> np.n
     d_b, d_mean_a, d_g = ([None] * n_layers for _ in range(3))
     dh = net.head_w.swapaxes(-1, -2) @ d_logits
     for i in reversed(range(n_layers)):
-        layer, cache = net.layers[i], fwd.layer_caches[i]
-        ad = layer.adapter
+        ad, cache = net.layers[i], fwd.layer_caches[i]
         dz = dh * (1.0 - cache.h_out * cache.h_out)
 
         d_b[i] = dz @ cache.c.swapaxes(-1, -2)
@@ -361,7 +351,7 @@ def _parse(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Hex-float payload of field ``name`` as a finite array of ``shape``."""
     try:
         values = list(map(float.fromhex, text.split()))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a value past the float range
         raise ValueError(f"{name}: {exc}") from None
     if text.count("0x") != len(values):  # fromhex also reads "10" as 0x10, i.e. 16.0
         raise ValueError(f"{name}: every entry must be a hex float with the 0x prefix")
@@ -379,13 +369,11 @@ def save_net(net: SmallNet, path: str) -> None:
     ``bayeslora-model 2`` header, a meta line with the std map, the dropout
     rate and the layer count, then per layer ``layer m n r`` and its arrays,
     then the head."""
-    meta = {"param_map": net.param_map.value, "dropout_p": float(net.dropout_p).hex(), "n_layers": len(net.layers)}
+    meta = {"param_map": net.param_map.value, "dropout_p": _fmt(net.dropout_p), "n_layers": len(net.layers)}
     lines = [f"{_MODEL_MAGIC} {_MODEL_VERSION}", "meta " + json.dumps(meta, sort_keys=True)]
-    for layer in net.layers:
-        ad = layer.adapter
+    for ad in net.layers:
         lines.append(f"layer {ad.m} {ad.n} {ad.rank}")
-        lines += [f"{name} " + _fmt(getattr(ad, name)) for name in ("w0", "b", "mean_a", "g")]
-        lines.append("bias " + _fmt(layer.bias))
+        lines += [f"{name} " + _fmt(getattr(ad, name)) for name in _LAYER_FIELDS]
     c, h = net.head_w.shape
     lines.append(f"head {c} {h}")
     lines.append("w " + _fmt(net.head_w))
@@ -429,14 +417,15 @@ def load_net(path: str) -> SmallNet:
         n_layers = meta["n_layers"]
         if type(n_layers) is not int or n_layers < 1:
             raise ValueError(f"n_layers must be an integer >= 1, got {n_layers!r}")
-        dropout_p = float.fromhex(meta["dropout_p"])
-        if not 0.0 <= dropout_p < 1.0 or "0x" not in meta["dropout_p"]:
-            raise ValueError(f"dropout_p must be a 0x hex float in [0, 1), got {meta['dropout_p']!r}")
+        text = meta["dropout_p"]  # a non-string fails the range check as NaN
+        dropout_p = float(_parse(text, (), "dropout_p")) if isinstance(text, str) else math.nan
+        if not 0.0 <= dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be a 0x hex float in [0, 1), got {text!r}")
         options = dict(param_map=ParamMap(meta["param_map"]), dropout_p=dropout_p)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"meta: {exc}") from None
 
-    layers: list[AdapterLayer] = []
+    layers: list[VariationalAdapter] = []
     width = None
     for _ in range(n_layers):
         m, n, r = _dims(_next_field(lines, "layer"), 3, "layer")
@@ -444,14 +433,14 @@ def load_net(path: str) -> SmallNet:
             raise ValueError(f"layer: rank must satisfy 1 <= r < min(m, n); got r={r}, m={m}, n={n}")
         if width is not None and n != width:
             raise ValueError(f"layer: input width {n} does not match the previous layer's {width}")
-        fields = {
-            name: _parse(_next_field(lines, name), shape, name)
-            for name, shape in (("w0", (m, n)), ("b", (m, r)), ("mean_a", (r, n)), ("g", (r, n)))
-        }
-        bias = _parse(_next_field(lines, "bias"), (m,), "bias")
-        layers.append(AdapterLayer(adapter=VariationalAdapter(**fields), bias=bias))
+        shapes = {"w0": (m, n), "b": (m, r), "mean_a": (r, n), "g": (r, n), "bias": (m,)}
+        layers.append(VariationalAdapter(**{
+            name: _parse(_next_field(lines, name), shapes[name], name) for name in _LAYER_FIELDS
+        }))
         width = m
     c, h = _dims(_next_field(lines, "head"), 2, "head")
+    if c < 1:
+        raise ValueError(f"head: need at least one class, got {c}")
     if h != width:
         raise ValueError(f"head: input width {h} does not match the last layer's {width}")
     head_w = _parse(_next_field(lines, "w"), (c, h), "w")

@@ -191,6 +191,7 @@ def _random_adapter(m: int, n: int, r: int, rng: np.random.Generator) -> Variati
         b=rng.normal(size=(m, r)),
         mean_a=rng.normal(0.0, 0.5, size=(r, n)),
         g=rng.uniform(0.3, 0.9, size=(r, n)),
+        bias=np.zeros(m),  # the checked passes read the weight op alone
     )
 
 

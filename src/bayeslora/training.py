@@ -34,7 +34,6 @@ import numpy as np
 
 from .adapter import VariationalAdapter
 from .network import (
-    AdapterLayer,
     NonFiniteLossError,
     SmallNet,
     all_finite,
@@ -155,14 +154,17 @@ def kl_weights(config: TrainConfig, n_examples: int) -> list[float]:
     return [2.0 ** (min(step, window) - window - 1) / denom for step in range(1, config.steps + 1)]
 
 
-def init_adapter(m: int, n: int, r: int, config: TrainConfig, rng: np.random.Generator) -> VariationalAdapter:
-    """Fresh adapter: g uniform on [eps/sqrt(2), eps], mean_a uniform on
-    +/- sqrt(6/n), b zero.
+def init_adapter(
+    w0: np.ndarray, bias: np.ndarray, r: int, config: TrainConfig, rng: np.random.Generator
+) -> VariationalAdapter:
+    """Fresh rank-r adapter on the frozen layer (w0, bias): g uniform on
+    [eps/sqrt(2), eps], then mean_a uniform on +/- sqrt(6/n), b zero.
 
     For a non-square parameter map the raw g is chosen so the initial
     standard deviation omega matches the square map's, keeping variants
     comparable at step 0.
     """
+    m, n = w0.shape
     g_raw = rng.uniform(config.epsilon / math.sqrt(2.0), config.epsilon, size=(r, n))
     if config.param_map is ParamMap.SQUARE:
         g = g_raw
@@ -170,8 +172,7 @@ def init_adapter(m: int, n: int, r: int, config: TrainConfig, rng: np.random.Gen
         g = inverse_map(config.param_map, g_raw * g_raw)
     bound = math.sqrt(6.0 / n)
     mean_a = rng.uniform(-bound, bound, size=(r, n))
-    w0_placeholder = np.zeros((m, n))
-    return VariationalAdapter(w0=w0_placeholder, b=np.zeros((m, r)), mean_a=mean_a, g=g)
+    return VariationalAdapter(w0=w0, b=np.zeros((m, r)), mean_a=mean_a, g=g, bias=bias)
 
 
 def build_small_net(
@@ -182,8 +183,9 @@ def build_small_net(
     config: TrainConfig,
     zero_g: bool = False,
 ) -> SmallNet:
-    """Random frozen backbone (one adapter per dense layer) plus a head,
-    drawn from ``config.seed``; the head always trains.
+    """Random frozen backbone plus a head, drawn from ``config.seed``; the
+    head always trains.  Each dense layer draws its w0 and bias, and
+    ``init_adapter`` builds its whole adapter from them.
 
     The requested rank is clipped per layer to min(m, n) - 1.  ``zero_g``
     pins every std parameter to zero for non-Bayesian baselines (valid
@@ -195,16 +197,15 @@ def build_small_net(
         raise ValueError("zero_g requires the square parameter map")
     rng = np.random.default_rng(config.seed)
     dims = [input_dim, *hidden]
-    layers: list[AdapterLayer] = []
+    layers: list[VariationalAdapter] = []
     for n_in, n_out in zip(dims[:-1], dims[1:]):
         w0 = rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_out, n_in))
         bias = rng.uniform(-0.1, 0.1, size=n_out)
         r_eff = max(1, min(rank, min(n_out, n_in) - 1))
-        adapter = init_adapter(n_out, n_in, r_eff, config, rng)
-        adapter.w0 = w0
+        adapter = init_adapter(w0, bias, r_eff, config, rng)
         if zero_g:
             adapter.g = np.zeros_like(adapter.g)
-        layers.append(AdapterLayer(adapter=adapter, bias=bias))
+        layers.append(adapter)
     head_w = rng.normal(0.0, 0.5 / math.sqrt(hidden[-1]), size=(n_classes, hidden[-1]))
     head_b = np.zeros(n_classes)
     return SmallNet(

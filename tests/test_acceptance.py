@@ -108,9 +108,9 @@ def test_criterion_04_gradient_correctness():
         net = build_small_net(6, (4,), 3, 2, config)
         rng = np.random.default_rng(1000 + point)
         for layer in net.layers:
-            layer.adapter.b[...] = rng.normal(0, 0.5, layer.adapter.b.shape)
-            layer.adapter.mean_a[...] = rng.normal(0, 0.5, layer.adapter.mean_a.shape)
-            layer.adapter.g[...] = rng.uniform(0.2, 0.8, layer.adapter.g.shape)
+            layer.b[...] = rng.normal(0, 0.5, layer.b.shape)
+            layer.mean_a[...] = rng.normal(0, 0.5, layer.mean_a.shape)
+            layer.g[...] = rng.uniform(0.2, 0.8, layer.g.shape)
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 3, size=8)
         noise_seed = 5000 + point

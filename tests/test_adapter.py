@@ -28,6 +28,7 @@ def _random_adapter(m=5, n=4, r=2, seed=0, g_scale=(0.2, 0.8)):
         b=rng.normal(size=(m, r)),
         mean_a=rng.normal(size=(r, n)),
         g=rng.uniform(*g_scale, size=(r, n)),
+        bias=rng.normal(size=m),  # nonzero: the checked passes must not read it
     )
 
 
@@ -41,14 +42,33 @@ class TestInvariants:
         with pytest.raises(ValueError):
             VariationalAdapter(
                 w0=np.zeros((3, 3)), b=np.zeros((3, 3)),
-                mean_a=np.zeros((3, 3)), g=np.zeros((3, 3)),
+                mean_a=np.zeros((3, 3)), g=np.zeros((3, 3)), bias=np.zeros(3),
             )
 
     def test_shapes_validated(self):
         with pytest.raises(ShapeError):
             VariationalAdapter(
                 w0=np.zeros((4, 3)), b=np.zeros((4, 2)),
-                mean_a=np.zeros((2, 4)), g=np.zeros((2, 3)),
+                mean_a=np.zeros((2, 4)), g=np.zeros((2, 3)), bias=np.zeros(4),
+            )
+
+    @pytest.mark.parametrize("members", [(), (3,)])
+    def test_bias_shape_validated(self, members):
+        """The bias is (m,) after the member axes of w0, like every field."""
+        def zeros(*shape):
+            return np.zeros((*members, *shape))
+        VariationalAdapter(w0=zeros(4, 3), b=zeros(4, 2), mean_a=zeros(2, 3), g=zeros(2, 3), bias=zeros(4))
+        for bias in (zeros(3), zeros(4, 1), np.zeros(4) if members else np.zeros((2, 4))):
+            with pytest.raises(ShapeError, match=r"^bias must be \(4,\)"):
+                VariationalAdapter(w0=zeros(4, 3), b=zeros(4, 2), mean_a=zeros(2, 3), g=zeros(2, 3), bias=bias)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bias_rejected(self, value):
+        bias = np.zeros(4)
+        bias[2] = value
+        with pytest.raises(ValueError, match="^bias contains non-finite entries"):
+            VariationalAdapter(
+                w0=np.zeros((4, 3)), b=np.zeros((4, 2)), mean_a=np.zeros((2, 3)), g=np.zeros((2, 3)), bias=bias
             )
 
     def test_omega_nonnegative(self):
@@ -92,7 +112,7 @@ class TestForwardMean:
         m, n, r = 4, 3, 2
         b = np.zeros((m, r)); b[:r, :r] = np.eye(r)
         mean_a = np.zeros((r, n)); mean_a[:r, :r] = np.eye(r)
-        ad = VariationalAdapter(w0=np.zeros((m, n)), b=b, mean_a=mean_a, g=np.full((r, n), 0.1))
+        ad = VariationalAdapter(w0=np.zeros((m, n)), b=b, mean_a=mean_a, g=np.full((r, n), 0.1), bias=np.ones(m))
         np.testing.assert_allclose(forward_mean(ad, np.eye(n)), b @ mean_a)
 
     def test_matches_two_term_product(self):
@@ -345,6 +365,7 @@ class TestNaiveShared:
             b=rng.normal(size=(m, r)),
             mean_a=rng.normal(0, 0.5, size=(r, n)),
             g=rng.uniform(0.3, 0.8, size=(r, n)),
+            bias=np.zeros(m),
         )
         h = np.tile(rng.normal(size=(n, 1)), (1, batch))
         omega = _omega(ad)

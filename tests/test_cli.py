@@ -351,7 +351,7 @@ class TestConfigIo:
         cfg = load_config(str(path))
         x = np.random.default_rng(0).normal(size=(8, cfg.task.input_dim))
         trained = suite.train_method("blob", cfg, (x, np.arange(8) % 2), 0)
-        assert trained.models[0].layers[0].adapter.rank == 1
+        assert trained.models[0].layers[0].rank == 1
 
     def test_repeated_hidden_width_is_legal(self, tmp_path):
         path = tmp_path / "net.ini"

@@ -23,6 +23,7 @@ def _random_adapter(m, n, r, rng, g_low=0.3, g_high=0.9):
         b=rng.normal(size=(m, r)),
         mean_a=rng.normal(0.0, 0.5, size=(r, n)),
         g=rng.uniform(g_low, g_high, size=(r, n)),
+        bias=np.zeros(m),
     )
 
 
@@ -152,6 +153,7 @@ class TestFullPosterior:
             b=np.array([[1.0], [0.0], [0.0]]),
             mean_a=np.zeros((r, n)),
             g=np.full((r, n), w),
+            bias=np.zeros(m),
         )
         q = build_full_posterior(ad, np.full((r, n), w))
         block = np.zeros((m, m))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayeslora.adapter import branch_draws, forward_flipout, forward_mean, forward_naive_shared
+from bayeslora.adapter import VariationalAdapter, branch_draws, forward_flipout, forward_mean, forward_naive_shared
 from bayeslora import kl, network
 from bayeslora.network import (
     NonFiniteLossError,
@@ -26,9 +26,9 @@ def _randomized_net(config, hidden=(4,), input_dim=6, n_classes=3, rank=2, seed=
     rng = np.random.default_rng(seed)
     net = build_small_net(input_dim, hidden, n_classes, rank, replace(config, seed=seed))
     for layer in net.layers:
-        layer.adapter.b[...] = rng.normal(0, 0.5, layer.adapter.b.shape)
-        layer.adapter.mean_a[...] = rng.normal(0, 0.5, layer.adapter.mean_a.shape)
-        layer.adapter.g[...] = rng.uniform(0.2, 0.8, layer.adapter.g.shape)
+        layer.b[...] = rng.normal(0, 0.5, layer.b.shape)
+        layer.mean_a[...] = rng.normal(0, 0.5, layer.mean_a.shape)
+        layer.g[...] = rng.uniform(0.2, 0.8, layer.g.shape)
     return net
 
 
@@ -95,11 +95,10 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 7))
         fwd = net_forward(net, h0, mode="mean")
         h = h0
-        for layer in net.layers:
-            ad = layer.adapter
+        for ad in net.layers:
             manual = ad.w0 @ h + ad.b @ (ad.mean_a @ h)
             np.testing.assert_array_equal(forward_mean(ad, h), manual)
-            h = np.tanh(manual + layer.bias[:, None])
+            h = np.tanh(manual + ad.bias[:, None])
         logits = net.head_w @ h + net.head_b[:, None]
         np.testing.assert_array_equal(fwd.logits, logits)
 
@@ -110,7 +109,7 @@ class TestForwardConsistency:
         h0 = rng.normal(size=(net.input_dim, 6))
         fwd = net_forward(net, h0, mode="flipout", rng=np.random.default_rng(123))
         cache = fwd.layer_caches[0]
-        z_adapter = forward_flipout(net.layers[0].adapter, cache.omega, h0, cache.draws)
+        z_adapter = forward_flipout(net.layers[0], cache.omega, h0, cache.draws)
         np.testing.assert_array_equal(
             cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
@@ -126,7 +125,7 @@ class TestForwardConsistency:
         fwd = net_forward(net, h0, mode="shared", rng=np.random.default_rng(321))
         cache = fwd.layer_caches[0]
         (noise,) = cache.draws
-        z_adapter = forward_naive_shared(net.layers[0].adapter, cache.omega, h0, noise)
+        z_adapter = forward_naive_shared(net.layers[0], cache.omega, h0, noise)
         np.testing.assert_array_equal(
             cache.h_out, np.tanh(z_adapter + net.layers[0].bias[:, None])
         )
@@ -144,8 +143,7 @@ class TestForwardConsistency:
         rng, twin = np.random.default_rng(19), np.random.default_rng(19)
         fwd = net_forward(net, h0, mode=mode, rng=rng)
         keep = 1.0 - net.dropout_p
-        for layer, cache in zip(net.layers, fwd.layer_caches):
-            ad = layer.adapter
+        for ad, cache in zip(net.layers, fwd.layer_caches):
             np.testing.assert_array_equal(cache.drop_mask, (twin.random(size=(ad.n, 6)) < keep) / keep)
             draws = branch_draws(mode, twin, ad.n, 6, ad.rank)
             assert len(cache.draws) == len(draws)
@@ -188,7 +186,7 @@ class TestGradients:
         config = TrainConfig(seed=4, sigma_p=0.3)
         net = _randomized_net(config, hidden=(4,), seed=4)
         _, grad = kl_term(net, config.sigma_p)
-        g = net.layers[0].adapter.g
+        g = net.layers[0].g
         expected = 2.0 * g**3 / config.sigma_p**2 - 2.0 / g
         np.testing.assert_allclose(
             net.views(np.pad(grad, (net.kl_span.start, 0)))["layers.0.g"], expected, rtol=1e-12
@@ -199,7 +197,7 @@ class TestKlTerm:
     def test_zero_g_raises_named_error(self):
         config = TrainConfig(seed=5)
         net = _randomized_net(config, hidden=(5, 4), seed=5)
-        net.layers[1].adapter.g[1, 2] = 0.0
+        net.layers[1].g[1, 2] = 0.0
         with pytest.raises(NonFiniteLossError) as err:
             kl_term(net, config.sigma_p)
         assert err.value.component == "kl"
@@ -220,8 +218,8 @@ class TestKlTerm:
         config = TrainConfig(seed=6, sigma_p=0.4)
         nets = [_randomized_net(config, hidden=(5, 4), seed=seed) for seed in (6, 7)]
         net = nets[0]
-        means = np.concatenate([l.adapter.mean_a.ravel() for l in net.layers])
-        omega = np.concatenate([apply_map(net.param_map, l.adapter.g).ravel() for l in net.layers])
+        means = np.concatenate([l.mean_a.ravel() for l in net.layers])
+        omega = np.concatenate([apply_map(net.param_map, l.g).ravel() for l in net.layers])
         for repeat in (1, 2):
             value, _ = kl_term(net, config.sigma_p)
             assert len(calls) == repeat
@@ -266,10 +264,24 @@ class TestKlTerm:
         net = _randomized_net(config, hidden=(5, 4), seed=6)
         value, _ = kl_term(net, config.sigma_p)
         expected = sum(
-            kl_closed_form(l.adapter.mean_a, apply_map(pmap, l.adapter.g), PriorSpec(config.sigma_p))
+            kl_closed_form(l.mean_a, apply_map(pmap, l.g), PriorSpec(config.sigma_p))
             for l in net.layers
         )
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+class TestStackNets:
+    def test_layers_carry_every_members_stacked_field(self):
+        """Each stacked layer is one adapter whose every field, the frozen
+        bias included, is the stack of the members' fields."""
+        nets = [_randomized_net(TrainConfig(seed=seed), hidden=(5, 4), seed=seed) for seed in (20, 21, 22)]
+        stacked, _ = stack_nets(nets)
+        assert all(isinstance(layer, VariationalAdapter) for layer in stacked.layers)
+        for i, layer in enumerate(stacked.layers):
+            for name in ("w0", "b", "mean_a", "g", "bias"):
+                want = np.stack([getattr(net.layers[i], name) for net in nets])
+                assert getattr(layer, name).tobytes() == want.tobytes(), (i, name)
+            assert layer.bias.shape == (3, layer.m)
 
 
 class TestModelSerialization:
@@ -282,10 +294,10 @@ class TestModelSerialization:
         assert back.param_map is net.param_map
         assert back.dropout_p == net.dropout_p
         for a, b in zip(net.layers, back.layers):
-            np.testing.assert_array_equal(a.adapter.w0, b.adapter.w0)
-            np.testing.assert_array_equal(a.adapter.b, b.adapter.b)
-            np.testing.assert_array_equal(a.adapter.mean_a, b.adapter.mean_a)
-            np.testing.assert_array_equal(a.adapter.g, b.adapter.g)
+            np.testing.assert_array_equal(a.w0, b.w0)
+            np.testing.assert_array_equal(a.b, b.b)
+            np.testing.assert_array_equal(a.mean_a, b.mean_a)
+            np.testing.assert_array_equal(a.g, b.g)
             np.testing.assert_array_equal(a.bias, b.bias)
         np.testing.assert_array_equal(net.head_w, back.head_w)
         np.testing.assert_array_equal(net.head_b, back.head_b)
@@ -350,6 +362,11 @@ class TestModelSerialization:
             pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", "0.5")] + ls[2:],
                          "^meta: dropout_p", id="unprefixed-dropout"),
             pytest.param(lambda ls: ls + ["junk"], "^hb: trailing", id="trailing-junk"),
+            # float.fromhex raises OverflowError, not ValueError, past the float range.
+            pytest.param(lambda ls: _set_first_entry(ls, "w0 ", "0x1p+2000"), "^w0:", id="overflow-in-w0"),
+            pytest.param(lambda ls: ls[:1] + [_edit_meta(ls[1], "dropout_p", "0x1p+2000")] + ls[2:],
+                         "^meta: dropout_p", id="overflow-dropout"),
+            pytest.param(lambda ls: _zero_class_head(ls), "^head: need at least one class", id="zero-class-head"),
             # The payloads fit the edited rank, so only the rank itself is wrong.
             pytest.param(lambda ls: _set_first_rank(ls, 0), "^layer: rank must satisfy", id="layer-rank-0"),
             pytest.param(lambda ls: _set_first_rank(ls, 5), "^layer: rank must satisfy",
@@ -419,6 +436,19 @@ def _set_first_rank(lines: list[str], r: int) -> list[str]:
     for j, (tag, size) in enumerate((("b", m * r), ("mean_a", r * n), ("g", r * n)), start=i + 2):
         lines[j] = " ".join([tag] + ["0x1.0p+0"] * size)
     return lines
+
+
+def _zero_class_head(lines: list[str]) -> list[str]:
+    """The head set to 0 classes, with the empty w and hb payloads that fit it."""
+    out = []
+    for line in lines:
+        tag, _, payload = line.partition(" ")
+        if tag == "head":
+            line = f"head 0 {payload.split()[1]}"
+        elif tag in ("w", "hb"):
+            line = tag
+        out.append(line)
+    return out
 
 
 def _set_first_entry(lines: list[str], prefix: str, token: str) -> list[str]:

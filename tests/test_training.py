@@ -94,10 +94,15 @@ class TestKlWeights:
             assert 0.0 < math.fsum(full[:10]) < 1.0
 
 
+def _frozen(m, n):
+    """A frozen layer (w0, bias) of shape (m, n) for ``init_adapter``."""
+    return np.random.default_rng(m * n).normal(size=(m, n)), np.linspace(-0.1, 0.1, m)
+
+
 class TestInitAdapter:
     def test_g_range_matches_epsilon(self):
         config = TrainConfig(epsilon=0.05)
-        ad = init_adapter(8, 6, 2, config, np.random.default_rng(0))
+        ad = init_adapter(*_frozen(8, 6), 2, config, np.random.default_rng(0))
         assert ad.g.min() >= 0.05 / math.sqrt(2.0) - 1e-12
         assert ad.g.max() <= 0.05
         # Concrete bound from epsilon = 0.05: every entry in [0.035355, 0.05].
@@ -105,24 +110,30 @@ class TestInitAdapter:
 
     def test_mean_range_for_n_six(self):
         config = TrainConfig()
-        ad = init_adapter(8, 6, 2, config, np.random.default_rng(1))
+        ad = init_adapter(*_frozen(8, 6), 2, config, np.random.default_rng(1))
         assert np.all(np.abs(ad.mean_a) <= 1.0)
 
     def test_b_starts_at_zero(self):
-        ad = init_adapter(8, 6, 2, TrainConfig(), np.random.default_rng(2))
+        ad = init_adapter(*_frozen(8, 6), 2, TrainConfig(), np.random.default_rng(2))
         np.testing.assert_array_equal(ad.b, np.zeros((8, 2)))
 
     def test_same_seed_identical(self):
-        config = TrainConfig()
-        a = init_adapter(7, 5, 2, config, np.random.default_rng(3))
-        b = init_adapter(7, 5, 2, config, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.g, b.g)
-        np.testing.assert_array_equal(a.mean_a, b.mean_a)
+        """The adapter holds the frozen layer it is given, and its g and then
+        its mean_a are two uniform draws from a twin generator."""
+        config = TrainConfig(epsilon=0.05)
+        w0, bias = _frozen(7, 5)
+        ad = init_adapter(w0, bias, 2, config, np.random.default_rng(3))
+        twin = np.random.default_rng(3)
+        g = twin.uniform(0.05 / math.sqrt(2.0), 0.05, size=(2, 5))
+        mean_a = twin.uniform(-math.sqrt(6.0 / 5), math.sqrt(6.0 / 5), size=(2, 5))
+        assert ad.w0 is w0 and ad.bias is bias
+        assert ad.g.tobytes() == g.tobytes()
+        assert ad.mean_a.tobytes() == mean_a.tobytes()
 
     def test_softplus_init_matches_square_omega(self):
-        square = init_adapter(8, 6, 2, TrainConfig(seed=4), np.random.default_rng(4))
+        square = init_adapter(*_frozen(8, 6), 2, TrainConfig(seed=4), np.random.default_rng(4))
         soft_config = TrainConfig(seed=4, param_map=ParamMap.SOFTPLUS)
-        soft = init_adapter(8, 6, 2, soft_config, np.random.default_rng(4))
+        soft = init_adapter(*_frozen(8, 6), 2, soft_config, np.random.default_rng(4))
         from bayeslora.parammaps import apply_map
 
         np.testing.assert_allclose(
@@ -131,7 +142,7 @@ class TestInitAdapter:
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
-            init_adapter(4, 4, 4, TrainConfig(), np.random.default_rng(5))
+            init_adapter(*_frozen(4, 4), 4, TrainConfig(), np.random.default_rng(5))
 
 
 class TestLrFactor:
@@ -220,11 +231,11 @@ class TestTrain:
     def test_backbone_frozen(self):
         config = TrainConfig(seed=1, steps=60)
         net = build_small_net(2, (8, 8), 2, 2, config)
-        frozen = [(l.adapter.w0.copy(), l.bias.copy()) for l in net.layers]
+        frozen = [(l.w0.copy(), l.bias.copy()) for l in net.layers]
         (ds, _) = _small_task()
         train([(net, config)], ds)
         for layer, (w0, bias) in zip(net.layers, frozen):
-            np.testing.assert_array_equal(layer.adapter.w0, w0)
+            np.testing.assert_array_equal(layer.w0, w0)
             np.testing.assert_array_equal(layer.bias, bias)
 
     def test_same_seed_bit_identical_trajectory(self):
@@ -411,7 +422,7 @@ class TestPredict:
         config = TrainConfig(seed=4, dropout_p=dropout_p)
         net = build_small_net(2, (8, 8), 2, 2, config)
         for layer in net.layers:
-            layer.adapter.b = np.random.default_rng(5).normal(size=layer.adapter.b.shape)
+            layer.b = np.random.default_rng(5).normal(size=layer.b.shape)
         x = np.random.default_rng(6).normal(size=(30, 2))
         counts = [10, 0, 5, 1]
         together = predict(net, x, counts, seed=7)
@@ -479,7 +490,7 @@ class TestMleReduction:
         net_blob = build_small_net(2, (8,), 2, 1, config_blob, zero_g=True)
         train([(net_blob, config_blob)], ds)
 
-        np.testing.assert_array_equal(net_blob.layers[0].adapter.g, 0.0)
+        np.testing.assert_array_equal(net_blob.layers[0].g, 0.0)
         for key in ("layers.0.mean_a", "layers.0.b", "head.w"):
             np.testing.assert_allclose(
                 net_det.trainable_params()[key],
